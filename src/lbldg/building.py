@@ -224,7 +224,7 @@ def stab_o(g):
 
 
 def _provably_zero(e):
-    if e.terms:
+    if e.pairs:
         return False
     if e.floor is not None:
         raise PrecisionError("cannot decide whether a truncated entry vanishes")
@@ -389,8 +389,9 @@ def m_of(u):
     if ell.is_bottom:
         raise IdentityElement("no reflection datum for the identity")
     s = u.s
-    if len(s.terms) == 1 and s.floor is None:
-        e, c = s.terms[0]
+    if len(s.pairs) == 1 and s.floor is None:
+        e = fs.lead_exp(s)
+        c = fs.coef_at(s, e)
         minus_sinv = fs.monomial(-e, Fraction(-1, 1) / c)
     else:
         lead = ell.finite_value

@@ -277,7 +277,8 @@ def _check_ec(cfg):
             cfg.exponent_magnitude_bound,
             cfg.exponent_denominator_bound,
         )
-        exp, coef = s.terms[0]
+        exp = fs.lead_exp(s)
+        coef = fs.coef_at(s, exp)
         ell = exp
         opp = RootElem(cfg.n, j, i, fs.monomial(-exp, 1 / coef)).as_group()
         bad = {"s": fs.to_str(s), "i": i, "j": j}

@@ -58,13 +58,6 @@ def brute_membership(g, mu, denom=2):
     return False
 
 
-def _coef_at(e, m):
-    for exp, coef in e.terms:
-        if exp == m:
-            return coef
-    return Fraction(0)
-
-
 def _solve_combo(basis, v):
     """Rationals lam with sum(lam_k * basis[k]) = v, or None."""
     if not basis:
@@ -114,7 +107,7 @@ def iwasawa_witness(g):
             if peak.is_bottom:
                 return None
             m = peak.finite_value
-            v = [_coef_at(e, m) for e in rows[i]]
+            v = [fs.coef_at(e, m) for e in rows[i]]
             lower = list(range(i + 1, size))
             lam = _solve_combo([tops[k] for k in lower], v)
             if lam is None:

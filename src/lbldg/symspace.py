@@ -90,9 +90,11 @@ def mat_adjugate(a):
 
 def _is_one(d):
     r = fs.sub(d, fs.ONE)
-    if r.terms:
+    if r.pairs:
         return False
-    return True  # exactly zero, or masked with no visible term
+    if r.floor is not None and r.floor >= 0:
+        raise PrecisionError(f"determinant's t^0 coefficient masked by floor {r.floor}")
+    return True  # exactly zero, or masked only below t^0
 
 
 # --- group and point types ---------------------------------------------------
@@ -269,12 +271,15 @@ def cartan_valuations(x, y):
     masked = []
     for k in range(n + 1):
         c = q[n - k]
-        if c.terms:
-            known.append((Fraction(k), c.terms[0][0]))
+        lead = fs.lead_exp(c)
+        if lead is not None:
+            known.append((Fraction(k), lead))
         elif c.floor is not None:
             masked.append((Fraction(k), c.floor))
         # exactly-zero coefficients contribute no Newton-polygon point
     hull = _upper_concave_hull(known)
+    if not hull:
+        raise PrecisionError("no coefficient of the pencil has a visible term")
     for k, bound in masked:
         if k > hull[-1][0] or k < hull[0][0] or bound > _hull_value_at(hull, k):
             raise PrecisionError(

@@ -1,16 +1,34 @@
 """Truncated Puiseux series over Q with valuation onto Lambda = Q.
 
-An element is a finite descending list of (exponent, coefficient) terms plus a
-floor: None means the element is exact; a rational floor f means an unknown
-tail h with negval(h) <= f may exist. Stored exponents are strictly above the
-floor, so the leading exponent (when terms exist) is the exact negval. The
-distinguished element t (exponent 1) is infinite: t > r for every rational r.
+An element is a finite sum of terms c*t^x plus a floor: None means the element
+is exact; a rational floor f means an unknown tail h with negval(h) <= f may
+exist. Visible exponents lie strictly above the floor, so the leading exponent
+(when terms exist) is the exact negval. The distinguished element t (exponent
+1) is infinite: t > r for every rational r.
+
+Terms live on an integer lattice. An element stores
+
+- ``e``: the ramification index; every exponent is k/e for an int k;
+- ``d``: the positive common denominator of the coefficients;
+- ``pairs``: a tuple of (k, n) int pairs in strictly descending k with no zero
+  n, standing for the terms (n/d)*t^(k/e);
+- ``floor``: a Fraction, or None.
+
+Every element is canonical. ``e`` is minimal, the lcm of the exponent
+denominators of the visible terms (gcd(e, k, ...) = 1), and ``d`` is minimal
+(gcd(d, n, ...) = 1); both are 1 without visible terms. So equality and
+hashing compare the ints directly. Each operation brings its operands to a
+common e (and, for addition, a common d) before the kernel call in
+``_backend`` and divides the gcds out after it. Fractions appear only at the
+boundary: ``from_terms``, ``parse``, ``to_str``, the ``terms`` view, floors
+and the payloads of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
 
 All operations are pure; results are immutable.
 """
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import (
     DuplicateExponent,
@@ -31,11 +49,13 @@ def _q(x):
 
 
 class PuiseuxElem:
-    __slots__ = ("terms", "floor")
+    __slots__ = ("e", "d", "pairs", "floor")
 
-    def __init__(self, terms, floor):
+    def __init__(self, e, d, pairs, floor):
         # Assumes canonical data; use from_terms for raw input.
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "floor", floor)
 
     def __setattr__(self, name, value):
@@ -45,20 +65,33 @@ class PuiseuxElem:
     def from_terms(cls, pairs, floor=None):
         """Build from (exponent, coefficient) pairs, combining duplicates."""
         acc = {}
-        for e, c in pairs:
-            e, c = _q(e), _q(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
+        for x, c in pairs:
+            x, c = _q(x), _q(c)
+            acc[x] = acc.get(x, Fraction(0)) + c
         floor = None if floor is None else _q(floor)
-        terms = tuple(
-            (e, acc[e])
-            for e in sorted(acc.keys(), reverse=True)
-            if acc[e] and (floor is None or e > floor)
+        visible = [(x, c) for x, c in acc.items() if c and (floor is None or x > floor)]
+        # lcms of reduced denominators are already minimal
+        e = lcm(*(x.denominator for x, _ in visible))
+        d = lcm(*(c.denominator for _, c in visible))
+        kn = sorted(
+            (
+                (x.numerator * (e // x.denominator), c.numerator * (d // c.denominator))
+                for x, c in visible
+            ),
+            reverse=True,
         )
-        return cls(terms, floor)
+        return cls(e, d, tuple(kn), floor)
+
+    @property
+    def terms(self):
+        """The visible terms as ((exponent, coefficient), ...) Fractions,
+        exponents descending."""
+        e, d = self.e, self.d
+        return tuple([(Fraction(k, e), Fraction(n, d)) for k, n in self.pairs])
 
     @property
     def is_zero(self):
-        return not self.terms and self.floor is None
+        return not self.pairs and self.floor is None
 
     @property
     def is_exact(self):
@@ -70,10 +103,15 @@ class PuiseuxElem:
                 other = from_rational(other)
             else:
                 return NotImplemented
-        return self.terms == other.terms and self.floor == other.floor
+        return (
+            self.pairs == other.pairs
+            and self.e == other.e
+            and self.d == other.d
+            and self.floor == other.floor
+        )
 
     def __hash__(self):
-        return hash((self.terms, self.floor))
+        return hash((self.e, self.d, self.pairs, self.floor))
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -127,16 +165,90 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to PuiseuxElem")
 
 
+# --- the integer lattice ----------------------------------------------------
+#
+# Term tuples are built from lists, never from generators. CPython's
+# tuple(generator) takes a length-10 tuple and shrinks it, so each such tuple
+# is freed onto another length's free list than it came from; those lists
+# then only fill (up to 2000 tuples per length) and hold megabytes.
+
+
+def _canon(e, d, pairs, floor):
+    """The canonical element for terms (n/d)*t^(k/e): divides the gcds of the
+    numerators with d and of the exponents with e out."""
+    if not pairs:
+        return PuiseuxElem(1, 1, (), floor)
+    if d != 1:
+        g = d
+        for _, n in pairs:
+            g = gcd(g, n)
+            if g == 1:
+                break
+        if g != 1:
+            d //= g
+            pairs = tuple([(k, n // g) for k, n in pairs])
+    if e != 1:
+        g = e
+        for k, _ in pairs:
+            g = gcd(g, k)
+            if g == 1:
+                break
+        if g != 1:
+            e //= g
+            pairs = tuple([(k // g, n) for k, n in pairs])
+    return PuiseuxElem(e, d, pairs, floor)
+
+
+def _rescale(pairs, s, u):
+    """pairs with every k multiplied by s and every n by u."""
+    if s == 1 and u == 1:
+        return pairs
+    return tuple([(k * s, n * u) for k, n in pairs])
+
+
+def _above(pairs, e, floor):
+    """The leading pairs whose exponents k/e lie strictly above floor."""
+    cut = floor.numerator * e // floor.denominator  # k/e > floor iff k > cut
+    for i, (k, _) in enumerate(pairs):
+        if k <= cut:
+            return pairs[:i]
+    return pairs
+
+
+def lead_exp(a):
+    """Exponent of the leading visible term, or None when no term is visible."""
+    return Fraction(a.pairs[0][0], a.e) if a.pairs else None
+
+
+def coef_at(a, x):
+    """Coefficient of t^x among the visible terms; 0 when there is none."""
+    x = _q(x)
+    s, r = divmod(a.e, x.denominator)
+    if not r:
+        k = x.numerator * s
+        for kk, n in a.pairs:
+            if kk == k:
+                return Fraction(n, a.d)
+    return Fraction(0)
+
+
+# --- constructors ------------------------------------------------------------
+
+
 def from_rational(q):
     q = _q(q)
-    return PuiseuxElem(((Fraction(0), q),) if q else (), None)
+    if not q:
+        return ZERO
+    return PuiseuxElem(1, q.denominator, ((0, q.numerator),), None)
 
 
 def monomial(exp, coef=1):
-    coef = _q(coef)
+    exp, coef = _q(exp), _q(coef)
     if not coef:
         return ZERO
-    return PuiseuxElem(((_q(exp), coef),), None)
+    return PuiseuxElem(
+        exp.denominator, coef.denominator, ((exp.numerator, coef.numerator),), None
+    )
 
 
 def with_floor(a, f):
@@ -144,31 +256,45 @@ def with_floor(a, f):
     f = _q(f)
     if a.floor is not None and a.floor >= f:
         return a
-    return PuiseuxElem(tuple(t for t in a.terms if t[0] > f), f)
+    return _canon(a.e, a.d, _above(a.pairs, a.e, f), f)
 
 
 def _negval_ub(a):
     """Upper bound for negval; None only for the exact zero."""
-    if a.terms:
-        return a.terms[0][0]
-    return a.floor
+    lead = lead_exp(a)
+    return a.floor if lead is None else lead
+
+
+# --- arithmetic --------------------------------------------------------------
 
 
 def add(a, b):
-    if a.floor is None:
-        floor = b.floor
-    elif b.floor is None:
-        floor = a.floor
+    fa, fb = a.floor, b.floor
+    if fa is None:
+        floor = fb
+    elif fb is None:
+        floor = fa
     else:
-        floor = max(a.floor, b.floor)
-    terms = kernel_add(a.terms, b.terms)
+        floor = max(fa, fb)
+    pa, pb = a.pairs, b.pairs
+    # an operand without visible terms whose floor does not win adds nothing
+    if not pb and floor == fa:
+        return a
+    if not pa and floor == fb:
+        return b
+    e, d = a.e, a.d
+    if e != b.e or d != b.d:
+        e, d = lcm(e, b.e), lcm(d, b.d)
+        pa = _rescale(pa, e // a.e, d // a.d)
+        pb = _rescale(pb, e // b.e, d // b.d)
+    pairs = kernel_add(pa, pb)
     if floor is not None:
-        terms = tuple(t for t in terms if t[0] > floor)
-    return PuiseuxElem(terms, floor)
+        pairs = _above(pairs, e, floor)
+    return _canon(e, d, pairs, floor)
 
 
 def neg(a):
-    return PuiseuxElem(tuple((e, -c) for e, c in a.terms), a.floor)
+    return PuiseuxElem(a.e, a.d, tuple([(k, -n) for k, n in a.pairs]), a.floor)
 
 
 def sub(a, b):
@@ -178,8 +304,18 @@ def sub(a, b):
 def mul(a, b):
     if a.is_zero or b.is_zero:
         return ZERO
+    pa, pb = a.pairs, b.pairs
+    e = 1
+    pairs = ()
+    if pa and pb:
+        e = a.e
+        if e != b.e:
+            e = lcm(e, b.e)
+            pa = _rescale(pa, e // a.e, 1)
+            pb = _rescale(pb, e // b.e, 1)
+        pairs = kernel_mul(pa, pb)
     if a.floor is None and b.floor is None:
-        return PuiseuxElem(kernel_mul(a.terms, b.terms), None)
+        return _canon(e, a.d * b.d, pairs, None)
     ub_a, ub_b = _negval_ub(a), _negval_ub(b)
     floors = []
     if a.floor is not None:
@@ -187,13 +323,15 @@ def mul(a, b):
     if b.floor is not None:
         floors.append(b.floor + ub_a)
     floor = max(floors)
-    terms = tuple(t for t in kernel_mul(a.terms, b.terms) if t[0] > floor)
-    return PuiseuxElem(terms, floor)
+    return _canon(e, a.d * b.d, _above(pairs, e, floor), floor)
+
+
+# --- valuation and order -------------------------------------------------------
 
 
 def negval(a):
-    if a.terms:
-        return LambdaVal.of(a.terms[0][0])
+    if a.pairs:
+        return LambdaVal.of(lead_exp(a))
     if a.floor is None:
         return BOTTOM
     raise PrecisionError(f"negval masked by floor {a.floor}")
@@ -201,24 +339,24 @@ def negval(a):
 
 def cmp(a, b):
     d = sub(a, b)
-    if d.terms:
-        return GT if d.terms[0][1] > 0 else LT
+    if d.pairs:
+        return GT if d.pairs[0][1] > 0 else LT
     if d.floor is None:
         return EQ
     raise PrecisionError(f"sign masked by floor {d.floor}")
 
 
 def in_O(a):
-    if a.terms:
-        return a.terms[0][0] <= 0
+    if a.pairs:
+        return a.pairs[0][0] <= 0
     if a.floor is None or a.floor <= 0:
         return True
     raise PrecisionError(f"membership in O masked by floor {a.floor}")
 
 
 def is_unit(a):
-    if a.terms:
-        return a.terms[0][0] == 0
+    if a.pairs:
+        return a.pairs[0][0] == 0
     if a.floor is None or a.floor < 0:
         return False
     raise PrecisionError(f"unit test masked by floor {a.floor}")
@@ -229,31 +367,47 @@ def residue(a):
         raise NotInRing("residue requires an element of O")
     if a.floor is not None and a.floor >= 0:
         raise PrecisionError(f"t^0 coefficient masked by floor {a.floor}")
-    for e, c in a.terms:
-        if e == 0:
-            return c
-    return Fraction(0)
+    return coef_at(a, 0)
+
+
+# --- inverse and square root ---------------------------------------------------
 
 
 def _lattice_step(a, halved=False):
     """Smallest exponent spacing the result can live on."""
-    den = math.lcm(*(e.denominator for e, _ in a.terms))
-    if halved:
-        den *= 2
-    return Fraction(1, den)
+    return Fraction(1, 2 * a.e if halved else a.e)
+
+
+def _tail_floor(target_floor, step, dropped_ub):
+    """Floor for a series summed down to target_floor on a lattice of spacing
+    step: the dropped terms lie on the lattice strictly below target_floor
+    (one step below it when it is a lattice point), and the floors they carry
+    are at most dropped_ub."""
+    floor = (math.ceil(target_floor / step) - 1) * step
+    if dropped_ub is not None and dropped_ub > floor:
+        return dropped_ub
+    return floor
+
+
+def _split_lead(a):
+    """(leading exponent, leading coefficient, a without its leading term)."""
+    k, n = a.pairs[0]
+    rest = _canon(a.e, a.d, a.pairs[1:], a.floor)
+    return Fraction(k, a.e), Fraction(n, a.d), rest
 
 
 def inv(a, target_floor):
-    """Multiplicative inverse; every exponent >= target_floor is computed and
-    the result floor sits one lattice step below target_floor."""
+    """Multiplicative inverse; every exponent >= target_floor is computed.
+    The result floor is the lattice point below target_floor (one lattice step
+    below it when target_floor is a lattice point), or the operand's floor
+    carried through when that is higher."""
     target_floor = _q(target_floor)
-    if not a.terms:
+    if not a.pairs:
         if a.floor is None:
             raise ZeroDivisionError("inverse of zero")
         raise PrecisionError(f"leading term masked by floor {a.floor}")
-    e, c = a.terms[0]
+    e, c, rest = _split_lead(a)
     lead_inv = monomial(-e, Fraction(1, 1) / c)
-    rest = PuiseuxElem(a.terms[1:], a.floor)
     if rest.is_zero:
         return lead_inv
     if a.floor is not None and a.floor - 2 * e > target_floor:
@@ -269,7 +423,8 @@ def inv(a, target_floor):
         if ub is None or ub < cutoff:
             break
         s = add(s, p)
-    return with_floor(mul(lead_inv, s), target_floor - _lattice_step(a))
+    dropped = None if ub is None else ub - e
+    return with_floor(mul(lead_inv, s), _tail_floor(target_floor, _lattice_step(a), dropped))
 
 
 def _sqrt_rational(q):
@@ -285,10 +440,9 @@ def sqrt_pos(a, target_floor=None):
     target_floor may be omitted only when a is an exact monomial."""
     if cmp(a, ZERO) != GT:
         raise NegativeInput("sqrt_pos requires a positive element")
-    e, c = a.terms[0]
+    e, c, rest = _split_lead(a)
     s0 = _sqrt_rational(c)
     lead = monomial(e / 2, s0)
-    rest = PuiseuxElem(a.terms[1:], a.floor)
     if rest.is_zero:
         return lead
     if target_floor is None:
@@ -311,7 +465,9 @@ def sqrt_pos(a, target_floor=None):
         if ub is None or ub < cutoff:
             break
         s = add(s, mul(from_rational(coef), p))
-    return with_floor(mul(lead, s), target_floor - _lattice_step(a, halved=True))
+    dropped = None if ub is None else ub + e / 2
+    step = _lattice_step(a, halved=True)
+    return with_floor(mul(lead, s), _tail_floor(target_floor, step, dropped))
 
 
 # --- canonical text form ---------------------------------------------------
@@ -459,6 +615,6 @@ def parse(text):
     return PuiseuxElem.from_terms(seen.items(), floor)
 
 
-ZERO = PuiseuxElem((), None)
+ZERO = PuiseuxElem(1, 1, (), None)
 ONE = from_rational(1)
 T = monomial(1)

@@ -52,6 +52,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             _x([["2", "0"], ["0", "1"]])  # det 2
 
+    def test_masked_determinant_is_not_one(self):
+        # det = 1 + O(t^(1)): no visible term confirms the t^0 coefficient
+        with pytest.raises(PrecisionError):
+            _g([["1 + O(t^(1))", "0"], ["0", "1"]])
+        with pytest.raises(PrecisionError):
+            _x([["1 + O(t^(0))", "0"], ["0", "1"]])
+
+    def test_determinant_floored_below_t0_passes(self):
+        # wall reflections with an inverted non-monomial entry look like this
+        _g([["1 + O(t^(-1))", "0"], ["0", "1"]])
+        _x([["1 + O(t^(-1/2))", "0"], ["0", "1"]])
+
     def test_inverse_and_transpose(self):
         rng = trial_rng(5, "inv", 0)
         for n in (2, 3, 4):
@@ -143,6 +155,21 @@ class TestCartanValuations:
         )
         with pytest.raises(PrecisionError):
             sym.cartan_valuations(ident, bad)
+
+    def test_fully_masked_pencil_raises(self):
+        # both points cut above every exponent: no coefficient is visible
+        rng = trial_rng(7, "masked", 0)
+        x, y = (
+            sym.SPDPoint(
+                [[fs.with_floor(e, 99) for e in row] for row in gen_point(rng, 3).entries],
+                validate=False,
+            )
+            for _ in range(2)
+        )
+        with pytest.raises(PrecisionError):
+            sym.cartan_valuations(x, y)
+        with pytest.raises(PrecisionError):
+            sym.distance(x, y)
 
     def test_benign_floor_is_tolerated(self):
         # a floor far below the hull leaves every slope determinable

@@ -1,10 +1,11 @@
 """Valued-field layer: series arithmetic, valuation, parsing, value group."""
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbldg import valfield as vf
@@ -34,6 +35,31 @@ def _rand_nonzero(rng):
         x = _rand_exact(rng)
         if not x.is_zero:
             return x
+
+
+# Mixed lattices: exponent denominators 1-6.
+_EXPS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_COEFS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_TERMS = st.lists(st.tuples(_EXPS, _COEFS), max_size=5)
+_FLOORS = st.fractions(min_value=-9, max_value=6, max_denominator=6)
+
+
+def _naive_terms(acc):
+    """An {exponent: coefficient} dict as a descending terms tuple."""
+    return tuple(sorted(((e, c) for e, c in acc.items() if c), reverse=True))
+
+
+def _assert_canonical(x):
+    """e and d are minimal and the pairs are sorted, distinct and nonzero."""
+    ks = [k for k, _ in x.pairs]
+    ns = [n for _, n in x.pairs]
+    assert ks == sorted(set(ks), reverse=True)
+    assert all(ns)
+    assert x.d > 0 and math.gcd(x.d, *ns) == 1
+    assert x.e > 0 and math.gcd(x.e, *ks) == 1
+    assert x.e == math.lcm(*(e.denominator for e, _ in x.terms))
+    if x.floor is not None:
+        assert all(e > x.floor for e, _ in x.terms)
 
 
 # --- LambdaVal / LexPair -----------------------------------------------------
@@ -165,22 +191,7 @@ class TestArithmetic:
             assert vf.mul(a, vf.add(b, c)) == vf.add(vf.mul(a, b), vf.mul(a, c))
             assert vf.add(a, vf.neg(a)).is_zero
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.fractions(min_value=-6, max_value=6, max_denominator=3),
-                st.fractions(min_value=-9, max_value=9, max_denominator=5),
-            ),
-            max_size=4,
-        ),
-        st.lists(
-            st.tuples(
-                st.fractions(min_value=-6, max_value=6, max_denominator=3),
-                st.fractions(min_value=-9, max_value=9, max_denominator=5),
-            ),
-            max_size=4,
-        ),
-    )
+    @given(_TERMS, _TERMS)
     @settings(max_examples=60, deadline=None)
     def test_mul_matches_naive_convolution(self, ta, tb):
         a = vf.PuiseuxElem.from_terms(ta)
@@ -189,8 +200,21 @@ class TestArithmetic:
         for ea, ca in a.terms:
             for eb, cb in b.terms:
                 acc[ea + eb] = acc.get(ea + eb, Q(0)) + ca * cb
-        want = vf.PuiseuxElem.from_terms(acc.items())
-        assert vf.mul(a, b) == want
+        got = vf.mul(a, b)
+        assert got.terms == _naive_terms(acc)
+        _assert_canonical(got)
+
+    @given(_TERMS, _TERMS)
+    @settings(max_examples=60, deadline=None)
+    def test_add_matches_naive_sum(self, ta, tb):
+        a = vf.PuiseuxElem.from_terms(ta)
+        b = vf.PuiseuxElem.from_terms(tb)
+        acc = dict(a.terms)
+        for eb, cb in b.terms:
+            acc[eb] = acc.get(eb, Q(0)) + cb
+        got = vf.add(a, b)
+        assert got.terms == _naive_terms(acc)
+        _assert_canonical(got)
 
 
 # --- valuation and order -----------------------------------------------------
@@ -308,5 +332,127 @@ class TestInvSqrt:
         assert b.terms[0][0] == Q(1, 6)
 
 
-def test_backend_is_reported():
-    assert vf.backend_name() in ("cython", "pure")
+# --- floor soundness -----------------------------------------------------------
+#
+# Each operand is an exact series a, shown to the operation as with_floor(a, f)
+# (or exactly).  A decided answer must match the exact answer for a at every
+# exponent above the floor it reports; PrecisionError is always allowed.
+
+_MAYBE_FLOOR = st.one_of(st.none(), _FLOORS)
+# offsets from a leading exponent, for floors and targets near it
+_OFFSETS = st.fractions(min_value=-4, max_value=1, max_denominator=6)
+_MAYBE_OFFSET = st.one_of(st.none(), _OFFSETS)
+
+
+def _cut(a, f):
+    return a if f is None else vf.with_floor(a, f)
+
+
+def _visible(x):
+    """The visible terms of x as an exact series."""
+    return vf.PuiseuxElem.from_terms(x.terms)
+
+
+def _agrees(got, exact):
+    """got, with the floor it reports, matches exact above that floor."""
+    _assert_canonical(got)
+    if got.floor is None:
+        return got.terms == exact.terms
+    return got.terms == tuple(t for t in exact.terms if t[0] > got.floor)
+
+
+def _decide(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError:
+        return None
+
+
+class TestFloorSoundness:
+    @given(_TERMS, _TERMS, _MAYBE_FLOOR, _MAYBE_FLOOR)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, ta, tb, fa, fb):
+        a, b = vf.PuiseuxElem.from_terms(ta), vf.PuiseuxElem.from_terms(tb)
+        x, y = _cut(a, fa), _cut(b, fb)
+        assert _agrees(x, a)
+        assert _agrees(vf.add(x, y), vf.add(a, b))
+        assert _agrees(vf.sub(x, y), vf.sub(a, b))
+        assert _agrees(vf.mul(x, y), vf.mul(a, b))
+        assert _agrees(vf.neg(x), vf.neg(a))
+
+    @given(_TERMS, _TERMS, _MAYBE_FLOOR, _MAYBE_FLOOR)
+    @settings(max_examples=150, deadline=None)
+    def test_decisions(self, ta, tb, fa, fb):
+        a, b = vf.PuiseuxElem.from_terms(ta), vf.PuiseuxElem.from_terms(tb)
+        x, y = _cut(a, fa), _cut(b, fb)
+        for fn, args, exact in (
+            (vf.cmp, (x, y), (a, b)),
+            (vf.negval, (x,), (a,)),
+            (vf.in_O, (x,), (a,)),
+            (vf.is_unit, (x,), (a,)),
+        ):
+            got = _decide(fn, *args)
+            if got is not None:
+                assert got == fn(*exact), fn.__name__
+        if _decide(vf.in_O, x):
+            got = _decide(vf.residue, x)
+            if got is not None:
+                assert got == vf.residue(a)
+
+    @given(_TERMS, _MAYBE_FLOOR, _FLOORS)
+    @settings(max_examples=150, deadline=None)
+    def test_with_floor(self, ta, fa, f):
+        a = vf.PuiseuxElem.from_terms(ta)
+        got = vf.with_floor(_cut(a, fa), f)
+        assert got.floor >= f
+        assert _agrees(got, a)
+
+    @given(_TERMS, _MAYBE_OFFSET, _OFFSETS)
+    @settings(max_examples=200, deadline=None)
+    @example([(Q(0), Q(1)), (Q(-1, 2), Q(-1))], None, Q(-1, 3))
+    @example([(Q(1), Q(1)), (Q(-1, 2), Q(1))], Q(-4, 3), Q(-1))
+    def test_inv(self, ta, fa, target):
+        a = vf.PuiseuxElem.from_terms(ta)
+        if a.is_zero:
+            return
+        # floor and target are drawn relative to the leading exponent
+        lead = vf.negval(a).finite_value
+        target -= lead
+        got = _decide(vf.inv, _cut(a, None if fa is None else lead + fa), target)
+        if got is None:
+            return
+        _assert_canonical(got)
+        # got - 1/a has negval <= F exactly when a*got - 1 has negval <= F + negval(a)
+        r = vf.sub(vf.mul(a, _visible(got)), vf.ONE)
+        if got.floor is None:
+            assert r.is_zero
+        else:
+            assert got.floor <= target
+            assert r.is_zero or vf.negval(r).finite_value <= got.floor + lead
+
+    @given(_TERMS, _MAYBE_OFFSET, _OFFSETS)
+    @settings(max_examples=200, deadline=None)
+    @example([(Q(1, 2), Q(1)), (Q(-1, 2), Q(1))], None, Q(-5, 6))
+    def test_sqrt_pos(self, ta, fa, target):
+        # squares have rational square roots of their leading coefficients
+        x = vf.PuiseuxElem.from_terms(ta)
+        a = vf.mul(x, x)
+        if a.is_zero:
+            return
+        lead = vf.negval(a).finite_value
+        target += lead / 2
+        got = _decide(vf.sqrt_pos, _cut(a, None if fa is None else lead + fa), target)
+        if got is None:
+            return
+        _assert_canonical(got)
+        g = _visible(got)
+        if g.terms:
+            assert g.terms[0] == (lead / 2, abs(x.terms[0][1]))
+        # with equal leading terms (or g = 0), g - sqrt(a) has negval <= F
+        # exactly when g^2 - a has negval <= F + negval(a)/2
+        r = vf.sub(vf.mul(g, g), a)
+        if got.floor is None:
+            assert r.is_zero
+        else:
+            assert got.floor <= target
+            assert r.is_zero or vf.negval(r).finite_value <= got.floor + lead / 2
