@@ -46,19 +46,6 @@ INV_TAIL = 6
 # --- charts and apartment points ----------------------------------------------
 
 
-class Chart(NamedTuple):
-    """The map mu -> g . x_mu; the chart of the identity is the standard
-    apartment itself."""
-
-    g: GroupElem
-
-    def image(self, mu):
-        return chart_image(self.g, mu)
-
-    def overlap(self):
-        return apartment_overlap(self.g)
-
-
 def x_mu(mu):
     """The apartment point diag(t^(2 mu_i)) as a symmetric-space point."""
     if isinstance(mu, ApartmentVec):

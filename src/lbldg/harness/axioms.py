@@ -24,7 +24,6 @@ The constructions are pinned so every trial is decidable:
   three pairwise overlaps are the two half-apartments and their wall.
 """
 
-import time
 from fractions import Fraction
 
 from ..apartment import ApartmentVec, affine_from_mu, apply_weyl, in_wconvex
@@ -42,36 +41,18 @@ from ..symspace import act, distance, equivalent, matrix_to_json
 from ..valfield import series as fs
 from ..valfield.lam import LambdaVal
 from .generators import (
+    draw_group,
+    draw_point,
     gen_apartment_mu,
     gen_diagonal,
-    gen_group_elem,
-    gen_point,
     gen_root_elem,
     gen_unipotent,
     sample_in_region,
     trial_rng,
 )
-from .report import Report, run_check
+from .report import payload_strs, run_check, run_suite
 
 ZERO = LambdaVal.of(0)
-
-
-def _draw(cfg, rng):
-    return gen_group_elem(
-        rng,
-        cfg.n,
-        cfg.exponent_magnitude_bound,
-        cfg.exponent_denominator_bound,
-        cfg.factor_count,
-    )
-
-
-def _mat(g):
-    return matrix_to_json(g.entries)
-
-
-def _mu_strs(mu):
-    return [str(v) for v in mu]
 
 
 def _vec(rs, mu):
@@ -86,7 +67,7 @@ def _check_a1(cfg):
 
     def one(trial):
         rng = trial_rng(cfg.seed, "A1", trial)
-        g = _draw(cfg, rng)
+        g = draw_group(rng, cfg)
         sigma = tuple(rng.sample(range(1, cfg.n + 1), cfg.n))
         c = gen_apartment_mu(rng, cfg.n)
         w = affine_from_mu(rs, sigma, list(c))
@@ -97,10 +78,10 @@ def _check_a1(cfg):
             right = act(g, x_mu(apply_weyl(w, mu)))
             if not equivalent(left, right):
                 return {
-                    "g": _mat(g),
+                    "g": matrix_to_json(g),
                     "perm": list(sigma),
-                    "shift": _mu_strs(c),
-                    "mu": _mu_strs(mu.to_mu()),
+                    "shift": payload_strs(c),
+                    "mu": payload_strs(mu.to_mu()),
                 }
         return None
 
@@ -119,11 +100,11 @@ def _check_a2(cfg):
         g = None
         res = None
         for _ in range(40):
-            cand = _draw(cfg, rng)
+            cand = draw_group(rng, cfg)
             try:
                 got = apartment_overlap(cand)
             except AmbiguousWeyl:
-                return {"g": _mat(cand), "ambiguous": True}
+                return {"g": matrix_to_json(cand), "ambiguous": True}
             if got is not None:
                 g, res = cand, got
                 break
@@ -131,10 +112,10 @@ def _check_a2(cfg):
             return {"note": "no chart with nonempty overlap in 40 draws"}
         region, w = res
         if len(region.constraints) > bound:
-            return {"g": _mat(g), "constraints": len(region.constraints)}
+            return {"g": matrix_to_json(g), "constraints": len(region.constraints)}
         for mu in sample_in_region(rng, region, 20):
             if chart_image(g, mu) != apply_weyl(w, mu):
-                return {"g": _mat(g), "mu": _mu_strs(mu.to_mu())}
+                return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
 
     return [run_check("overlaps carry a single Weyl transport", cfg.trials, one)]
@@ -149,17 +130,17 @@ def _check_a3r(cfg):
 
     def one(trial):
         rng = trial_rng(cfg.seed, "A3r", trial)
-        h = _draw(cfg, rng)
+        h = draw_group(rng, cfg)
         nu = _vec(rs, gen_apartment_mu(rng, cfg.n))
         base = distance(x_mu(zero), x_mu(nu))
         moved = distance(act(h, x_mu(zero)), act(h, x_mu(nu)))
         if moved != base:
-            return {"h": _mat(h), "nu": _mu_strs(nu.to_mu()), "kind": "chart"}
+            return {"h": matrix_to_json(h), "nu": payload_strs(nu.to_mu()), "kind": "chart"}
         sigma = tuple(rng.sample(range(1, cfg.n + 1), cfg.n))
         w = affine_from_mu(rs, sigma, list(gen_apartment_mu(rng, cfg.n)))
         rewound = distance(x_mu(apply_weyl(w, zero)), x_mu(apply_weyl(w, nu)))
         if rewound != base:
-            return {"h": _mat(h), "nu": _mu_strs(nu.to_mu()), "kind": "weyl"}
+            return {"h": matrix_to_json(h), "nu": payload_strs(nu.to_mu()), "kind": "weyl"}
         return None
 
     return [run_check("distance agrees across chart presentations", cfg.trials, one)]
@@ -171,26 +152,17 @@ def _check_a3r(cfg):
 def _check_ti(cfg):
     def one(trial):
         rng = trial_rng(cfg.seed, "TI", trial)
-        x, y, z = (
-            gen_point(
-                rng,
-                cfg.n,
-                cfg.exponent_magnitude_bound,
-                cfg.exponent_denominator_bound,
-                cfg.factor_count,
-            )
-            for _ in range(3)
-        )
+        x, y, z = (draw_point(rng, cfg) for _ in range(3))
         dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
         if dxy < ZERO or distance(x, x) != ZERO:
-            return {"x": _mat(x), "y": _mat(y), "kind": "positivity"}
+            return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "positivity"}
         if dxy != distance(y, x):
-            return {"x": _mat(x), "y": _mat(y), "kind": "symmetry"}
+            return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "symmetry"}
         if dxz > dxy + dyz:
             return {
-                "x": _mat(x),
-                "y": _mat(y),
-                "z": _mat(z),
+                "x": matrix_to_json(x),
+                "y": matrix_to_json(y),
+                "z": matrix_to_json(z),
                 "kind": "triangle",
             }
         return None
@@ -241,14 +213,14 @@ def _check_a4(cfg):
             mu = _vec(rs, [(depth + k) * v for v in stair])
             if chart_image(into_chart, mu) is None:
                 return {
-                    "g": _mat(g),
-                    "mu": _mu_strs(mu.to_mu()),
+                    "g": matrix_to_json(g),
+                    "mu": payload_strs(mu.to_mu()),
                     "kind": "base sector",
                 }
             if chart_image(transition, mu) is None:
                 return {
-                    "g": _mat(g),
-                    "mu": _mu_strs(mu.to_mu()),
+                    "g": matrix_to_json(g),
+                    "mu": payload_strs(mu.to_mu()),
                     "kind": "moved sector",
                 }
         return None
@@ -341,10 +313,4 @@ ENUMERATION_BACKED = {"A2", "EC"}
 
 def check_axiom(cfg, which):
     """Run one axiom suite; returns a Report."""
-    if which not in AXIOMS:
-        raise KeyError(f"unknown axiom {which!r}")
-    cfg.validate(enumeration=which in ENUMERATION_BACKED)
-    start = time.monotonic()
-    rows = AXIOMS[which](cfg)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return Report("axioms", which, cfg, tuple(rows), elapsed)
+    return run_suite("axioms", AXIOMS, cfg, which, enumeration=which in ENUMERATION_BACKED)

@@ -91,6 +91,22 @@ def gen_point(rng, n, span=4, denom=2, factors=3):
     return act(gen_group_elem(rng, n, span, denom, factors), SPDPoint.basepoint(n))
 
 
+def draw_group(rng, cfg):
+    """gen_group_elem with a suite config's size, lattice bounds and factor cap."""
+    return gen_group_elem(
+        rng,
+        cfg.n,
+        cfg.exponent_magnitude_bound,
+        cfg.exponent_denominator_bound,
+        cfg.factor_count,
+    )
+
+
+def draw_point(rng, cfg):
+    """gen_point with a suite config's size, lattice bounds and factor cap."""
+    return act(draw_group(rng, cfg), SPDPoint.basepoint(cfg.n))
+
+
 def gen_unipotent_O(rng, n, lower):
     """Unipotent with off-diagonal entries in the valuation ring: exponents
     on the half-integer lattice at or below zero."""

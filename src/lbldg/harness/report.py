@@ -9,6 +9,7 @@ a report either.
 """
 
 import json
+import time
 from typing import NamedTuple
 
 SCHEMA = "lbldg-report/1"
@@ -60,6 +61,23 @@ def run_check(name, trials, one_trial):
                 payload["trial"] = t
                 kept.append(payload)
     return CheckRow(name, trials, passed, failed, tuple(kept))
+
+
+def run_suite(kind, suites, cfg, which, enumeration=False):
+    """Run the suite named which from the registry suites (name -> check
+    function of a config) and time it; kind is "axioms" or "theorems"."""
+    if which not in suites:
+        raise KeyError(f"unknown {kind[:-1]} {which!r}")
+    cfg.validate(enumeration=enumeration)
+    start = time.monotonic()
+    rows = suites[which](cfg)
+    elapsed = int((time.monotonic() - start) * 1000)
+    return Report(kind, which, cfg, tuple(rows), elapsed)
+
+
+def payload_strs(values):
+    """Exact rationals as the strings a counterexample payload stores."""
+    return [str(v) for v in values]
 
 
 def report_to_dict(report):

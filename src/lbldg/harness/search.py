@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from ..building import trop
+from ..linalg import row_reduce
 from ..symspace import GroupElem
 from ..valfield import series as fs
 
@@ -62,27 +63,11 @@ def _solve_combo(basis, v):
     """Rationals lam with sum(lam_k * basis[k]) = v, or None."""
     if not basis:
         return None
-    n = len(v)
     m = len(basis)
-    aug = [[basis[k][r] for k in range(m)] + [v[r]] for r in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, n) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][m]:
-            return None
+    aug = [[b[r] for b in basis] + [v[r]] for r in range(len(v))]
+    pivots, _ = row_reduce(aug, m)
+    if any(row[m] for row in aug[len(pivots):]):
+        return None
     lam = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         lam[col] = aug[r][m]

@@ -13,7 +13,6 @@ and, within the single-root family where the shape is also necessary, the
 converse with a wall witness.
 """
 
-import time
 from fractions import Fraction
 
 from ..apartment import ApartmentVec
@@ -48,36 +47,18 @@ from ..symspace import (
 from ..valfield import series as fs
 from ..valfield.lam import LambdaVal
 from .generators import (
+    draw_group,
+    draw_point,
     gen_apartment_mu,
     gen_diag_units,
     gen_dominant_mu,
-    gen_group_elem,
-    gen_point,
     gen_stab_elem,
     gen_unipotent_O,
     trial_rng,
 )
-from .report import Report, run_check
+from .report import payload_strs, run_check, run_suite
 
 ZERO = LambdaVal.of(0)
-
-
-def _draw(cfg, rng):
-    return gen_group_elem(
-        rng,
-        cfg.n,
-        cfg.exponent_magnitude_bound,
-        cfg.exponent_denominator_bound,
-        cfg.factor_count,
-    )
-
-
-def _mat(g):
-    return matrix_to_json(g.entries)
-
-
-def _mu_strs(mu):
-    return [str(v) for v in mu]
 
 
 # --- base-point stabilizer -------------------------------------------------------
@@ -88,11 +69,11 @@ def _check_stab_o(cfg):
 
     def one(trial):
         rng = trial_rng(cfg.seed, "Stab_o", trial)
-        g = _draw(cfg, rng)
+        g = draw_group(rng, cfg)
         shape = stab_o(g)
         moved = distance(o, act(g, o))
         if shape != (moved == ZERO):
-            return {"g": _mat(g), "shape": shape, "distance": str(moved)}
+            return {"g": matrix_to_json(g), "shape": shape, "distance": str(moved)}
         return None
 
     return [run_check("integral shape is exactly the base-point stabilizer", cfg.trials, one)]
@@ -119,13 +100,13 @@ def _check_stab_a(cfg):
 
     def one(trial):
         rng = trial_rng(cfg.seed, "Stab_A", trial)
-        g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else _draw(cfg, rng)
+        g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else draw_group(rng, cfg)
         shape = stab_predicates(g, APARTMENT_POINTWISE)
         fixes = all(
             equivalent(act(g, x_mu(mu)), x_mu(mu)) for mu in _probe_mus(cfg, rng, rs)
         )
         if shape != fixes:
-            return {"g": _mat(g), "shape": shape, "fixes": fixes}
+            return {"g": matrix_to_json(g), "shape": shape, "fixes": fixes}
         return None
 
     return [run_check("diagonal units are exactly the apartment fixers", cfg.trials, one)]
@@ -142,11 +123,11 @@ def _check_stab_c0(cfg):
         rng = trial_rng(cfg.seed, "Stab_C0+", trial)
         g = gen_unipotent_O(rng, cfg.n, lower=False) @ gen_diag_units(rng, cfg.n)
         if not stab_predicates(g, CHAMBER_C0):
-            return {"g": _mat(g), "kind": "shape rejected"}
+            return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for _ in range(20):
             mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n, denom=denom))
             if not equivalent(act(g, x_mu(mu)), x_mu(mu)):
-                return {"g": _mat(g), "mu": _mu_strs(mu.to_mu())}
+                return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
 
     def negative(trial):
@@ -156,7 +137,7 @@ def _check_stab_c0(cfg):
         ell = Fraction(rng.randint(1, 2 * denom), denom)
         bad = g @ RootElem(cfg.n, i, j, fs.monomial(ell, Fraction(1))).as_group()
         if stab_predicates(bad, CHAMBER_C0):
-            return {"g": _mat(bad), "kind": "shape accepted"}
+            return {"g": matrix_to_json(bad), "kind": "shape accepted"}
         # interior point whose (i, j) gap is ell/2, below the entry depth:
         # the staircase has consecutive gaps 2*gamma, so positions i and j
         # sit 2*gamma*(j - i) apart
@@ -165,7 +146,7 @@ def _check_stab_c0(cfg):
         shift = sum(mu) / cfg.n
         vec = ApartmentVec.from_mu(rs, [v - shift for v in mu])
         if equivalent(act(bad, x_mu(vec)), x_mu(vec)):
-            return {"g": _mat(bad), "mu": _mu_strs(vec.to_mu()), "kind": "not moved"}
+            return {"g": matrix_to_json(bad), "mu": payload_strs(vec.to_mu()), "kind": "not moved"}
         return None
 
     return [
@@ -210,18 +191,18 @@ def _check_half_apt(cfg):
         deep = RootElem(cfg.n, i, j, fs.monomial(ell - depth, Fraction(1)))
         g = gen_diag_units(rng, cfg.n) @ deep.as_group()
         if not stab_predicates(g, target):
-            return {"g": _mat(g), "kind": "shape rejected"}
+            return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for vec in _gap_points(rng, i, j, ell):
             if not equivalent(act(g, x_mu(vec)), x_mu(vec)):
-                return {"g": _mat(g), "mu": _mu_strs(vec.to_mu()), "kind": "moved"}
+                return {"g": matrix_to_json(g), "mu": payload_strs(vec.to_mu()), "kind": "moved"}
         shallow = RootElem(
             cfg.n, i, j, fs.monomial(ell + Fraction(1, denom), Fraction(1))
         ).as_group()
         if stab_predicates(shallow, target):
-            return {"g": _mat(shallow), "kind": "shape accepted"}
+            return {"g": matrix_to_json(shallow), "kind": "shape accepted"}
         wall = _gap_points(rng, i, j, ell)[0]
         if equivalent(act(shallow, x_mu(wall)), x_mu(wall)):
-            return {"g": _mat(shallow), "kind": "wall not moved"}
+            return {"g": matrix_to_json(shallow), "kind": "wall not moved"}
         return None
 
     return [run_check("root depth against the wall level decides fixing", cfg.trials, one)]
@@ -235,26 +216,14 @@ def _check_retract(cfg):
 
     def one(trial):
         rng = trial_rng(cfg.seed, "Retract", trial)
-        x = gen_point(
-            rng,
-            cfg.n,
-            cfg.exponent_magnitude_bound,
-            cfg.exponent_denominator_bound,
-            cfg.factor_count,
-        )
-        y = gen_point(
-            rng,
-            cfg.n,
-            cfg.exponent_magnitude_bound,
-            cfg.exponent_denominator_bound,
-            cfg.factor_count,
-        )
+        x = draw_point(rng, cfg)
+        y = draw_point(rng, cfg)
         if distance(x_mu(retract(x)), x_mu(retract(y))) > distance(x, y):
-            return {"x": _mat(x), "y": _mat(y), "kind": "expanded"}
+            return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "expanded"}
         for _ in range(2):
             mu = ApartmentVec.from_mu(rs, gen_apartment_mu(rng, cfg.n))
             if retract(x_mu(mu)) != mu:
-                return {"mu": _mu_strs(mu.to_mu()), "kind": "apartment moved"}
+                return {"mu": payload_strs(mu.to_mu()), "kind": "apartment moved"}
         return None
 
     return [run_check("retraction diminishes distances and fixes the apartment", cfg.trials, one)]
@@ -272,7 +241,7 @@ def _check_germ_borel(cfg):
         shape = germ_equal(s, base)
         sampled = sampled_germ_equal(s, base)
         if shape != sampled:
-            return {"g": _mat(s.g), "shape": shape, "sampled": sampled}
+            return {"g": matrix_to_json(s.g), "shape": shape, "sampled": sampled}
         return None
 
     def witness(trial):
@@ -281,7 +250,7 @@ def _check_germ_borel(cfg):
         s2 = SectorGerm(gen_stab_elem(rng, cfg.n))
         h = transitivity_witness(s1, s2)
         if not germ_equal(SectorGerm(h.lift() @ s1.g), s2):
-            return {"g1": _mat(s1.g), "g2": _mat(s2.g)}
+            return {"g1": matrix_to_json(s1.g), "g2": matrix_to_json(s2.g)}
         return None
 
     return [
@@ -298,11 +267,11 @@ def _check_infinity_borel(cfg):
 
     def one(trial):
         rng = trial_rng(cfg.seed, "InfinityBorel", trial)
-        c = SectorAtInfinity(_draw(cfg, rng))
+        c = SectorAtInfinity(draw_group(rng, cfg))
         shape = infinity_equal(c, base)
         sampled = sampled_infinity_equal(c, base)
         if shape != sampled:
-            return {"g": _mat(c.g), "shape": shape, "sampled": sampled}
+            return {"g": matrix_to_json(c.g), "shape": shape, "sampled": sampled}
         return None
 
     return [run_check("triangularity matches sampled parallelism", cfg.trials, one)]
@@ -320,7 +289,7 @@ def _check_iwasawa_o(cfg):
         rng = trial_rng(cfg.seed, "IwasawaO", trial)
         g = gen_stab_elem(rng, cfg.n)
         if retract(act(g, o)) != origin:
-            return {"g": _mat(g)}
+            return {"g": matrix_to_json(g)}
         return None
 
     return [run_check("integral orbits retract to the origin", cfg.trials, one)]
@@ -342,10 +311,4 @@ THEOREM_NAMES = tuple(THEOREMS)
 
 def check_theorem(cfg, which):
     """Run one theorem suite; returns a Report."""
-    if which not in THEOREMS:
-        raise KeyError(f"unknown theorem {which!r}")
-    cfg.validate()
-    start = time.monotonic()
-    rows = THEOREMS[which](cfg)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return Report("theorems", which, cfg, tuple(rows), elapsed)
+    return run_suite("theorems", THEOREMS, cfg, which)

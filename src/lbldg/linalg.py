@@ -1,4 +1,5 @@
-"""Exact linear algebra over Fraction, shared by root-system and residue code."""
+"""Exact linear algebra over Fraction, shared by root-system, residue and
+witness-search code."""
 
 from fractions import Fraction
 
@@ -19,41 +20,50 @@ def mat_vec(a, v):
     return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
 
 
+def row_reduce(a, ncols):
+    """Gauss-Jordan elimination in place on the rows of a (lists of
+    Fraction) over its first ncols columns, leaving them in reduced row
+    echelon form; later columns ride along as augmented columns.
+
+    Returns (pivots, factor): the pivot columns in order, and the product of
+    the pivots with the sign of the row swaps, which is the determinant of
+    the leading square block when every one of its columns has a pivot."""
+    nrows = len(a)
+    pivots = []
+    factor = Fraction(1)
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            factor = -factor
+        p = a[row][col]
+        factor *= p
+        inv_p = 1 / p
+        a[row] = [x * inv_p for x in a[row]]
+        for r in range(nrows):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+    return pivots, factor
+
+
 def mat_inv(m):
     """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
     n = len(m)
     a = [[Fraction(x) for x in row] + ident_row for row, ident_row in zip(m, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv_p = Fraction(1, 1) / a[col][col]
-        a[col] = [x * inv_p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    pivots, _ = row_reduce(a, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
     return [row[n:] for row in a]
 
 
 def det(m):
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gauss-Jordan elimination."""
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        out *= a[col][col]
-        inv_p = Fraction(1, 1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return out * sign
+    pivots, factor = row_reduce([[Fraction(x) for x in row] for row in m], n)
+    return factor if len(pivots) == n else Fraction(0)

@@ -6,12 +6,10 @@ b(x, beta_covec) routes through the Cartan matrix, so every value is an exact
 integer.
 """
 
-from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
 from .errors import EnumerationBound, NotARoot
-from .linalg import mat_inv
 
 ENUM_BOUND = 10**4
 
@@ -42,16 +40,13 @@ class WeylElem(NamedTuple):
 
 
 class RootSystem:
-    __slots__ = ("rank", "roots", "basis", "cartan", "cartan_inv", "kind", "_by_vec", "_labels")
+    __slots__ = ("rank", "roots", "basis", "cartan", "kind", "_by_vec", "_labels")
 
     def __init__(self, rank, roots, basis, cartan, kind, labels=None):
         self.rank = rank
         self.roots = frozenset(roots)
         self.basis = tuple(basis)
         self.cartan = tuple(tuple(row) for row in cartan)
-        self.cartan_inv = tuple(
-            tuple(row) for row in mat_inv([[Fraction(x) for x in r] for r in cartan])
-        )
         self.kind = kind
         self._by_vec = {r.vec: r for r in self.roots}
         self._labels = labels or {}
@@ -117,11 +112,11 @@ def reflect(rs, alpha, x):
     return rs.root_from_vec(out) if isinstance(x, Root) else out
 
 
-def _reflect_root(rs, i, root):
+def _reflect_root(cartan, i, root):
     """Simple reflection s_i acting on a (vec, covec) pair; 0-indexed i."""
-    n = rs.rank
-    cv = sum(rs.cartan[j][i] * root.vec[j] for j in range(n))
-    cd = sum(rs.cartan[i][j] * root.covec[j] for j in range(n))
+    n = len(cartan)
+    cv = sum(cartan[j][i] * root.vec[j] for j in range(n))
+    cd = sum(cartan[i][j] * root.covec[j] for j in range(n))
     vec = tuple(root.vec[k] - (cv if k == i else 0) for k in range(n))
     covec = tuple(root.covec[k] - (cd if k == i else 0) for k in range(n))
     return Root(vec, covec)
@@ -163,21 +158,13 @@ def from_cartan(cartan):
         Root(tuple(int(i == k) for i in range(n)), tuple(int(i == k) for i in range(n)))
         for k in range(n)
     ]
-
-    class _Probe:
-        rank = n
-
-        def __init__(self):
-            self.cartan = cartan
-
-    probe = _Probe()
     seen = set(basis)
     frontier = list(basis)
     while frontier:
         nxt = []
         for r in frontier:
             for i in range(n):
-                im = _reflect_root(probe, i, r)
+                im = _reflect_root(cartan, i, r)
                 if im not in seen:
                     seen.add(im)
                     nxt.append(im)

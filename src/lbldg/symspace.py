@@ -7,6 +7,7 @@ ratios. No field division and no square roots anywhere in this pipeline.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .apartment import ApartmentVec
 from .errors import PrecisionError
@@ -28,7 +29,13 @@ def _coerce_entry(v):
 
 
 def mat_from_rows(rows):
-    return tuple(tuple(_coerce_entry(v) for v in row) for row in rows)
+    """A non-empty square matrix of series; ValueError for any other shape."""
+    m = tuple(tuple(_coerce_entry(v) for v in row) for row in rows)
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError(
+            f"matrix must be square and non-empty, got rows of lengths {[len(r) for r in m]}"
+        )
+    return m
 
 
 def mat_identity(n):
@@ -56,19 +63,29 @@ def mat_transpose(a):
     return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
 
 
+def _laplace(m, ring):
+    """Determinant by Laplace expansion along the first row over the
+    commutative ring given by ring = (zero, is_zero, add, neg, mul); exact
+    and division-free.  Exactly-zero first-row entries contribute no term."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    zero, is_zero, add, neg, mul = ring
+    acc = zero
+    for j in range(n):
+        if is_zero(m[0][j]):
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
+        term = mul(m[0][j], _laplace(minor, ring))
+        acc = add(acc, term if j % 2 == 0 else neg(term))
+    return acc
+
+
 def mat_det(a):
     """Laplace expansion along the first row; exact, division-free."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    acc = fs.ZERO
-    for j in range(n):
-        if a[0][j].is_zero:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        term = fs.mul(a[0][j], mat_det(minor))
-        acc = fs.add(acc, term if j % 2 == 0 else fs.neg(term))
-    return acc
+    # the series operations are looked up per call, so wrappers placed on
+    # the series module (as perfbench's tracer does) see every product
+    return _laplace(a, (fs.ZERO, attrgetter("is_zero"), fs.add, fs.neg, fs.mul))
 
 
 def mat_adjugate(a):
@@ -208,16 +225,11 @@ def _poly_mul(p, q):
     return tuple(out)
 
 
-def _poly_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = (fs.ZERO,)
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = _poly_mul(m[0][j], _poly_det(minor))
-        acc = _poly_add(acc, term if j % 2 == 0 else _poly_neg(term))
-    return acc
+def _poly_is_zero(p):
+    return all(a.is_zero for a in p)
+
+
+_POLYNOMIALS = ((fs.ZERO,), _poly_is_zero, _poly_add, _poly_neg, _poly_mul)
 
 
 def char_pencil(x, y):
@@ -227,7 +239,7 @@ def char_pencil(x, y):
         tuple((fs.neg(y.entries[i][j]), x.entries[i][j]) for j in range(n))
         for i in range(n)
     )
-    q = _poly_det(m)
+    q = _laplace(m, _POLYNOMIALS)
     return q + (fs.ZERO,) * (n + 1 - len(q))
 
 

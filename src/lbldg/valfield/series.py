@@ -93,10 +93,6 @@ class PuiseuxElem:
     def is_zero(self):
         return not self.pairs and self.floor is None
 
-    @property
-    def is_exact(self):
-        return self.floor is None
-
     def __eq__(self, other):
         if not isinstance(other, PuiseuxElem):
             if isinstance(other, (int, Fraction)):

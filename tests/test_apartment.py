@@ -1,6 +1,5 @@
 """Model apartment: pairing view, norm/metric, Weyl action, feasibility."""
 
-import itertools
 import random
 from fractions import Fraction as Q
 

@@ -1,7 +1,6 @@
 """Building charts: tropical membership, overlaps, root subgroups, stabilizers."""
 
 from fractions import Fraction as Q
-from itertools import permutations
 
 import pytest
 

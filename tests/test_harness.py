@@ -247,6 +247,15 @@ class TestCli:
         res = CliRunner().invoke(main, ["retract", str(bad)])
         assert res.exit_code == 2
 
+    def test_non_square_point_file_exits_2(self, files, tmp_path):
+        _, py, _ = files
+        bad = tmp_path / "wide.json"
+        bad.write_text(json.dumps([["1", "0", "0"], ["0", "1", "0"]]))
+        res = CliRunner().invoke(main, ["dist", str(bad), str(py)])
+        assert res.exit_code == 2 and res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert line.startswith(f"error: cannot read {bad}: ") and "square" in line
+
     def test_axioms_json_out(self, tmp_path):
         out = tmp_path / "rep.json"
         res = CliRunner().invoke(

@@ -1,0 +1,79 @@
+"""Exact linear algebra: the one Gauss-Jordan routine and its wrappers."""
+
+from fractions import Fraction as Q
+from itertools import permutations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lbldg.harness.search import _solve_combo
+from lbldg.linalg import det, identity, mat_inv, mat_mul
+
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _matrices(draw):
+    """Square matrices up to 4x4; about half are made singular by turning
+    the last row into a rational multiple of the first (zero when n = 1)."""
+    n = draw(st.integers(1, 4))
+    m = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        c = draw(_ENTRIES)
+        m[-1] = [c * x for x in m[0]] if n > 1 else [Q(0)]
+    return m
+
+
+def _leibniz(m):
+    n = len(m)
+    total = Q(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = Q(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= m[i][p[i]]
+        total += term
+    return total
+
+
+@given(_matrices())
+def test_det_matches_leibniz_sum(m):
+    assert det(m) == _leibniz(m)
+
+
+@given(_matrices())
+def test_inverse_or_singular(m):
+    if _leibniz(m) == 0:
+        with pytest.raises(ValueError):
+            mat_inv(m)
+    else:
+        assert mat_mul(mat_inv(m), m) == identity(len(m))
+
+
+def test_det_needs_row_swaps():
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+
+
+def _combine(basis, lam):
+    return [sum(l * b[r] for l, b in zip(lam, basis)) for r in range(len(basis[0]))]
+
+
+class TestSolveCombo:
+    def test_vector_in_the_span(self):
+        basis = [[Q(0), Q(1), Q(1)], [Q(2), Q(0), Q(1)]]
+        v = _combine(basis, [Q(3), Q(-1, 2)])
+        assert _solve_combo(basis, v) == [Q(3), Q(-1, 2)]
+
+    def test_dependent_basis_gives_a_valid_combination(self):
+        basis = [[Q(1), Q(0), Q(0)], [Q(2), Q(0), Q(0)], [Q(0), Q(1), Q(0)]]
+        v = [Q(3), Q(5), Q(0)]
+        lam = _solve_combo(basis, v)
+        assert lam == [Q(3), Q(0), Q(5)]
+        assert _combine(basis, lam) == v
+
+    def test_inconsistent_system_is_none(self):
+        basis = [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)]]
+        assert _solve_combo(basis, [Q(1), Q(1), Q(3)]) is None
+        assert _solve_combo([], [Q(1)]) is None

@@ -1,6 +1,5 @@
 """Symmetric space: action, Cartan valuations, pseudo-distance, retraction."""
 
-import random
 from fractions import Fraction as Q
 
 import pytest
@@ -78,6 +77,22 @@ class TestTypes:
         assert data == [["1", "t^(1/2)"], ["0", "1"]]
         assert sym.group_from_json(data) == g
 
+    @pytest.mark.parametrize("reader", [sym.point_from_json, sym.group_from_json])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["1", "0", "0"], ["0", "1", "0"]],  # wide
+            [["1", "0"], ["0"]],  # ragged
+            [["1", "0"], ["0", "1"], ["0", "0"]],  # tall
+            [],  # empty
+        ],
+        ids=["wide", "ragged", "tall", "empty"],
+    )
+    def test_json_readers_reject_non_square(self, reader, rows):
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="square"):
+                reader(rows, validate=validate)
+
 
 class TestAct:
     def test_spec_examples(self):
@@ -116,6 +131,22 @@ class TestCartanValuations:
             mu = [v.finite_value for v in sym.cartan_valuations(x, y)]
             assert mu == sorted(mu, reverse=True)
             assert sum(mu) == 0
+
+    def test_pencil_evaluates_to_the_determinant(self):
+        rng = trial_rng(5, "pencil", 0)
+        for _ in range(10):
+            x, y = gen_point(rng, 3), gen_point(rng, 3)
+            q = sym.char_pencil(x, y)
+            for lam in (0, 1, 2):
+                c = fs.from_rational(lam)
+                at = fs.ZERO
+                for k, coef in enumerate(q):
+                    at = fs.add(at, fs.mul(fs.from_rational(lam**k), coef))
+                pencil = tuple(
+                    tuple(fs.sub(fs.mul(c, xe), ye) for xe, ye in zip(xr, yr))
+                    for xr, yr in zip(x.entries, y.entries)
+                )
+                assert at == sym.mat_det(pencil)
 
     def test_newton_oracle_orthogonal_conjugation(self):
         # conjugating a diagonal point by a valuation-0 matrix preserves the
