@@ -6,13 +6,18 @@ basis. For type A there is an alternate mu-view: mu in Lambda^n with sum 0,
 where the root alpha_{ij} evaluates to mu_i - mu_j. The spherical part of an
 affine Weyl element built from a mu-view permutation sigma acts by
 nu_i = mu_{sigma(i)}.
+
+Pairing rows, reflections and the Weyl product live in rootsys: b_ext reads
+RootSystem.pairing_row, affine_reflection takes its linear part from
+rootsys.reflection, and compose_weyl multiplies spherical parts with
+WeylElem's @.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import UnsupportedConstraint
-from .rootsys import WeylElem, positive_roots, weyl_from_perm
+from .rootsys import WeylElem, positive_roots, reflection, weyl_from_perm, weyl_identity
 from .valfield.lam import LambdaVal
 
 PLUS, MINUS = 1, -1
@@ -115,14 +120,10 @@ class AffineWeylElem(NamedTuple):
 
 def b_ext(x, alpha):
     """Pairing of an apartment point against a root, valued in Lambda."""
-    rs = x.rs
-    alpha = rs.root_from_vec(alpha.vec) if hasattr(alpha, "vec") else rs.root_from_vec(alpha)
-    n = rs.rank
-    weights = [sum(rs.cartan[j][k] * alpha.covec[k] for k in range(n)) for j in range(n)]
     acc = _zero_like(x.coords[0])
-    for j in range(n):
-        if weights[j]:
-            acc = acc + x.coords[j] * weights[j]
+    for c, w in zip(x.coords, x.rs.pairing_row(alpha)):
+        if w:
+            acc = acc + c * w
     return LambdaVal(acc)
 
 
@@ -168,9 +169,7 @@ def cochar_point(rs, beta, lam):
 
 
 def identity_weyl(rs):
-    n = rs.rank
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return AffineWeylElem(ApartmentVec.zero(rs), WeylElem(ident, ident), None)
+    return AffineWeylElem(ApartmentVec.zero(rs), weyl_identity(rs.rank), None)
 
 
 def _inv_perm(p):
@@ -191,17 +190,8 @@ def affine_reflection(rs, alpha, ell):
     """Affine reflection in the wall {b_ext(., alpha) = ell}."""
     alpha = rs.root_from_vec(alpha.vec)
     ell = _pay(ell)
-    n = rs.rank
-    w = [sum(rs.cartan[j][k] * alpha.covec[k] for k in range(n)) for j in range(n)]
-    mat = tuple(
-        tuple(int(k == j) - alpha.vec[k] * w[j] for j in range(n)) for k in range(n)
-    )
-    cw = [sum(alpha.vec[j] * rs.cartan[j][k] for j in range(n)) for k in range(n)]
-    comat = tuple(
-        tuple(int(k == j) - alpha.covec[k] * cw[j] for j in range(n)) for k in range(n)
-    )
     trans = ApartmentVec(rs, [ell * v for v in alpha.vec])
-    return AffineWeylElem(trans, WeylElem(mat, comat), None)
+    return AffineWeylElem(trans, reflection(rs.cartan, alpha), None)
 
 
 def apply_weyl(w, x):
@@ -219,25 +209,15 @@ def apply_weyl(w, x):
 
 def compose_weyl(w1, w2):
     """Element acting as w1 after w2."""
-    rs = w1.translation.rs
-    a, b = w1.spherical, w2.spherical
-    n = rs.rank
-    mat = tuple(
-        tuple(sum(a.matrix[i][k] * b.matrix[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    comat = tuple(
-        tuple(sum(a.comatrix[i][k] * b.comatrix[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    a = w1.spherical
     trans = w1.translation + apply_weyl(
-        AffineWeylElem(ApartmentVec.zero(rs), a, None), w2.translation
+        AffineWeylElem(ApartmentVec.zero(w1.translation.rs), a, None), w2.translation
     )
     perm = None
     if w1.mu_perm and w2.mu_perm:
         s1, s2 = w1.mu_perm, w2.mu_perm
         perm = tuple(s2[s1[i] - 1] for i in range(len(s1)))
-    return AffineWeylElem(trans, WeylElem(mat, comat), perm)
+    return AffineWeylElem(trans, a @ w2.spherical, perm)
 
 
 # --- feasibility -------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .apartment import ApartmentVec
-from .building import _provably_zero, chart_image, stab_o, trop
+from .building import chart_image, stab_o, trop
 from .errors import NotInRing
 from .rootsys import type_A
 from .symspace import GroupElem
@@ -170,7 +170,7 @@ def infinity_equal(c1, c2):
     """
     b = c2.g.inverse() @ c1.g
     return all(
-        _provably_zero(b.entries[i][j]) for i in range(b.n) for j in range(i)
+        fs.provably_zero(b.entries[i][j]) for i in range(b.n) for j in range(i)
     )
 
 

@@ -29,7 +29,6 @@ from .errors import (
     EnumerationBound,
     IdentityElement,
     NotUnipotent,
-    PrecisionError,
 )
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
@@ -210,14 +209,6 @@ def stab_o(g):
     return all(fs.in_O(e) for row in g.entries for e in row)
 
 
-def _provably_zero(e):
-    if e.pairs:
-        return False
-    if e.floor is not None:
-        raise PrecisionError("cannot decide whether a truncated entry vanishes")
-    return True
-
-
 POINT_O = "PointO"
 APARTMENT_POINTWISE = "ApartmentPointwise"
 CHAMBER_C0 = "ChamberC0"
@@ -231,42 +222,12 @@ class HalfApt(NamedTuple):
     ell: object
 
 
-def _apartment_pointwise(g):
+def _stab_shape(g, off_diagonal):
+    """Row-major scan: diagonal entries are units, and off_diagonal(i, j, e)
+    holds for every other entry (0-based i, j)."""
     for i, row in enumerate(g.entries):
         for j, e in enumerate(row):
-            if i == j:
-                if not fs.is_unit(e):
-                    return False
-            elif not _provably_zero(e):
-                return False
-    return True
-
-
-def _chamber_c0(g):
-    for i, row in enumerate(g.entries):
-        for j, e in enumerate(row):
-            if i == j:
-                if not fs.is_unit(e):
-                    return False
-            elif i > j:
-                if not _provably_zero(e):
-                    return False
-            elif not fs.in_O(e):
-                return False
-    return True
-
-
-def _half_apt(g, target):
-    ell = target.ell if isinstance(target.ell, LambdaVal) else LambdaVal.of(target.ell)
-    for i, row in enumerate(g.entries):
-        for j, e in enumerate(row):
-            if i == j:
-                if not fs.is_unit(e):
-                    return False
-            elif (i + 1, j + 1) == (target.i, target.j):
-                if not fs.negval(e) <= ell:
-                    return False
-            elif not _provably_zero(e):
+            if not (fs.is_unit(e) if i == j else off_diagonal(i, j, e)):
                 return False
     return True
 
@@ -278,11 +239,15 @@ def stab_predicates(g, target):
     if target == POINT_O:
         return stab_o(g)
     if target == APARTMENT_POINTWISE:
-        return _apartment_pointwise(g)
+        return _stab_shape(g, lambda i, j, e: fs.provably_zero(e))
     if target == CHAMBER_C0:
-        return _chamber_c0(g)
+        return _stab_shape(g, lambda i, j, e: fs.provably_zero(e) if i > j else fs.in_O(e))
     if isinstance(target, HalfApt):
-        return _half_apt(g, target)
+        ell = target.ell if isinstance(target.ell, LambdaVal) else LambdaVal.of(target.ell)
+        wall = (target.i - 1, target.j - 1)
+        return _stab_shape(
+            g, lambda i, j, e: fs.negval(e) <= ell if (i, j) == wall else fs.provably_zero(e)
+        )
     raise ConfigError(f"unknown stabilizer target: {target!r}")
 
 
@@ -349,7 +314,7 @@ def unipotent_factors(u):
     out = []
     for i, j in _upper_root_order(n):
         s = u.entries[i - 1][j - 1]
-        if not _provably_zero(s):
+        if not fs.provably_zero(s):
             out.append(RootElem(n, i, j, s))
     return out
 

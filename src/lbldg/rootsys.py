@@ -4,8 +4,15 @@ Roots are stored as (vec, covec) pairs of integer coordinate vectors in the
 simple-root basis; no Euclidean embedding is ever materialized. The pairing
 b(x, beta_covec) routes through the Cartan matrix, so every value is an exact
 integer.
+
+This module is the one place that knows how a root pairs, reflects and
+composes: each RootSystem stores the pairing row B . covec of every root
+(`RootSystem.pairing_row`), `reflection` builds s_beta from the Cartan
+matrix, and `WeylElem.__matmul__` is the one Weyl product. The apartment
+reads all three from here.
 """
 
+from functools import cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -38,9 +45,48 @@ class WeylElem(NamedTuple):
         )
         return Root(v, d)
 
+    def __matmul__(self, other):
+        """The element acting as self after other (perm is not carried)."""
+        return WeylElem(
+            _mat_mul(self.matrix, other.matrix), _mat_mul(self.comatrix, other.comatrix)
+        )
+
+
+def _mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _pairing_row(cartan, v):
+    """B . v; with v = covec_beta this is the row r with b(x, beta^∨) = x . r."""
+    return tuple(sum(b * c for b, c in zip(row, v)) for row in cartan)
+
+
+def weyl_identity(n):
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return WeylElem(ident, ident)
+
+
+def _minus_outer(u, r):
+    """I - u (x) r."""
+    return tuple(tuple(int(k == j) - u[k] * rj for j, rj in enumerate(r)) for k in range(len(u)))
+
+
+def reflection(cartan, beta):
+    """s_beta as a WeylElem: I - vec (x) (B . covec) on the vec side and
+    I - covec (x) (B^T . vec) on the covec side."""
+    return WeylElem(
+        _minus_outer(beta.vec, _pairing_row(cartan, beta.covec)),
+        _minus_outer(beta.covec, _pairing_row(tuple(zip(*cartan)), beta.vec)),
+    )
+
 
 class RootSystem:
-    __slots__ = ("rank", "roots", "basis", "cartan", "kind", "_by_vec", "_labels")
+    """Never mutated after construction, so type_A can share one per rank."""
+
+    __slots__ = (
+        "rank", "roots", "basis", "cartan", "kind", "_by_vec", "_rows", "_labels", "_label_of"
+    )
 
     def __init__(self, rank, roots, basis, cartan, kind, labels=None):
         self.rank = rank
@@ -49,13 +95,23 @@ class RootSystem:
         self.cartan = tuple(tuple(row) for row in cartan)
         self.kind = kind
         self._by_vec = {r.vec: r for r in self.roots}
+        self._rows = {r.vec: _pairing_row(self.cartan, r.covec) for r in self.roots}
         self._labels = labels or {}
+        self._label_of = {r: lab for lab, r in self._labels.items()}
 
     def root_from_vec(self, vec):
         r = self._by_vec.get(tuple(vec))
         if r is None:
             raise NotARoot(f"{tuple(vec)} is not a root")
         return r
+
+    def pairing_row(self, root):
+        """B . covec of a root, given as a Root or its vec: b(x, root^∨) = x . row."""
+        vec = root.vec if isinstance(root, Root) else tuple(root)
+        row = self._rows.get(vec)
+        if row is None:
+            raise NotARoot(f"{vec} is not a root")
+        return row
 
     def alpha(self, i, j):
         """Type A root alpha_{ij} for 1 <= i != j <= n+1."""
@@ -65,10 +121,10 @@ class RootSystem:
         return r
 
     def label_of(self, root):
-        for lab, r in self._labels.items():
-            if r == root:
-                return lab
-        raise NotARoot("root carries no (i, j) label")
+        lab = self._label_of.get(root)
+        if lab is None:
+            raise NotARoot("root carries no (i, j) label")
+        return lab
 
     def __eq__(self, other):
         if not isinstance(other, RootSystem):
@@ -93,14 +149,7 @@ def _as_vec(x):
 
 def pairing(rs, x, beta):
     """b(x, beta^∨) = x^T . (B . covec_beta); exact integer."""
-    beta = _as_root(rs, beta)
-    x = _as_vec(x)
-    n = rs.rank
-    out = 0
-    for j in range(n):
-        if x[j]:
-            out += x[j] * sum(rs.cartan[j][k] * beta.covec[k] for k in range(n))
-    return out
+    return sum(a * b for a, b in zip(_as_vec(x), rs.pairing_row(_as_root(rs, beta))))
 
 
 def reflect(rs, alpha, x):
@@ -112,18 +161,10 @@ def reflect(rs, alpha, x):
     return rs.root_from_vec(out) if isinstance(x, Root) else out
 
 
-def _reflect_root(cartan, i, root):
-    """Simple reflection s_i acting on a (vec, covec) pair; 0-indexed i."""
-    n = len(cartan)
-    cv = sum(cartan[j][i] * root.vec[j] for j in range(n))
-    cd = sum(cartan[i][j] * root.covec[j] for j in range(n))
-    vec = tuple(root.vec[k] - (cv if k == i else 0) for k in range(n))
-    covec = tuple(root.covec[k] - (cd if k == i else 0) for k in range(n))
-    return Root(vec, covec)
-
-
+@cache
 def type_A(n):
-    """The A_n root system (rank n, Weyl group S_{n+1}), roots alpha_{ij}."""
+    """The A_n root system (rank n, Weyl group S_{n+1}), roots alpha_{ij};
+    built once per n."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
@@ -144,7 +185,7 @@ def type_A(n):
 
 def from_cartan(cartan):
     """Root system generated from a crystallographic Cartan matrix by closing
-    the simple roots under simple reflections (safety bound 10^4 roots)."""
+    the simple roots under the simple reflections (safety bound 10^4 roots)."""
     n = len(cartan)
     for i in range(n):
         if len(cartan[i]) != n:
@@ -154,17 +195,15 @@ def from_cartan(cartan):
         for j in range(n):
             if i != j and (cartan[i][j] > 0 or (cartan[i][j] == 0) != (cartan[j][i] == 0)):
                 raise ValueError("not a crystallographic Cartan matrix")
-    basis = [
-        Root(tuple(int(i == k) for i in range(n)), tuple(int(i == k) for i in range(n)))
-        for k in range(n)
-    ]
+    basis = [Root(e, e) for e in weyl_identity(n).matrix]
+    gens = [reflection(cartan, d) for d in basis]
     seen = set(basis)
     frontier = list(basis)
     while frontier:
         nxt = []
         for r in frontier:
-            for i in range(n):
-                im = _reflect_root(cartan, i, r)
+            for g in gens:
+                im = g.act_root(r)
                 if im not in seen:
                     seen.add(im)
                     nxt.append(im)
@@ -198,38 +237,15 @@ def weyl_elements(rs, max_elements=ENUM_BOUND):
     if rs.kind[0] == "TypeA":
         m = rs.kind[1] + 1
         return [weyl_from_perm(rs, p) for p in permutations(range(1, m + 1))]
-    n = rs.rank
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    gens = []
-    for i in range(n):
-        mat = tuple(
-            tuple((1 if k == j else 0) - (rs.cartan[j][i] if k == i else 0) for j in range(n))
-            for k in range(n)
-        )
-        comat = tuple(
-            tuple((1 if k == j else 0) - (rs.cartan[i][j] if k == i else 0) for j in range(n))
-            for k in range(n)
-        )
-        gens.append(WeylElem(mat, comat))
-
-    def compose(w2, w1):
-        mat = tuple(
-            tuple(sum(w2.matrix[i][k] * w1.matrix[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        comat = tuple(
-            tuple(sum(w2.comatrix[i][k] * w1.comatrix[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return WeylElem(mat, comat)
-
-    seen = {ident: WeylElem(ident, ident)}
-    frontier = [seen[ident]]
+    gens = [reflection(rs.cartan, d) for d in rs.basis]
+    ident = weyl_identity(rs.rank)
+    seen = {ident.matrix: ident}
+    frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
-                im = compose(g, w)
+                im = g @ w
                 if im.matrix not in seen:
                     seen[im.matrix] = im
                     nxt.append(im)

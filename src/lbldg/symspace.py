@@ -345,9 +345,18 @@ def matrix_to_json(obj):
     return [[fs.to_str(v) for v in row] for row in entries]
 
 
+def _rows_from_json(data):
+    """Series rows of decoded JSON; ValueError unless it is a list of lists of strings."""
+    if not isinstance(data, list) or not all(
+        isinstance(row, list) and all(isinstance(s, str) for s in row) for row in data
+    ):
+        raise ValueError("matrix must be a JSON list of rows, each a list of series strings")
+    return [[fs.parse(s) for s in row] for row in data]
+
+
 def group_from_json(data, validate=True):
-    return GroupElem([[fs.parse(s) for s in row] for row in data], validate=validate)
+    return GroupElem(_rows_from_json(data), validate=validate)
 
 
 def point_from_json(data, validate=True):
-    return SPDPoint([[fs.parse(s) for s in row] for row in data], validate=validate)
+    return SPDPoint(_rows_from_json(data), validate=validate)

@@ -358,6 +358,15 @@ def is_unit(a):
     raise PrecisionError(f"unit test masked by floor {a.floor}")
 
 
+def provably_zero(a):
+    """True iff a is exactly zero; PrecisionError when its floor hides that."""
+    if a.pairs:
+        return False
+    if a.floor is not None:
+        raise PrecisionError("cannot decide whether a truncated entry vanishes")
+    return True
+
+
 def residue(a):
     if not in_O(a):
         raise NotInRing("residue requires an element of O")

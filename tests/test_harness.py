@@ -1,6 +1,7 @@
 """Harness tests: reports, suites, golden generator streams, and the CLI."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -241,6 +242,28 @@ class TestCli:
         res = CliRunner().invoke(main, ["parse", "--check", "3t^(-1)"])
         assert res.exit_code == 2
 
+    def test_parse_fuzz(self):
+        """Seeded strings over the grammar's alphabet: exit 0 or 2, never a
+        traceback, and every accepted output parses back to itself."""
+        tokens = list("0123456789t^()/*+-O ") + ["t^(", "O(t^(", "3/2", "*t", " + "]
+        rng = random.Random(20240)
+        runner = CliRunner()
+        accepted = 0
+        for _ in range(4000):
+            expr = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 12)))
+            res = runner.invoke(main, ["parse", "--", expr])
+            assert res.exit_code in (0, 2), expr
+            assert res.exception is None or isinstance(res.exception, SystemExit), expr
+            if res.exit_code == 2:
+                (line,) = res.stderr.splitlines()
+                assert line.startswith("error: ") and res.stdout == "", expr
+                continue
+            accepted += 1
+            out = res.stdout.rstrip("\n")
+            again = runner.invoke(main, ["parse", "--", out])
+            assert again.exit_code == 0 and again.stdout.rstrip("\n") == out, expr
+        assert accepted > 50
+
     def test_bad_point_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -255,6 +278,23 @@ class TestCli:
         assert res.exit_code == 2 and res.stdout == ""
         (line,) = res.stderr.splitlines()
         assert line.startswith(f"error: cannot read {bad}: ") and "square" in line
+
+    @pytest.mark.parametrize("command", ["retract", "overlap"])
+    @pytest.mark.parametrize(
+        "text",
+        ['["10", "01"]', '{"1": "x"}', "[[1,0],[0,1]]", '[["1",0],["0","1"]]'],
+        ids=["string-rows", "object", "numbers", "mixed"],
+    )
+    def test_non_string_rows_exit_2(self, tmp_path, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        res = CliRunner().invoke(main, [command, str(bad)])
+        assert res.exit_code == 2 and res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert line == (
+            f"error: cannot read {bad}: "
+            "matrix must be a JSON list of rows, each a list of series strings"
+        )
 
     def test_axioms_json_out(self, tmp_path):
         out = tmp_path / "rep.json"

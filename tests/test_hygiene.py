@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no package
+module imports another one's underscore names."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def _unused_imports(tree):
@@ -42,3 +44,31 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom re import match, sub\n__all__ = ['sub']\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "match")]
+
+
+def _private_imports(tree):
+    """Underscore names imported from an lbldg module, relatively or by name."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "lbldg")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_imports_across_modules(path):
+    private = _private_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not private, ", ".join(f"line {line}: {name}" for line, name in private)
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse(
+        "from .building import _provably_zero, trop\n"
+        "from os import _exit\n"
+        "from lbldg.rootsys import _as_root\n"
+        "from ._backend import kernel_mul\n"
+    )
+    assert _private_imports(tree) == [(1, "_provably_zero"), (3, "_as_root")]

@@ -1,9 +1,11 @@
 """Root systems: pairing, reflections, Weyl enumeration, Cartan data."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from lbldg import apartment as apt
 from lbldg import rootsys as rsys
 from lbldg.errors import EnumerationBound, NotARoot
 from lbldg.linalg import identity, mat_inv, mat_mul
@@ -165,6 +167,53 @@ class TestFromCartan:
         assert rsys.pairing(rs, d2, d1) == -2
 
 
+B2, G2 = [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]
+
+
+@pytest.mark.parametrize("cartan", [B2, G2], ids=["B2", "G2"])
+class TestNonSimplyLaced:
+    """Both sides of reflections and products, where vec and covec differ."""
+
+    def test_reflections_are_involutions_negating_their_root(self, cartan):
+        rs = rsys.from_cartan(cartan)
+        ident = rsys.weyl_identity(rs.rank)
+        for beta in rs.roots:
+            s = rsys.reflection(rs.cartan, beta)
+            assert s.act_root(beta) == rsys.Root(
+                tuple(-c for c in beta.vec), tuple(-c for c in beta.covec)
+            )
+            assert s @ s == ident
+            for r in rs.roots:
+                assert s.act_root(r) in rs.roots
+                assert s.act_root(r).vec == rsys.reflect(rs, beta, r.vec)
+
+    def test_product_acts_as_composition(self, cartan):
+        rs = rsys.from_cartan(cartan)
+        ws = rsys.weyl_elements(rs)
+        for a in ws:
+            for b in ws:
+                for r in rs.roots:
+                    assert (a @ b).act_root(r) == a.act_root(b.act_root(r))
+
+    def test_affine_reflection_fixes_its_wall(self, cartan):
+        rs = rsys.from_cartan(cartan)
+        rng = random.Random(71)
+        for alpha in sorted(rs.roots):
+            ell = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            refl = apt.affine_reflection(rs, alpha, ell)
+            for _ in range(5):
+                x = apt.ApartmentVec(rs, [Fraction(rng.randint(-9, 9), 2) for _ in alpha.vec])
+                b = apt.b_ext(x, alpha).finite_value
+                # move x along alpha onto the wall: b(alpha, alpha^∨) = 2
+                shift = (b - ell) / 2
+                p = apt.ApartmentVec(rs, [c - shift * v for c, v in zip(x.coords, alpha.vec)])
+                assert apt.on_wall(alpha, ell, p)
+                assert apt.apply_weyl(refl, p) == p
+                img = apt.apply_weyl(refl, x)
+                assert apt.b_ext(img, alpha).finite_value == 2 * ell - b
+                assert apt.apply_weyl(refl, img) == x
+
+
 def test_cartan_inverse_exact():
     for rs in (rsys.type_A(2), rsys.type_A(3), rsys.from_cartan([[2, -1], [-2, 2]])):
         cartan = [list(r) for r in rs.cartan]
@@ -176,8 +225,6 @@ def test_basis_sign_property_a2():
     # every root written in any Weyl image of the basis has coefficients of
     # one sign; exhaustive over W x roots for A_2
     rs = rsys.type_A(2)
-    from fractions import Fraction
-
     from lbldg.linalg import mat_vec
 
     for w in rsys.weyl_elements(rs):

@@ -3,6 +3,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbldg import symspace as sym
 from lbldg.errors import PrecisionError
@@ -92,6 +94,17 @@ class TestTypes:
         for validate in (True, False):
             with pytest.raises(ValueError, match="square"):
                 reader(rows, validate=validate)
+
+    @pytest.mark.parametrize("reader", [sym.point_from_json, sym.group_from_json])
+    @pytest.mark.parametrize(
+        "data",
+        [["10", "01"], {"1": "x"}, [[1, 0], [0, 1]], [["1", 0], ["0", "1"]], "1", None],
+        ids=["string-rows", "object", "numbers", "mixed", "string", "null"],
+    )
+    def test_json_readers_reject_non_string_rows(self, reader, data):
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="list of rows, each a list of series strings"):
+                reader(data, validate=validate)
 
 
 class TestAct:
@@ -214,6 +227,52 @@ class TestCartanValuations:
         )
         got = [v.finite_value for v in sym.cartan_valuations(ident, y)]
         assert got == [1, -1]
+
+
+_MAYBE_FLOOR = st.one_of(st.none(), st.fractions(min_value=-9, max_value=6, max_denominator=6))
+
+
+@st.composite
+def _cut_pairs(draw):
+    """Two exact points of size 2 or 3, each with a copy whose entries are cut
+    by with_floor (symmetric positions share a floor)."""
+    n = draw(st.sampled_from((2, 3)))
+    rng = trial_rng(draw(st.integers(0, 10**6)), "floors", 0)
+    out = []
+    for x in (gen_point(rng, n), gen_point(rng, n)):
+        cut = [list(row) for row in x.entries]
+        for i in range(n):
+            for j in range(i, n):
+                f = draw(_MAYBE_FLOOR)
+                if f is not None:
+                    cut[i][j] = fs.with_floor(cut[i][j], f)
+                    cut[j][i] = fs.with_floor(cut[j][i], f)
+        out.append((x, sym.SPDPoint(cut, validate=False)))
+    return out
+
+
+class TestMatrixFloorSoundness:
+    """Floored matrix operations against exact arithmetic on the same points."""
+
+    @given(_cut_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_det_agrees_above_its_floor(self, pairs):
+        for x, cut in pairs:
+            got, exact = sym.mat_det(cut.entries), sym.mat_det(x.entries)
+            if got.floor is None:
+                assert got == exact
+            else:
+                assert got.terms == tuple(t for t in exact.terms if t[0] > got.floor)
+
+    @given(_cut_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_cartan_valuations_exact_or_precision_error(self, pairs):
+        (x, cut_x), (y, cut_y) = pairs
+        try:
+            got = sym.cartan_valuations(cut_x, cut_y)
+        except PrecisionError:
+            return
+        assert got == sym.cartan_valuations(x, y)
 
 
 class TestDistance:

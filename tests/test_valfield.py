@@ -390,6 +390,7 @@ class TestFloorSoundness:
             (vf.negval, (x,), (a,)),
             (vf.in_O, (x,), (a,)),
             (vf.is_unit, (x,), (a,)),
+            (vf.provably_zero, (x,), (a,)),
         ):
             got = _decide(fn, *args)
             if got is not None:
