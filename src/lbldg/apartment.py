@@ -243,16 +243,17 @@ def _difference_form(s):
     return out
 
 
-def wconvex_witness(s):
-    """A satisfying mu with sum zero, or None.  Bellman-Ford potentials on the
-    difference-constraint graph, shifted to sum zero."""
-    cons = sorted(_difference_form(s), key=lambda c: (c[0], c[1], c[2]))
-    m = s.rs.rank + 1
-    if not cons:
-        return tuple(Fraction(0) for _ in range(m))
-    z = _zero_like(cons[0][2])
-    d = [z] * m
-    # edge i -> j with weight -ell encodes mu_j <= mu_i - ell
+def difference_potentials(m, cons):
+    """Potentials d_1..d_m (as a list indexed from 0) with d_i - d_j >= ell
+    for every (i, j, ell) in cons, or None when no such d exists.
+
+    Bellman-Ford from a virtual source joined to every node by a zero edge,
+    so the result is the pointwise largest solution with every d_i <= 0.
+    The ell payloads may be int, Fraction or LexPair: the loop only adds,
+    subtracts and compares them.  With no constraints every d_i is int 0.
+    """
+    d = [_zero_like(cons[0][2]) if cons else 0] * m
+    # edge i -> j with weight -ell encodes d_j <= d_i - ell
     for _ in range(m - 1):
         changed = False
         for i, j, ell in cons:
@@ -261,10 +262,23 @@ def wconvex_witness(s):
                 d[j - 1] = cand
                 changed = True
         if not changed:
-            break
+            return d
     for i, j, ell in cons:
         if d[i - 1] - ell < d[j - 1]:
             return None
+    return d
+
+
+def wconvex_witness(s):
+    """A satisfying mu with sum zero, or None: difference_potentials on the
+    difference form, shifted to sum zero."""
+    cons = sorted(_difference_form(s), key=lambda c: (c[0], c[1], c[2]))
+    m = s.rs.rank + 1
+    if not cons:
+        return tuple(Fraction(0) for _ in range(m))
+    d = difference_potentials(m, cons)
+    if d is None:
+        return None
     total = d[0]
     for v in d[1:]:
         total = total + v

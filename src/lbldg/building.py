@@ -11,6 +11,7 @@ ring-membership tests.
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import NamedTuple
 
 from .apartment import (
@@ -19,9 +20,8 @@ from .apartment import (
     HalfApartment,
     WConvexSet,
     affine_from_mu,
-    in_wconvex,
+    difference_potentials,
     wconvex_to_json,
-    wconvex_witness,
 )
 from .errors import (
     AmbiguousWeyl,
@@ -136,8 +136,10 @@ def apartment_overlap(g):
     every permutation sigma, so the total is >= P := max_sigma sum_i
     T_{i sigma(i)}, the tropical permanent.  Expanding det g = 1 shows some
     permutation's entries multiply to a series of negval >= 0, hence P >= 0.
-    If P > 0 the overlap is empty.  If P = 0, membership holds exactly when
-    some optimal sigma attains every row maximum, i.e. on
+    If P > 0 the overlap is empty.  If every permutation meets an exact
+    zero there is no P: g is singular and ValueError is raised.  If P = 0,
+    membership holds exactly when some optimal sigma attains every row
+    maximum, i.e. on
 
         region(sigma) = {mu : T_ij + mu_j <= T_{i sigma(i)} + mu_{sigma(i)}},
 
@@ -152,39 +154,62 @@ def apartment_overlap(g):
     on computed witnesses instead of trusting the argument, and raises
     AmbiguousWeyl on any counterexample.  The returned weyl element uses
     the lexicographically smallest optimal permutation.
+
+    The search runs on an integer image of T: with L the lcm of the
+    denominators of its finite entries, S = L T holds ints (None for
+    Bottom).  Scaling by L > 0 keeps every sum, difference and comparison,
+    so S has the same optimal permutations, and region(sigma) becomes the
+    int difference system d_{sigma(i)} - d_j >= S_ij - S_{i sigma(i)}, whose
+    Bellman-Ford potentials are exactly L times the rational ones.  The
+    coverage check asks, for each optimal sigma in lex order, whether every
+    witness satisfies that system; this is the test in_wconvex(region(sigma),
+    w) on the rational witnesses, since shifting a witness to sum zero
+    cancels in every difference.  Only the returned permutation's region
+    and affine map are built as apartment objects.
     """
     n = g.n
     if n > PERM_BOUND:
         raise EnumerationBound(f"permutation enumeration capped at n = {PERM_BOUND}")
     rs = type_A(n - 1)
     T = trop(g)
-    best = BOTTOM
+    scale = lcm(*(v.finite_value.denominator for row in T for v in row if not v.is_bottom))
+    S = [[None if v.is_bottom else int(v.finite_value * scale) for v in row] for row in T]
+    best = None
     opt = []
-    for sigma in permutations(range(1, n + 1)):
-        tot = LambdaVal.of(0)
-        for i in range(n):
-            tot = tot + T[i][sigma[i] - 1]
-        if tot.is_bottom:
-            continue
-        if best < tot:
-            best = tot
-            opt = [sigma]
-        elif tot == best:
-            opt.append(sigma)
-    if best > LambdaVal.of(0):
+    for sigma in permutations(range(n)):
+        tot = 0
+        for row, a in zip(S, sigma):
+            if row[a] is None:
+                break
+            tot += row[a]
+        else:
+            if best is None or tot > best:
+                best = tot
+                opt = [sigma]
+            elif tot == best:
+                opt.append(sigma)
+    if not opt:
+        raise ValueError("no permutation has a finite tropical product, so g is singular")
+    if best > 0:
         return None
-    regions = [(sigma, _region(rs, T, sigma)) for sigma in opt]
-    points = []
-    for _, reg in regions:
-        w = wconvex_witness(reg)
-        if w is not None:
-            points.append(ApartmentVec.from_mu(rs, w))
+    # region(sigma) as triples (i, j, ell): d_i - d_j >= ell, labels 1-based
+    systems = [
+        [
+            (a + 1, j + 1, s - row[a])
+            for row, a in zip(S, sigma)
+            for j, s in enumerate(row)
+            if j != a and s is not None
+        ]
+        for sigma in opt
+    ]
+    points = [d for d in (difference_potentials(n, cons) for cons in systems) if d is not None]
     if not points:
         raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
-    for sigma, reg in regions:
-        if all(in_wconvex(reg, p) for p in points):
+    for sigma, cons in zip(opt, systems):
+        if all(d[i - 1] - d[j - 1] >= ell for d in points for i, j, ell in cons):
+            sigma = tuple(a + 1 for a in sigma)
             c = [T[i][sigma[i] - 1].finite_value for i in range(n)]
-            return reg, affine_from_mu(rs, sigma, c)
+            return _region(rs, T, sigma), affine_from_mu(rs, sigma, c)
     raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
 
 

@@ -137,7 +137,8 @@ def theorems(which, n, trials, seed, denominator_bound, magnitude_bound, factor_
     _run_suites("theorems", THEOREM_NAMES, check_theorem, which, cfg, json_out)
 
 
-@main.command()
+# a leading minus belongs to the expression ("-t + 1" is canonical output)
+@main.command(context_settings={"ignore_unknown_options": True})
 @click.option("--check", is_flag=True, help="validate only; print nothing on success")
 @click.argument("expr")
 def parse(check, expr):

@@ -328,3 +328,31 @@ class TestLexPairPayload:
             ),
         )
         assert not apt.wconvex_feasible(s)
+
+
+class TestDifferencePotentials:
+    """One Bellman-Ford for every payload: scaling the thresholds by a
+    positive factor scales the potentials by the same factor."""
+
+    SYSTEM = [(1, 2, 3), (2, 3, -5), (3, 1, 1), (4, 2, 2), (1, 4, -4)]
+    CYCLE = [(1, 2, 1), (2, 3, 1), (3, 1, -1)]
+
+    def test_int_fraction_and_lexpair_agree(self):
+        d = apt.difference_potentials(4, self.SYSTEM)
+        assert d is not None and all(isinstance(v, int) for v in d)
+        assert all(d[i - 1] - d[j - 1] >= ell for i, j, ell in self.SYSTEM)
+        assert max(d) == 0
+        frac = apt.difference_potentials(4, [(i, j, Q(ell, 6)) for i, j, ell in self.SYSTEM])
+        assert [6 * v for v in frac] == d
+        lex = apt.difference_potentials(4, [(i, j, LexPair(ell, 0)) for i, j, ell in self.SYSTEM])
+        assert lex == [LexPair(v, 0) for v in d]
+
+    def test_negative_cycle_is_infeasible(self):
+        assert apt.difference_potentials(3, self.CYCLE) is None
+        assert apt.difference_potentials(3, [(i, j, Q(ell, 6)) for i, j, ell in self.CYCLE]) is None
+        lex = [(i, j, LexPair(0, ell)) for i, j, ell in self.CYCLE]
+        assert apt.difference_potentials(3, lex) is None
+
+    def test_no_constraints(self):
+        assert apt.difference_potentials(3, []) == [0, 0, 0]
+

@@ -1,9 +1,12 @@
 """Building charts: tropical membership, overlaps, root subgroups, stabilizers."""
 
+import json
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 
+from lbldg import apartment as apt
 from lbldg import building as bd
 from lbldg.apartment import (
     ApartmentVec,
@@ -13,8 +16,10 @@ from lbldg.apartment import (
     in_chamber_C0,
     in_half,
     in_wconvex,
+    wconvex_witness,
 )
 from lbldg.errors import (
+    AmbiguousWeyl,
     EnumerationBound,
     IdentityElement,
     NotUnipotent,
@@ -257,6 +262,192 @@ class TestApartmentOverlap:
         reg, w = res
         mu = sample_in_region(rng, reg, 1)[0]
         assert bd.chart_image(g, mu) == apply_weyl(w, mu)
+
+
+# --- the overlap against an exhaustive oracle ------------------------------------
+
+
+def _oracle_overlap(g):
+    """The overlap by exhaustive search in Lambda: every optimal
+    permutation's region, a Bellman-Ford witness for each, and the first
+    region in lex order that contains every witness."""
+    n = g.n
+    rs = type_A(n - 1)
+    T = bd.trop(g)
+    best, opt = BOTTOM, []
+    for sigma in permutations(range(1, n + 1)):
+        tot = LambdaVal.of(0)
+        for i in range(n):
+            tot = tot + T[i][sigma[i] - 1]
+        if tot.is_bottom:
+            continue
+        if best < tot:
+            best, opt = tot, [sigma]
+        elif tot == best:
+            opt.append(sigma)
+    if best > LambdaVal.of(0):
+        return None
+    regions = [(sigma, bd._region(rs, T, sigma)) for sigma in opt]
+    witnesses = [wconvex_witness(reg) for _, reg in regions]
+    points = [ApartmentVec.from_mu(rs, w) for w in witnesses if w is not None]
+    if not points:
+        raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
+    for sigma, reg in regions:
+        if all(in_wconvex(reg, p) for p in points):
+            c = [T[i][sigma[i] - 1].finite_value for i in range(n)]
+            return reg, affine_from_mu(rs, sigma, c)
+    raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
+
+
+def _outcome(overlap, g):
+    """Overlap JSON text, or the type and message of what it raised."""
+    try:
+        return json.dumps(bd.overlap_to_json(overlap(g)), sort_keys=True)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _monomials(rows):
+    """Group element (not validated) from (exponent, coefficient) pairs;
+    None is an exact zero."""
+    return GroupElem(
+        [[fs.ZERO if e is None else fs.monomial(Q(e[0]), Q(e[1])) for e in row] for row in rows],
+        validate=False,
+    )
+
+
+def _unit_block(k):
+    """Entries k - max(i, j): positive integers, determinant 1, trop = 0."""
+    return [[k - max(i, j) for j in range(k)] for i in range(k)]
+
+
+def _block_diagonal(sizes):
+    n = sum(sizes)
+    rows = [[None] * n for _ in range(n)]
+    off = 0
+    for k in sizes:
+        for i, row in enumerate(_unit_block(k)):
+            for j, v in enumerate(row):
+                rows[off + i][off + j] = (0, v)
+        off += k
+    return _monomials(rows)
+
+
+def _diagonal(exps):
+    n = len(exps)
+    return _monomials([[(exps[i], 1) if i == j else None for j in range(n)] for i in range(n)])
+
+
+def _scaled(exps, g):
+    """diag(t^e) g diag(t^-e): the same ties on a finer exponent lattice."""
+    return _diagonal(exps) @ g @ _diagonal([-e for e in exps])
+
+
+MIXED = [Q(1, 2), Q(1, 3), Q(-1, 2), Q(-1, 3), 0]
+TIED = {
+    # every entry a unit: all 120 permutations are optimal
+    "units": _block_diagonal([5]),
+    "units_mixed": _scaled(MIXED, _block_diagonal([5])),
+    # block-diagonal products keep exact zeros; 96, 72, 48, 36 and 24 ties
+    "blocks_41_14": _block_diagonal([4, 1]) @ _block_diagonal([1, 4]),
+    "blocks_32_14": _block_diagonal([3, 2]) @ _block_diagonal([1, 4]),
+    "blocks_221_14": _block_diagonal([2, 2, 1]) @ _block_diagonal([1, 4]),
+    "blocks_32_23": _block_diagonal([3, 2]) @ _block_diagonal([2, 3]),
+    "blocks_131_41": _block_diagonal([1, 3, 1]) @ _block_diagonal([4, 1]),
+    "blocks_mixed": _scaled(MIXED, _block_diagonal([4, 1]) @ _block_diagonal([1, 4])),
+}
+
+
+def _seeded(n, denom, count):
+    return [gen_group_elem(trial_rng(11, f"oracle-{n}-{denom}", k), n, denom=denom)
+            for k in range(count)]
+
+
+def _unvalidated(n, count):
+    """Monomial matrices with no determinant condition, a third of the
+    entries exact zeros: the tropical permanent may be nonzero."""
+    out = []
+    for k in range(count):
+        rng = trial_rng(11, f"oracle-free-{n}", k)
+        rows = [
+            [None if rng.random() < 0.33 else (Q(rng.randint(-6, 6), rng.choice([1, 2, 3])), 1)
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        out.append(_monomials(rows))
+    return out
+
+
+def _all_bottom(g):
+    """Every permutation meets an exact zero."""
+    T = bd.trop(g)
+    return all(any(T[i][s[i]].is_bottom for i in range(g.n)) for s in permutations(range(g.n)))
+
+
+class TestOverlapOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("denom", [2, 6])
+    def test_seeded_elements(self, n, denom):
+        for g in _seeded(n, denom, 30 if n < 5 else 12):
+            assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+
+    @pytest.mark.parametrize("name", sorted(TIED))
+    def test_tie_heavy_elements(self, name):
+        g = TIED[name]
+        assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+
+    def test_mixed_denominators(self):
+        g = TIED["units_mixed"]
+        dens = {v.finite_value.denominator for row in bd.trop(g) for v in row}
+        assert dens == {1, 2, 3, 6}
+        reg, _ = bd.apartment_overlap(g)
+        assert {h.threshold.finite_value.denominator for h in reg.constraints} == {1, 2, 3, 6}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exact_zeros(self, n):
+        rng = trial_rng(11, "oracle-zeros", n)
+        elems = [gen_unipotent(rng, n), gen_unipotent(rng, n, lower=True),
+                 gen_diagonal(rng, n), gen_root_elem(rng, n)[0]]
+        elems += [g for g in _unvalidated(n, 40) if not _all_bottom(g)]
+        assert any(e == fs.ZERO for g in elems for row in g.entries for e in row)
+        for g in elems:
+            assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+
+    def test_zero_row_is_singular(self):
+        g = _monomials([[None, None, None], [(0, 1), (1, 1), None], [None, (0, 2), (0, 1)]])
+        assert _all_bottom(g)
+        with pytest.raises(ValueError, match="no permutation has a finite tropical product"):
+            bd.apartment_overlap(g)
+
+
+class TestOverlapWorkCounts:
+    """Deterministic counts on an all-tied n = 5 element: every permutation
+    is drawn once, only the returned region becomes a WConvexSet, and no
+    apartment membership test runs."""
+
+    def test_all_tied_element(self, monkeypatch):
+        counts = {"perms": 0, "regions": 0}
+        drawn, region = bd.permutations, bd._region
+
+        def counting_permutations(*args):
+            for p in drawn(*args):
+                counts["perms"] += 1
+                yield p
+
+        def counting_region(*args):
+            counts["regions"] += 1
+            return region(*args)
+
+        def forbidden(*args):
+            raise AssertionError("in_wconvex called")
+
+        monkeypatch.setattr(bd, "permutations", counting_permutations)
+        monkeypatch.setattr(bd, "_region", counting_region)
+        monkeypatch.setattr(apt, "in_wconvex", forbidden)
+        monkeypatch.setattr(bd, "in_wconvex", forbidden, raising=False)
+        reg, w = bd.apartment_overlap(TIED["units"])
+        assert counts == {"perms": 120, "regions": 1}
+        assert w.mu_perm == (1, 2, 3, 4, 5) and len(reg.constraints) == 20
 
 
 # --- stabilizer of the base point ----------------------------------------------

@@ -15,7 +15,7 @@ from lbldg.harness.axioms import check_axiom
 from lbldg.harness.config import TrialConfig
 from lbldg.harness.generators import gen_group_elem, gen_point, trial_rng
 from lbldg.harness.report import report_to_dict
-from lbldg.symspace import distance, matrix_to_json, retract
+from lbldg.symspace import GroupElem, distance, matrix_to_json, retract
 from lbldg.valfield import series as fs
 
 A = "3/2*t^(1/2) + 1 - 2*t^(-3)"
@@ -30,6 +30,48 @@ def _diagonal_g():
 
 def _dense_g():
     return gen_group_elem(trial_rng(5, "golden", 4), 3)
+
+
+def _group(rows):
+    return GroupElem([[fs.parse(e) for e in row] for row in rows])
+
+
+def _tied_g():
+    """Positive integer entries n - max(i, j): trop is 0, all 120 permutations tie."""
+    return GroupElem([[fs.from_rational(Q(5 - max(i, j))) for j in range(5)] for i in range(5)])
+
+
+def _mixed_g():
+    """Exponents over 2, 3 and 6 with exact zeros, times a signed swap of rows 1 and 3."""
+    swap = _group([
+        ["0", "0", "t^(-1/2)", "0", "0"],
+        ["0", "1", "0", "0", "0"],
+        ["-t^(1/2)", "0", "0", "0", "0"],
+        ["0", "0", "0", "1", "0"],
+        ["0", "0", "0", "0", "1"],
+    ])
+    diag = _group([
+        ["t^(1/2)", "0", "0", "0", "0"],
+        ["0", "t^(1/3)", "0", "0", "0"],
+        ["0", "0", "t^(-1/2)", "0", "0"],
+        ["0", "0", "0", "t^(-1/3)", "0"],
+        ["0", "0", "0", "0", "1"],
+    ])
+    upper = _group([
+        ["1", "t^(1/3)", "0", "0", "0"],
+        ["0", "1", "0", "2*t^(-1/2)", "0"],
+        ["0", "0", "1", "0", "t^(1/6)"],
+        ["0", "0", "0", "1", "0"],
+        ["0", "0", "0", "0", "1"],
+    ])
+    lower = _group([
+        ["1", "0", "0", "0", "0"],
+        ["0", "1", "0", "0", "0"],
+        ["0", "0", "1", "0", "0"],
+        ["t^(-2/3)", "0", "0", "1", "0"],
+        ["0", "3", "0", "0", "1"],
+    ])
+    return swap @ diag @ upper @ lower
 
 
 def _pencil():
@@ -67,6 +109,12 @@ CASES = {
     "dense_g_inverse": lambda: json.dumps(matrix_to_json(_dense_g().inverse())),
     "dense_g_overlap": lambda: json.dumps(
         overlap_to_json(apartment_overlap(_dense_g())), sort_keys=True
+    ),
+    "tied_n5_overlap": lambda: json.dumps(
+        overlap_to_json(apartment_overlap(_tied_g())), sort_keys=True
+    ),
+    "mixed_n5_overlap": lambda: json.dumps(
+        overlap_to_json(apartment_overlap(_mixed_g())), sort_keys=True
     ),
     "dist": lambda: str(
         distance(x_mu([1, 0, -1]), x_mu([Q(1, 2), 0, Q(-1, 2)])).finite_value
@@ -124,6 +172,26 @@ GOLDEN = {
         ' {"ell": "-4", "i": 2, "j": 1}, {"ell": "-5", "i": 2, "j": 3},'
         ' {"ell": "1", "i": 3, "j": 1}, {"ell": "5", "i": 3, "j": 2}],'
         ' "weyl": {"perm": [1, 2, 3], "translation": ["-1", "3", "-2"]}}'
+    ),
+    "tied_n5_overlap": (
+        '{"constraints": [{"ell": "0", "i": 1, "j": 2}, {"ell": "0", "i": 1, "j": 3},'
+        ' {"ell": "0", "i": 1, "j": 4}, {"ell": "0", "i": 1, "j": 5},'
+        ' {"ell": "0", "i": 2, "j": 1}, {"ell": "0", "i": 2, "j": 3},'
+        ' {"ell": "0", "i": 2, "j": 4}, {"ell": "0", "i": 2, "j": 5},'
+        ' {"ell": "0", "i": 3, "j": 1}, {"ell": "0", "i": 3, "j": 2},'
+        ' {"ell": "0", "i": 3, "j": 4}, {"ell": "0", "i": 3, "j": 5},'
+        ' {"ell": "0", "i": 4, "j": 1}, {"ell": "0", "i": 4, "j": 2},'
+        ' {"ell": "0", "i": 4, "j": 3}, {"ell": "0", "i": 4, "j": 5},'
+        ' {"ell": "0", "i": 5, "j": 1}, {"ell": "0", "i": 5, "j": 2},'
+        ' {"ell": "0", "i": 5, "j": 3}, {"ell": "0", "i": 5, "j": 4}],'
+        ' "weyl": {"perm": [1, 2, 3, 4, 5], "translation": ["0", "0", "0", "0", "0"]}}'
+    ),
+    "mixed_n5_overlap": (
+        '{"constraints": [{"ell": "1/6", "i": 3, "j": 2}, {"ell": "1/6", "i": 3, "j": 5},'
+        ' {"ell": "-7/6", "i": 2, "j": 1}, {"ell": "-1/2", "i": 2, "j": 4},'
+        ' {"ell": "1/3", "i": 1, "j": 2}, {"ell": "-2/3", "i": 4, "j": 1},'
+        ' {"ell": "0", "i": 5, "j": 2}],'
+        ' "weyl": {"perm": [3, 2, 1, 4, 5], "translation": ["-1", "1/3", "1", "-1/3", "0"]}}'
     ),
     "dist": "4",
     "point": (

@@ -22,6 +22,7 @@ from lbldg.harness.report import (
     run_check,
 )
 from lbldg.symspace import matrix_to_json
+from lbldg.valfield import series as fs
 
 
 # --- report plumbing -------------------------------------------------------------
@@ -237,6 +238,18 @@ class TestCli:
     def test_parse_check_silent(self):
         res = CliRunner().invoke(main, ["parse", "--check", "t + 1"])
         assert res.exit_code == 0 and res.output == ""
+
+    @pytest.mark.parametrize(
+        "args", [["-t + 1"], ["-1"], ["-t"], ["--check", "-t + 1"]], ids=" ".join
+    )
+    def test_parse_leading_minus(self, args):
+        """A negative leading term is printed with a leading '-'; parse takes
+        it as the expression, not as an option, and the output parses back."""
+        res = CliRunner().invoke(main, ["parse", *args])
+        expr = args[-1]
+        assert res.exit_code == 0, res.output
+        assert res.stdout == ("" if args[0] == "--check" else expr + "\n")
+        assert fs.to_str(fs.parse(expr)) == expr
 
     def test_parse_error_exits_2(self):
         res = CliRunner().invoke(main, ["parse", "--check", "3t^(-1)"])
