@@ -137,7 +137,9 @@ def apartment_overlap(g):
     T_{i sigma(i)}, the tropical permanent.  Expanding det g = 1 shows some
     permutation's entries multiply to a series of negval >= 0, hence P >= 0.
     If P > 0 the overlap is empty.  If every permutation meets an exact
-    zero there is no P: g is singular and ValueError is raised.  If P = 0,
+    zero there is no P: g is singular and ValueError is raised.  P < 0
+    forces negval(det g) < 0, so det g != 1 and g (built without
+    validation) is not in SL(n): ValueError again.  If P = 0,
     membership holds exactly when some optimal sigma attains every row
     maximum, i.e. on
 
@@ -192,6 +194,8 @@ def apartment_overlap(g):
         raise ValueError("no permutation has a finite tropical product, so g is singular")
     if best > 0:
         return None
+    if best < 0:
+        raise ValueError("the tropical permanent is negative, so g is not in SL(n)")
     # region(sigma) as triples (i, j, ell): d_i - d_j >= ell, labels 1-based
     systems = [
         [

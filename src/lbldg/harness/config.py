@@ -2,6 +2,7 @@
 
 from typing import NamedTuple
 
+from ..building import PERM_BOUND
 from ..errors import ConfigError
 
 
@@ -25,9 +26,10 @@ class TrialConfig(NamedTuple):
     def validate(self, enumeration=False):
         if self.n < 2:
             raise ConfigError("matrix size must be at least 2")
-        if enumeration and self.n > 4:
+        if enumeration and self.n > PERM_BOUND:
             raise ConfigError(
-                "enumeration-backed checks support matrix sizes up to 4"
+                "enumeration-backed checks support matrix sizes up to "
+                f"building.PERM_BOUND = {PERM_BOUND}"
             )
         if self.trials < 1:
             raise ConfigError("trial count must be positive")

@@ -4,6 +4,12 @@ Points are symmetric positive-definite determinant-1 matrices; the group acts
 by g.x = g x g^T. Cartan-projection valuations come from the Newton polygon of
 det(lambda*x - y), and the Iwasawa retraction from trailing-principal-minor
 ratios. No field division and no square roots anywhere in this pipeline.
+
+Every determinant is read from one minor table (_minors), the first-row
+Laplace expansion with each sub-minor computed once: the full minor for
+mat_det and char_pencil, all trailing principal minors for retract and for
+point validation (det = 1, then Sylvester's criterion), and a row's
+cofactors, from the matrix without that row, for mat_adjugate.
 """
 
 from fractions import Fraction
@@ -63,46 +69,87 @@ def mat_transpose(a):
     return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
 
 
-def _laplace(m, ring):
-    """Determinant by Laplace expansion along the first row over the
-    commutative ring given by ring = (zero, is_zero, add, neg, mul); exact
-    and division-free.  Exactly-zero first-row entries contribute no term."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
+def _minors(m, ring, masks):
+    """The minors of m named by masks, from one bottom-up table.
+
+    m has r <= c rows of c entries over the ring (zero, is_zero, add, neg,
+    mul).  A mask with k set bits names the minor on the last k rows and the
+    columns it sets: (1 << c) - 1 is the full minor of a square m, and
+    (1 << c) - (1 << i) its trailing principal minor on rows and columns i..
+    Each minor is expanded along its first row, columns ascending with sign
+    (-1)^position, exactly-zero entries skipped.  A top-down pass marks every
+    minor those expansions reach; a bottom-up pass builds each once, however
+    many expansions share it.  For a dense square matrix that is
+    sum_{k=2..c} C(c, k) * k ring products where the recursive expansion
+    makes sum_{k=2..c} c!/(k - 1)!, and it is never more on any input.  Each
+    minor is the same sequence of add/neg/mul calls on the same operands as
+    its recursive expansion, so results are identical even on floored
+    operands: floors follow the expression tree, which is unchanged.
+    """
     zero, is_zero, add, neg, mul = ring
-    acc = zero
-    for j in range(n):
-        if is_zero(m[0][j]):
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = mul(m[0][j], _laplace(minor, ring))
-        acc = add(acc, term if j % 2 == 0 else neg(term))
-    return acc
+    rows = len(m)
+    # levels[k]: the wanted or reached minors on the last k rows
+    levels = [set() for _ in range(rows + 1)]
+    for mask in masks:
+        levels[mask.bit_count()].add(mask)
+    # nonzero[k]: (bit, entry) for the nonzero entries of the row that
+    # expands the minors on k rows
+    nonzero = [None] * (rows + 1)
+    for k in range(rows, 1, -1):
+        nz = nonzero[k] = [(1 << j, v) for j, v in enumerate(m[rows - k]) if not is_zero(v)]
+        below = levels[k - 1]
+        for mask in levels[k]:
+            for bit, _ in nz:
+                if mask & bit:
+                    below.add(mask ^ bit)
+    last = m[-1]
+    table = {mask: last[mask.bit_length() - 1] for mask in levels[1]}
+    for k in range(2, rows + 1):
+        nz = nonzero[k]
+        for mask in levels[k]:
+            acc = zero
+            for bit, v in nz:
+                if mask & bit:
+                    term = mul(v, table[mask ^ bit])
+                    # the sign is (-1)^(columns of mask left of this one)
+                    acc = add(acc, neg(term) if (mask & (bit - 1)).bit_count() & 1 else term)
+            table[mask] = acc
+    return [table[mask] for mask in masks]
+
+
+def _series_ring():
+    # the series operations are looked up per call, so wrappers placed on
+    # the series module (as perfbench's tracer does) see every product
+    return fs.ZERO, attrgetter("is_zero"), fs.add, fs.neg, fs.mul
 
 
 def mat_det(a):
-    """Laplace expansion along the first row; exact, division-free."""
-    # the series operations are looked up per call, so wrappers placed on
-    # the series module (as perfbench's tracer does) see every product
-    return _laplace(a, (fs.ZERO, attrgetter("is_zero"), fs.add, fs.neg, fs.mul))
+    """The full minor of the table: first-row Laplace expansion with shared
+    sub-minors; exact, division-free."""
+    return _minors(a, _series_ring(), [(1 << len(a)) - 1])[0]
 
 
 def mat_adjugate(a):
+    """Transposed cofactors, division-free: one minor table per deleted
+    row i holds all n cofactors of row i as its full-width minors."""
     n = len(a)
     if n == 1:
         return ((fs.ONE,),)
+    ring = _series_ring()
+    full = (1 << n) - 1
+    masks = [full ^ (1 << j) for j in range(n)]
     cof = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(
-                r[:j] + r[j + 1 :] for k, r in enumerate(a) if k != i
-            )
-            d = mat_det(minor)
-            row.append(d if (i + j) % 2 == 0 else fs.neg(d))
-        cof.append(tuple(row))
+        minors = _minors(a[:i] + a[i + 1 :], ring, masks)
+        cof.append(tuple([d if (i + j) % 2 == 0 else fs.neg(d) for j, d in enumerate(minors)]))
     return mat_transpose(tuple(cof))
+
+
+def _trailing_minors(m):
+    """The trailing principal minors of m on rows and columns i.., i = 0..n-1,
+    from one table; the first is det m."""
+    n = len(m)
+    return _minors(m, _series_ring(), [(1 << n) - (1 << i) for i in range(n)])
 
 
 def _is_one(d):
@@ -166,11 +213,16 @@ class SPDPoint:
                 for j in range(i + 1, n):
                     if self.entries[i][j] != self.entries[j][i]:
                         raise ValueError("point must be symmetric")
-            if not _is_one(mat_det(self.entries)):
+            trailing = _trailing_minors(self.entries)
+            if not _is_one(trailing[0]):
                 raise ValueError("determinant must be exactly 1")
-            for k in range(1, n + 1):
-                lead = tuple(row[:k] for row in self.entries[:k])
-                if fs.cmp(mat_det(lead), fs.ZERO) != fs.GT:
+            # Sylvester's criterion (Horn and Johnson, Matrix Analysis,
+            # ch. 7) on the row- and column-reversed matrix, which is
+            # positive definite iff x is: all trailing principal minors are
+            # positive, checked smallest first.  The proof by symmetric
+            # elimination holds over any ordered field.
+            for d in reversed(trailing):
+                if fs.cmp(d, fs.ZERO) != fs.GT:
                     raise ValueError("point must be positive definite")
 
     @property
@@ -239,7 +291,7 @@ def char_pencil(x, y):
         tuple((fs.neg(y.entries[i][j]), x.entries[i][j]) for j in range(n))
         for i in range(n)
     )
-    q = _laplace(m, _POLYNOMIALS)
+    q = _minors(m, _POLYNOMIALS, [(1 << n) - 1])[0]
     return q + (fs.ZERO,) * (n + 1 - len(q))
 
 
@@ -328,10 +380,7 @@ def retract(x):
     """Apartment coordinates of the upper-unipotent/diagonal factorization,
     read off trailing principal minors: mu_i = (negval M_i - negval M_{i+1})/2."""
     n = x.n
-    nv = []
-    for i in range(n):
-        block = tuple(row[i:] for row in x.entries[i:])
-        nv.append(fs.negval(mat_det(block)).finite_value)
+    nv = [fs.negval(d).finite_value for d in _trailing_minors(x.entries)]
     nv.append(Fraction(0))
     mu = [(nv[i] - nv[i + 1]) / 2 for i in range(n)]
     return ApartmentVec.from_mu(type_A(n - 1), mu)

@@ -287,6 +287,8 @@ def _oracle_overlap(g):
             opt.append(sigma)
     if best > LambdaVal.of(0):
         return None
+    if not best.is_bottom and best < LambdaVal.of(0):
+        raise ValueError("the tropical permanent is negative, so g is not in SL(n)")
     regions = [(sigma, bd._region(rs, T, sigma)) for sigma in opt]
     witnesses = [wconvex_witness(reg) for _, reg in regions]
     points = [ApartmentVec.from_mu(rs, w) for w in witnesses if w is not None]
@@ -412,6 +414,11 @@ class TestOverlapOracle:
         assert any(e == fs.ZERO for g in elems for row in g.entries for e in row)
         for g in elems:
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+
+    def test_negative_permanent_is_not_in_sl_n(self):
+        g = _diagonal([-1, 0])
+        with pytest.raises(ValueError, match="tropical permanent is negative, so g is not in SL"):
+            bd.apartment_overlap(g)
 
     def test_zero_row_is_singular(self):
         g = _monomials([[None, None, None], [(0, 1), (1, 1), None], [None, (0, 2), (0, 1)]])

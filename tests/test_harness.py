@@ -6,7 +6,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from lbldg.building import apartment_overlap, x_mu
+from lbldg.building import PERM_BOUND, apartment_overlap, x_mu
 from lbldg.errors import ConfigError
 from lbldg.harness import axioms as ax
 from lbldg.harness import theorems as th
@@ -98,13 +98,18 @@ class TestReports:
         with pytest.raises(ConfigError):
             ax.check_axiom(TrialConfig(n=1), "A1")
         with pytest.raises(ConfigError):
-            ax.check_axiom(TrialConfig(n=5), "A2")
+            ax.check_axiom(TrialConfig(n=PERM_BOUND + 1), "A2")
         with pytest.raises(ConfigError):
             th.check_theorem(TrialConfig(trials=0), "Stab_o")
         with pytest.raises(ConfigError):
             th.check_theorem(TrialConfig(seed=-1), "Stab_o")
         # A4 is not enumeration-backed, so n=5 is allowed there
         assert ax.check_axiom(TrialConfig(n=5, trials=2, seed=3), "A4").ok
+
+    @pytest.mark.parametrize("which", sorted(ax.ENUMERATION_BACKED))
+    def test_enumeration_backed_at_n5(self, which):
+        # the cap is building.PERM_BOUND = 5, not a second constant
+        assert ax.check_axiom(TrialConfig(n=5, trials=3, seed=1), which).ok
 
 
 # --- suite registries -------------------------------------------------------------

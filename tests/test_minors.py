@@ -1,0 +1,233 @@
+"""The minor table behind every determinant, against the recursive first-row
+Laplace expansion it replaced, plus deterministic work counts."""
+
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lbldg import symspace as sym
+from lbldg.harness.generators import gen_point, trial_rng
+from lbldg.valfield import series as fs
+
+
+def _laplace(m, ring):
+    """Determinant by Laplace expansion along the first row over the
+    commutative ring given by ring = (zero, is_zero, add, neg, mul); exact
+    and division-free.  Exactly-zero first-row entries contribute no term.
+    Every sub-minor is recomputed once per path that reaches it."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    zero, is_zero, add, neg, mul = ring
+    acc = zero
+    for j in range(n):
+        if is_zero(m[0][j]):
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
+        term = mul(m[0][j], _laplace(minor, ring))
+        acc = add(acc, term if j % 2 == 0 else neg(term))
+    return acc
+
+
+def _det(m):
+    return _laplace(m, sym._series_ring())
+
+
+def _counted(det):
+    """det(ring) on the series ring, and the number of products it made."""
+    seen = []
+    zero, is_zero, add, neg, mul = sym._series_ring()
+
+    def counting_mul(a, b):
+        seen.append(None)
+        return mul(a, b)
+
+    return det((zero, is_zero, add, neg, counting_mul)), len(seen)
+
+
+_EXP = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_FLOOR = st.one_of(st.none(), st.fractions(min_value=-9, max_value=6, max_denominator=6))
+
+
+@st.composite
+def _entries(draw):
+    """An exact zero, or up to three terms, possibly cut by with_floor."""
+    if draw(st.integers(0, 4)) == 0:
+        return fs.ZERO
+    terms = draw(st.lists(st.tuples(_EXP, st.integers(-3, 3)), min_size=1, max_size=3))
+    a = fs.PuiseuxElem.from_terms(terms)
+    f = draw(_FLOOR)
+    return a if f is None else fs.with_floor(a, f)
+
+
+def _matrices(n):
+    return st.lists(st.lists(_entries(), min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: tuple(tuple(row) for row in rows)
+    )
+
+
+_SIZED = st.integers(1, 5).flatmap(_matrices)
+
+
+class TestAgainstLaplace:
+    """Byte equality of to_str, floors included: each table entry is the
+    recursive expansion's expression tree with shared sub-minors."""
+
+    @given(_SIZED)
+    @settings(max_examples=80, deadline=None)
+    def test_det(self, m):
+        want, recursive = _counted(lambda ring: _laplace(m, ring))
+        assert fs.to_str(sym.mat_det(m)) == fs.to_str(want)
+        # only minors an expansion reaches are built, so exact zeros save
+        # the table at least what they save the recursion
+        _, table = _counted(lambda ring: sym._minors(m, ring, [(1 << len(m)) - 1]))
+        assert table <= recursive
+
+    @given(_SIZED)
+    @settings(max_examples=80, deadline=None)
+    def test_trailing_principal_minors(self, m):
+        n = len(m)
+        got = sym._trailing_minors(m)
+        want = [_det(tuple(row[i:] for row in m[i:])) for i in range(n)]
+        assert [fs.to_str(v) for v in got] == [fs.to_str(v) for v in want]
+
+    @given(_SIZED)
+    @settings(max_examples=60, deadline=None)
+    def test_adjugate(self, m):
+        n = len(m)
+        got = sym.mat_adjugate(m)
+        if n == 1:
+            assert got == ((fs.ONE,),)
+            return
+        for i in range(n):
+            for j in range(n):
+                minor = tuple(r[:j] + r[j + 1 :] for k, r in enumerate(m) if k != i)
+                d = _det(minor)
+                want = d if (i + j) % 2 == 0 else fs.neg(d)
+                # the adjugate is the transposed cofactor matrix
+                assert fs.to_str(got[j][i]) == fs.to_str(want)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_matrices(n), _matrices(n))))
+    @settings(max_examples=40, deadline=None)
+    def test_char_pencil(self, pair):
+        xm, ym = pair
+        n = len(xm)
+        x, y = (sym.SPDPoint(m, validate=False) for m in pair)
+        pencil = tuple(
+            tuple((fs.neg(ym[i][j]), xm[i][j]) for j in range(n)) for i in range(n)
+        )
+        want = _laplace(pencil, sym._POLYNOMIALS)
+        want = want + (fs.ZERO,) * (n + 1 - len(want))
+        assert [fs.to_str(v) for v in sym.char_pencil(x, y)] == [fs.to_str(v) for v in want]
+
+
+def _leading_chain(m):
+    n = len(m)
+    return all(
+        fs.cmp(_det(tuple(row[:k] for row in m[:k])), fs.ZERO) == fs.GT for k in range(1, n + 1)
+    )
+
+
+def _trailing_chain(m):
+    return all(fs.cmp(d, fs.ZERO) == fs.GT for d in sym._trailing_minors(m))
+
+
+def _shifted(rng, n):
+    """A seeded point minus a scalar monomial: exact, symmetric, and
+    positive definite or not depending on the shift."""
+    m = [list(row) for row in gen_point(rng, n).entries]
+    shift = fs.monomial(Q(rng.randint(-6, 6), 2), rng.choice([1, 2]))
+    for i in range(n):
+        m[i][i] = fs.sub(m[i][i], shift)
+    return tuple(tuple(row) for row in m)
+
+
+class TestSylvester:
+    """Point validation decides positive definiteness on the trailing
+    principal minors; on exact input that agrees with the leading chain."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_seeded_points(self, n):
+        rng = trial_rng(7, "sylvester", n)
+        for _ in range(6 if n < 5 else 3):
+            m = gen_point(rng, n).entries
+            assert _trailing_chain(m) and _leading_chain(m)
+            sym.SPDPoint(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shifted_points(self, n):
+        rng = trial_rng(7, "sylvester-shift", n)
+        decided = set()
+        for _ in range(40):
+            m = _shifted(rng, n)
+            decided.add(_leading_chain(m))
+            assert _trailing_chain(m) == _leading_chain(m)
+        assert decided == {True, False}
+
+
+# --- deterministic work counts ----------------------------------------------------
+
+# 2 on the diagonal and 1 elsewhere: exact, no zero entry, positive definite
+_DENSE5 = tuple(tuple(fs.from_rational(2 if i == j else 1) for j in range(5)) for i in range(5))
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts series products (fs.mul), polynomial products and tables."""
+    seen = {"mul": 0, "poly_mul": 0, "tables": 0}
+    mul, minors = fs.mul, sym._minors
+    zero, is_zero, add, neg, poly_mul = sym._POLYNOMIALS
+
+    def counting_mul(a, b):
+        seen["mul"] += 1
+        return mul(a, b)
+
+    def counting_poly_mul(p, q):
+        seen["poly_mul"] += 1
+        return poly_mul(p, q)
+
+    def counting_minors(m, ring, masks):
+        seen["tables"] += 1
+        return minors(m, ring, masks)
+
+    monkeypatch.setattr(fs, "mul", counting_mul)
+    monkeypatch.setattr(sym, "_POLYNOMIALS", (zero, is_zero, add, neg, counting_poly_mul))
+    monkeypatch.setattr(sym, "_minors", counting_minors)
+    return seen
+
+
+class TestWorkCounts:
+    """A dense 5 x 5 determinant takes sum_k C(5, k) * k = 75 ring products
+    from the table; the recursive expansion took sum_k 5!/(k - 1)! = 205."""
+
+    def test_mat_det(self, counts):
+        sym.mat_det(_DENSE5)
+        assert counts == {"mul": 75, "poly_mul": 0, "tables": 1}
+
+    def test_retract_reads_one_table(self, counts):
+        # the recursive expansion took 205 + 40 + 9 + 2 = 256 for the chain
+        sym.retract(sym.SPDPoint(_DENSE5, validate=False))
+        assert counts == {"mul": 75, "poly_mul": 0, "tables": 1}
+
+    def test_char_pencil(self, counts):
+        x = sym.SPDPoint(_DENSE5, validate=False)
+        sym.char_pencil(x, x)
+        assert counts["poly_mul"] == 75 and counts["tables"] == 1
+
+    def test_mat_adjugate(self, counts):
+        sym.mat_adjugate(_DENSE5)
+        # one 4 x 5 table per deleted row: sum_{k=2..4} C(5, k) * k each
+        assert counts == {"mul": 5 * 70, "poly_mul": 0, "tables": 5}
+
+    def test_point_validation(self, counts):
+        # det (for the det = 1 check) and the whole trailing chain come from
+        # one table; the leading chain took 205 + 40 + 9 + 2 more products
+        with pytest.raises(ValueError, match="determinant must be exactly 1"):
+            sym.SPDPoint(_DENSE5)
+        assert counts == {"mul": 75, "poly_mul": 0, "tables": 1}
+        entries = gen_point(trial_rng(7, "counts", 0), 5).entries
+        counts["tables"] = 0
+        sym.SPDPoint(entries)
+        assert counts["tables"] == 1

@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lbldg import symspace as sym
@@ -251,6 +251,42 @@ def _cut_pairs(draw):
     return out
 
 
+@st.composite
+def _masked_vertex_pairs(draw):
+    """An exact point x and a symmetric y of size 2 or 3, exact and cut.
+
+    y's first row is zero except its last entry, so the expansion of
+    det(y) never multiplies y's last diagonal entry by anything but an
+    exact zero; cutting that entry at or above its leading exponent masks
+    pencil coefficients that contain it, while both endpoint coefficients,
+    det(x) and det(-y), stay exact.  Only pairs where a masked coefficient
+    is an interior vertex of the exact Newton polygon are kept."""
+    n = draw(st.sampled_from((2, 3)))
+    x = gen_point(trial_rng(draw(st.integers(0, 10**6)), "masked-vertex", 0), n)
+    mono = st.builds(
+        fs.monomial,
+        st.fractions(min_value=-3, max_value=3, max_denominator=2),
+        st.sampled_from((-2, -1, 1, 2)),
+    )
+    y = [[fs.ZERO] * n for _ in range(n)]
+    y[0][n - 1] = y[n - 1][0] = draw(mono)
+    for i in range(1, n):
+        for j in range(i, n):
+            y[i][j] = y[j][i] = draw(mono)
+    lead = draw(st.fractions(min_value=1, max_value=8, max_denominator=2))
+    y[n - 1][n - 1] = fs.add(fs.monomial(lead), draw(mono))
+    cut = [list(row) for row in y]
+    cut[n - 1][n - 1] = fs.with_floor(y[n - 1][n - 1], lead + draw(st.sampled_from((0, 1, 3))))
+    y, cut = (sym.SPDPoint(m, validate=False) for m in (y, cut))
+    q = sym.char_pencil(x, cut)
+    hull = sym._upper_concave_hull(
+        [(Q(k), fs.lead_exp(c)) for k, c in enumerate(reversed(sym.char_pencil(x, y))) if c.pairs]
+    )
+    assert q[0].pairs and q[n].pairs
+    assume(any(not q[n - int(k)].pairs for k, _ in hull[1:-1]))
+    return x, y, cut
+
+
 class TestMatrixFloorSoundness:
     """Floored matrix operations against exact arithmetic on the same points."""
 
@@ -263,6 +299,16 @@ class TestMatrixFloorSoundness:
                 assert got == exact
             else:
                 assert got.terms == tuple(t for t in exact.terms if t[0] > got.floor)
+
+    @given(_masked_vertex_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_masked_interior_vertex_exact_or_precision_error(self, triple):
+        x, y, cut = triple
+        try:
+            got = sym.cartan_valuations(x, cut)
+        except PrecisionError:
+            return
+        assert got == sym.cartan_valuations(x, y)
 
     @given(_cut_pairs())
     @settings(max_examples=200, deadline=None)
