@@ -223,7 +223,7 @@ def compose_weyl(w1, w2):
 # --- feasibility -------------------------------------------------------------
 
 
-def _difference_form(s):
+def difference_form(s):
     """Constraints as (i, j, ell payload): mu_i - mu_j >= ell.  Type A only."""
     rs = s.rs
     if rs.kind[0] != "TypeA":
@@ -272,7 +272,7 @@ def difference_potentials(m, cons):
 def wconvex_witness(s):
     """A satisfying mu with sum zero, or None: difference_potentials on the
     difference form, shifted to sum zero."""
-    cons = sorted(_difference_form(s), key=lambda c: (c[0], c[1], c[2]))
+    cons = sorted(difference_form(s), key=lambda c: (c[0], c[1], c[2]))
     m = s.rs.rank + 1
     if not cons:
         return tuple(Fraction(0) for _ in range(m))
@@ -295,7 +295,7 @@ def wconvex_feasible(s):
 
 def wconvex_to_json(s):
     out = []
-    for i, j, ell in _difference_form(s):
+    for i, j, ell in difference_form(s):
         if not isinstance(ell, Fraction):
             raise UnsupportedConstraint("JSON form requires rational thresholds")
         out.append({"i": i, "j": j, "ell": str(ell)})

@@ -4,12 +4,18 @@ Every generator takes an explicit random.Random so the harness can derive one
 deterministic stream per trial. Supports stay tiny by default: monomial
 entries with exponent denominators <= 2 and numerators bounded by 4,
 everything Exact. The span/denom knobs widen or narrow that lattice.
+
+sample_in_region draws points of a type A overlap region by an exact walk
+on the 1/denom lattice: each move's feasible step is read off the region's
+difference constraints, so no drawn point is ever tested and thrown away.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import floor, gcd
 
-from ..apartment import ApartmentVec, in_wconvex, wconvex_witness
+from ..apartment import ApartmentVec, difference_form, wconvex_witness
 from ..linalg import identity, mat_inv, mat_mul
 from ..symspace import GroupElem, SPDPoint, act
 from ..valfield import series as fs
@@ -181,21 +187,89 @@ def gen_dominant_mu(rng, n, denom=2, span=3):
     return tuple(v - shift for v in mu)
 
 
+def _tied_classes(size, cons):
+    """The coordinates grouped by the zero-slack constraints that tie them:
+    a cycle o_b <= o_a <= ... <= o_b forces its offsets equal."""
+    reach = [[a == b for b in range(size)] for a in range(size)]
+    for a, b, slack in cons:
+        if slack == 0:
+            reach[a][b] = True
+    for k in range(size):
+        for a in range(size):
+            if reach[a][k]:
+                reach[a] = [x or y for x, y in zip(reach[a], reach[k])]
+    classes = []
+    for a in range(size):
+        if not any(a in c for c in classes):
+            classes.append([b for b in range(size) if reach[a][b] and reach[b][a]])
+    return classes
+
+
 def sample_in_region(rng, region, count, denom=2, span=2):
-    """Points of a feasible half-space system: the shortest-path witness plus
-    lattice perturbations of it that stay inside."""
+    """At most count points of a type A region, the wconvex_witness point w
+    first; [] when the region is empty.
+
+    The support is every region point w + o/denom with o integral, sum zero
+    and |o_k| <= span * denom for all but the last coordinate.  The walk
+    keeps o exact, in integer units of 1/denom: each constraint
+    mu_a - mu_b >= ell becomes o_b - o_a <= its slack at w, floored once,
+    and the box becomes constraints of the same kind against an extra
+    coordinate pinned at 0.  Coordinates tied by a cycle of zero-slack
+    constraints stay equal, so they move as one class: classes of sizes p
+    and q move by o_I += delta * q / g and o_J -= delta * p / g, with
+    g = gcd(p, q), which keeps the sum zero (for two single coordinates,
+    mu_i += delta and mu_j -= delta).  Each step draws one of the class
+    pairs whose move can leave the point, then a nonzero delta uniformly
+    from the integer interval every constraint allows, so no point is drawn
+    and thrown away.  When no move can leave w, [w] comes back; moves are
+    reversible, so a walk that has moved never sticks.
+    """
     w = wconvex_witness(region)
-    if w is None:
+    if w is None or count < 1:
         return []
     rs = region.rs
-    base = ApartmentVec.from_mu(rs, w)
-    out = [base]
-    tries = 0
-    while len(out) < count and tries < 50 * count:
-        tries += 1
-        d = [Fraction(rng.randint(-span * denom, span * denom), denom) for _ in range(rs.rank)]
-        d.append(-sum(d))
-        cand = base + ApartmentVec.from_mu(rs, d)
-        if in_wconvex(region, cand):
-            out.append(cand)
+    m = len(w)
+    bound = span * denom
+    # mu_a - mu_b >= ell at w + o/denom  <=>  o_b - o_a <= slack; the box
+    # |o_k| <= bound is o_k - o_m <= bound and o_m - o_k <= bound, o_m = 0
+    cons = [
+        (a - 1, b - 1, floor(denom * (w[a - 1] - w[b - 1] - ell)))
+        for a, b, ell in difference_form(region)
+    ]
+    for k in range(m - 1):
+        cons += [(m, k, bound), (k, m, bound)]
+    moves = []
+    # the class of the pinned coordinate never moves
+    free = [c for c in _tied_classes(m + 1, cons) if m not in c]
+    for up, down in combinations(free, 2):
+        g = gcd(len(up), len(down))
+        v = [0] * (m + 1)
+        for k in up:
+            v[k] = len(down) // g
+        for k in down:
+            v[k] = -(len(up) // g)
+        rows = [(v[b] - v[a], a, b, slack) for a, b, slack in cons if v[a] != v[b]]
+        moves.append(([(k, v[k]) for k in up + down], rows))
+    o = [0] * (m + 1)
+
+    def steps(rows):
+        """The integer interval of delta that keeps every constraint."""
+        lo = max(-((slack - o[b] + o[a]) // -c) for c, a, b, slack in rows if c < 0)
+        hi = min((slack - o[b] + o[a]) // c for c, a, b, slack in rows if c > 0)
+        return lo, hi
+
+    out = [ApartmentVec.from_mu(rs, w)]
+    while len(out) < count:
+        live = [(shift, *steps(rows)) for shift, rows in moves]
+        live = [move for move in live if move[1] < move[2]]
+        if not live:
+            break
+        shift, lo, hi = rng.choice(live)
+        # a nonzero delta, uniform over the interval
+        delta = rng.randint(lo, hi - 1)
+        if delta >= 0:
+            delta += 1
+        for k, c in shift:
+            o[k] += c * delta
+        out.append(ApartmentVec.from_mu(rs, [v + Fraction(k, denom) for v, k in zip(w, o)]))
     return out

@@ -1,15 +1,21 @@
 """Building charts: tropical membership, overlaps, root subgroups, stabilizers."""
 
 import json
+import random
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbldg import apartment as apt
 from lbldg import building as bd
 from lbldg.apartment import (
+    PLUS,
     ApartmentVec,
+    HalfApartment,
+    WConvexSet,
     affine_from_mu,
     apply_weyl,
     b_ext,
@@ -25,6 +31,7 @@ from lbldg.errors import (
     NotUnipotent,
     PrecisionError,
 )
+from lbldg.harness import generators
 from lbldg.harness.generators import (
     gen_apartment_mu,
     gen_diagonal,
@@ -455,6 +462,129 @@ class TestOverlapWorkCounts:
         reg, w = bd.apartment_overlap(TIED["units"])
         assert counts == {"perms": 120, "regions": 1}
         assert w.mu_perm == (1, 2, 3, 4, 5) and len(reg.constraints) == 20
+
+
+# --- sampling an overlap region -------------------------------------------------
+
+
+def _region(n, cons):
+    """The region mu_i - mu_j >= ell over every (i, j, ell) in cons."""
+    rs = type_A(n - 1)
+    return WConvexSet(
+        rs, tuple(HalfApartment(rs.alpha(i, j), LambdaVal.of(Q(ell)), PLUS) for i, j, ell in cons)
+    )
+
+
+def _box_support(reg, denom, span):
+    """Every point the sampler may return, by enumerating its box."""
+    w = wconvex_witness(reg)
+    bound = span * denom
+    out = set()
+    for d in product(range(-bound, bound + 1), repeat=len(w) - 1):
+        o = list(d) + [-sum(d)]
+        mu = ApartmentVec.from_mu(reg.rs, [v + Q(k, denom) for v, k in zip(w, o)])
+        if in_wconvex(reg, mu):
+            out.add(mu)
+    return out
+
+
+@st.composite
+def _difference_systems(draw, sizes=(3, 4, 5)):
+    """Random mu_i - mu_j >= ell systems around a hidden point: inequalities
+    it meets with slack, equality pairs through it, and now and then a
+    threshold drawn freely, which can make the system infeasible.  Zero
+    constraints leave the region unbounded."""
+    n = draw(st.sampled_from(sizes))
+    hidden = [Q(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3]))) for _ in range(n)]
+    cons = []
+    for _ in range(draw(st.integers(0, n * (n - 1)))):
+        i, j = draw(st.permutations(range(1, n + 1)))[:2]
+        kind = draw(st.sampled_from(["slack", "slack", "equal", "free"]))
+        if kind == "free":
+            cons.append((i, j, Q(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3])))))
+            continue
+        ell = hidden[i - 1] - hidden[j - 1]
+        if kind == "slack":
+            cons.append((i, j, ell - Q(draw(st.integers(0, 4)), draw(st.sampled_from([1, 2, 3])))))
+        else:
+            cons += [(i, j, ell), (j, i, -ell)]
+    return _region(n, cons)
+
+
+class TestSampleInRegion:
+    @given(
+        _difference_systems(),
+        st.integers(1, 25),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0, 1, 2]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("error:non-integer arguments to randrange:DeprecationWarning")
+    def test_points_lie_in_the_region_box_and_lattice(self, reg, count, denom, span, seed):
+        pts = sample_in_region(random.Random(seed), reg, count, denom, span)
+        w = wconvex_witness(reg)
+        if w is None:
+            assert pts == []
+            return
+        assert pts[0] == ApartmentVec.from_mu(reg.rs, w)
+        # a stuck walk returns the witness alone; any other walk fills count
+        assert len(pts) in (1, count)
+        for p in pts:
+            assert in_wconvex(reg, p)
+            d = [a - b for a, b in zip(p.to_mu(), w)]
+            assert sum(d) == 0
+            assert all((x * denom).denominator == 1 for x in d)
+            assert all(abs(x) <= span for x in d[:-1])
+        assert sample_in_region(random.Random(seed), reg, count, denom, span) == pts
+
+    @given(_difference_systems(sizes=(3, 4)), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_covers_a_small_box(self, reg, seed):
+        """With a 3^(n-1) box, 1000 steps reach every region point in it."""
+        if wconvex_witness(reg) is None:
+            return
+        got = set(sample_in_region(random.Random(seed), reg, 1000, 1, 1))
+        assert got == _box_support(reg, 1, 1)
+
+    def test_tied_coordinates_move_together(self):
+        # mu_1 = mu_2 = mu_3 = mu_4 and 0 <= mu_1 - mu_5 <= 5/2: one point
+        # besides the witness, 1 in 6561 of the box; every move must shift
+        # the four tied coordinates together
+        ties = [(1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0), (3, 4, 0), (4, 3, 0)]
+        reg = _region(5, ties + [(1, 5, 0), (5, 1, "-5/2")])
+        got = set(sample_in_region(random.Random(0), reg, 20))
+        assert got == _box_support(reg, 2, 2) and len(got) == 2
+
+    def test_equality_pair(self):
+        reg = _region(4, [(1, 2, "1/2"), (2, 1, "-1/2")])
+        pts = sample_in_region(trial_rng(1, "thin", 0), reg, 20)
+        assert len(pts) == 20 and len(set(pts)) > 1
+        assert all(b_ext(p, reg.rs.alpha(1, 2)) == LambdaVal.of(Q(1, 2)) for p in pts)
+
+    def test_single_point_region_returns_the_witness(self):
+        reg = _region(3, [(1, 2, "1/2"), (2, 1, "-1/2"), (2, 3, 1), (3, 2, -1)])
+        w = ApartmentVec.from_mu(A2, wconvex_witness(reg))
+        assert sample_in_region(trial_rng(1, "point", 0), reg, 20) == [w]
+
+    def test_empty_region_and_zero_count(self):
+        reg = _region(3, [(1, 2, 1), (2, 1, 0)])
+        assert sample_in_region(random.Random(0), reg, 20) == []
+        assert sample_in_region(random.Random(0), _region(3, []), 0) == []
+
+    def test_never_tests_membership(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("in_wconvex called")
+
+        monkeypatch.setattr(apt, "in_wconvex", forbidden)
+        monkeypatch.setattr(generators, "in_wconvex", forbidden, raising=False)
+        sampled = 0
+        for trial in range(20):
+            rng = trial_rng(3, "sample-work", trial)
+            res = bd.apartment_overlap(gen_group_elem(rng, 4))
+            if res is not None:
+                sampled += len(sample_in_region(rng, res[0], 20))
+        assert sampled >= 100
 
 
 # --- stabilizer of the base point ----------------------------------------------
