@@ -9,11 +9,16 @@ Every determinant is read from one minor table (_minors), the first-row
 Laplace expansion with each sub-minor computed once: the full minor for
 mat_det and char_pencil, all trailing principal minors for retract and for
 point validation (det = 1, then Sylvester's criterion), and a row's
-cofactors, from the matrix without that row, for mat_adjugate.
+cofactors, from the matrix without that row, for mat_adjugate.  Each table
+runs on one integer lattice (series.to_lattice): one ramification index for
+the matrix and one integer scale per row, so every term of a minor shares
+exponent denominator and coefficient denominator, and the table adds and
+multiplies bare integer pairs.  Each result is put in canonical form once,
+at the end (series.from_lattice), with the product of its rows' scales.
 """
 
 from fractions import Fraction
-from operator import attrgetter
+from math import prod
 
 from .apartment import ApartmentVec
 from .errors import PrecisionError
@@ -85,6 +90,11 @@ def _minors(m, ring, masks):
     minor is the same sequence of add/neg/mul calls on the same operands as
     its recursive expansion, so results are identical even on floored
     operands: floors follow the expression tree, which is unchanged.
+
+    The callers hand it series.lattice_ring on values from series.to_lattice
+    (or polynomials over it), so the table's sums and products are bare
+    kernel calls on one lattice and each result becomes a canonical series
+    once, after the table.
     """
     zero, is_zero, add, neg, mul = ring
     rows = len(m)
@@ -117,16 +127,23 @@ def _minors(m, ring, masks):
     return [table[mask] for mask in masks]
 
 
-def _series_ring():
-    # the series operations are looked up per call, so wrappers placed on
-    # the series module (as perfbench's tracer does) see every product
-    return fs.ZERO, attrgetter("is_zero"), fs.add, fs.neg, fs.mul
+def _series_minors(m, masks):
+    """The minors of the series matrix m named by masks, from one table on
+    one lattice.  A minor on the last k rows has the product of those rows'
+    scales as its scale."""
+    e, scales, rows = fs.to_lattice(m)
+    minors = _minors(rows, fs.lattice_ring(e), masks)
+    r = len(rows)
+    return [
+        fs.from_lattice(e, prod(scales[r - mask.bit_count() :]), v)
+        for mask, v in zip(masks, minors)
+    ]
 
 
 def mat_det(a):
     """The full minor of the table: first-row Laplace expansion with shared
     sub-minors; exact, division-free."""
-    return _minors(a, _series_ring(), [(1 << len(a)) - 1])[0]
+    return _series_minors(a, [(1 << len(a)) - 1])[0]
 
 
 def mat_adjugate(a):
@@ -135,12 +152,11 @@ def mat_adjugate(a):
     n = len(a)
     if n == 1:
         return ((fs.ONE,),)
-    ring = _series_ring()
     full = (1 << n) - 1
     masks = [full ^ (1 << j) for j in range(n)]
     cof = []
     for i in range(n):
-        minors = _minors(a[:i] + a[i + 1 :], ring, masks)
+        minors = _series_minors(a[:i] + a[i + 1 :], masks)
         cof.append(tuple([d if (i + j) % 2 == 0 else fs.neg(d) for j, d in enumerate(minors)]))
     return mat_transpose(tuple(cof))
 
@@ -149,7 +165,7 @@ def _trailing_minors(m):
     """The trailing principal minors of m on rows and columns i.., i = 0..n-1,
     from one table; the first is det m."""
     n = len(m)
-    return _minors(m, _series_ring(), [(1 << n) - (1 << i) for i in range(n)])
+    return _series_minors(m, [(1 << n) - (1 << i) for i in range(n)])
 
 
 def _is_one(d):
@@ -254,45 +270,49 @@ def act(g, x):
 # --- Cartan valuations via Newton polygon ------------------------------------
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    p = p + (fs.ZERO,) * (n - len(p))
-    q = q + (fs.ZERO,) * (n - len(q))
-    return tuple(fs.add(a, b) for a, b in zip(p, q))
+def _polynomials(ring):
+    """The ring (zero, is_zero, add, neg, mul) of polynomials, tuples of
+    coefficients low degree first, over the given coefficient ring."""
+    zero, is_zero, add, neg, mul = ring
 
+    def poly_add(p, q):
+        n = max(len(p), len(q))
+        p = p + (zero,) * (n - len(p))
+        q = q + (zero,) * (n - len(q))
+        return tuple([add(a, b) for a, b in zip(p, q)])
 
-def _poly_neg(p):
-    return tuple(fs.neg(a) for a in p)
+    def poly_neg(p):
+        return tuple([neg(a) for a in p])
 
-
-def _poly_mul(p, q):
-    out = [fs.ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(q):
-            if b.is_zero:
+    def poly_mul(p, q):
+        out = [zero] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if is_zero(a):
                 continue
-            out[i + j] = fs.add(out[i + j], fs.mul(a, b))
-    return tuple(out)
+            for j, b in enumerate(q):
+                if is_zero(b):
+                    continue
+                out[i + j] = add(out[i + j], mul(a, b))
+        return tuple(out)
 
+    def poly_is_zero(p):
+        return all(is_zero(a) for a in p)
 
-def _poly_is_zero(p):
-    return all(a.is_zero for a in p)
-
-
-_POLYNOMIALS = ((fs.ZERO,), _poly_is_zero, _poly_add, _poly_neg, _poly_mul)
+    return (zero,), poly_is_zero, poly_add, poly_neg, poly_mul
 
 
 def char_pencil(x, y):
-    """Coefficients of q(lambda) = det(lambda*x - y), low degree first."""
+    """Coefficients of q(lambda) = det(lambda*x - y), low degree first.  Row
+    i of y and row i of x share one lattice scale, the scale of row i of the
+    pencil."""
     n = x.n
-    m = tuple(
-        tuple((fs.neg(y.entries[i][j]), x.entries[i][j]) for j in range(n))
-        for i in range(n)
-    )
-    q = _minors(m, _POLYNOMIALS, [(1 << n) - 1])[0]
-    return q + (fs.ZERO,) * (n + 1 - len(q))
+    e, scales, rows = fs.to_lattice([y.entries[i] + x.entries[i] for i in range(n)])
+    ring = fs.lattice_ring(e)
+    neg = ring[3]
+    m = tuple(tuple([(neg(row[j]), row[n + j]) for j in range(n)]) for row in rows)
+    q = _minors(m, _polynomials(ring), [(1 << n) - 1])[0]
+    scale = prod(scales)
+    return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
 
 
 def _upper_concave_hull(points):

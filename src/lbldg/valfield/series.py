@@ -23,6 +23,13 @@ common e (and, for addition, a common d) before the kernel call in
 boundary: ``from_terms``, ``parse``, ``to_str``, the ``terms`` view, floors
 and the payloads of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
 
+Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
+matrix on one ramification index and one integer scale per row,
+``lattice_ring`` adds and multiplies the resulting bare (pairs, floor) values
+with the kernels alone, and ``from_lattice`` makes each result canonical
+once. Between the two conversions an element is not canonical, and no
+Fraction appears except in floors.
+
 All operations are pure; results are immutable.
 """
 
@@ -320,6 +327,90 @@ def mul(a, b):
         floors.append(b.floor + ub_a)
     floor = max(floors)
     return _canon(e, a.d * b.d, _above(pairs, e, floor), floor)
+
+
+# --- minor tables on one lattice -------------------------------------------
+#
+# A term of a Laplace minor is a product of one entry from each row the minor
+# spans. With one ramification index E for the whole matrix and one integer
+# scale D_i per row, every term of a minor lives on exponents k/E with
+# coefficients n/(product of its rows' D_i). So a minor table can add and
+# multiply bare (pairs, floor) values with the kernels and convert back once
+# per result, where add and mul would rescale and divide the gcds out at
+# every step.
+
+
+def to_lattice(rows):
+    """(E, scales, values) for a matrix of series: E is the lcm of every
+    entry's e, scales[i] the lcm of row i's d, and values[i][j] the pair
+    (pairs, floor) of entry (i, j) with exponents over E and numerators over
+    scales[i]."""
+    e = lcm(*[a.e for row in rows for a in row])
+    scales = [lcm(*[a.d for a in row]) for row in rows]
+    values = tuple(
+        [
+            tuple([(_rescale(a.pairs, e // a.e, d // a.d), a.floor) for a in row])
+            for row, d in zip(rows, scales)
+        ]
+    )
+    return e, scales, values
+
+
+def from_lattice(e, scale, v):
+    """The series of lattice value v whose numerators are over scale."""
+    pairs, floor = v
+    return _canon(e, scale, pairs, floor)
+
+
+def lattice_ring(e):
+    """(zero, is_zero, add, neg, mul) on lattice values over ramification
+    index e. A sum's operands share one scale and a product's scale is the
+    product of its operands'. Floors follow add and mul exactly (floors only
+    depend on exponents), so every result has the value and floor of the same
+    expression in series."""
+    zero = ((), None)
+
+    def is_zero(a):
+        return not a[0] and a[1] is None
+
+    def lat_add(a, b):
+        pa, fa = a
+        pb, fb = b
+        if fa is None:
+            floor = fb
+        elif fb is None:
+            floor = fa
+        else:
+            floor = max(fa, fb)
+        if not pb and floor == fa:
+            return a
+        if not pa and floor == fb:
+            return b
+        pairs = kernel_add(pa, pb)
+        if floor is not None:
+            pairs = _above(pairs, e, floor)
+        return pairs, floor
+
+    def lat_neg(a):
+        return tuple([(k, -n) for k, n in a[0]]), a[1]
+
+    def lat_mul(a, b):
+        pa, fa = a
+        pb, fb = b
+        if not pa and fa is None or not pb and fb is None:
+            return zero
+        pairs = kernel_mul(pa, pb) if pa and pb else ()
+        if fa is None and fb is None:
+            return pairs, None
+        floors = []
+        if fa is not None:
+            floors.append(fa + (Fraction(pb[0][0], e) if pb else fb))
+        if fb is not None:
+            floors.append(fb + (Fraction(pa[0][0], e) if pa else fa))
+        floor = max(floors)
+        return _above(pairs, e, floor), floor
+
+    return zero, is_zero, lat_add, lat_neg, lat_mul
 
 
 # --- valuation and order -------------------------------------------------------

@@ -2,6 +2,7 @@
 Laplace expansion it replaced, plus deterministic work counts."""
 
 from fractions import Fraction as Q
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +32,18 @@ def _laplace(m, ring):
     return acc
 
 
+# the series operations as a ring, one canonical element per operation
+_SERIES = (fs.ZERO, attrgetter("is_zero"), fs.add, fs.neg, fs.mul)
+
+
 def _det(m):
-    return _laplace(m, sym._series_ring())
+    return _laplace(m, _SERIES)
 
 
 def _counted(det):
     """det(ring) on the series ring, and the number of products it made."""
     seen = []
-    zero, is_zero, add, neg, mul = sym._series_ring()
+    zero, is_zero, add, neg, mul = _SERIES
 
     def counting_mul(a, b):
         seen.append(None)
@@ -47,7 +52,10 @@ def _counted(det):
     return det((zero, is_zero, add, neg, counting_mul)), len(seen)
 
 
-_EXP = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# denominators up to 6 in exponents and coefficients, so that rows differ in
+# ramification index and in coefficient scale
+_EXP = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_COEF = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 _FLOOR = st.one_of(st.none(), st.fractions(min_value=-9, max_value=6, max_denominator=6))
 
 
@@ -56,7 +64,7 @@ def _entries(draw):
     """An exact zero, or up to three terms, possibly cut by with_floor."""
     if draw(st.integers(0, 4)) == 0:
         return fs.ZERO
-    terms = draw(st.lists(st.tuples(_EXP, st.integers(-3, 3)), min_size=1, max_size=3))
+    terms = draw(st.lists(st.tuples(_EXP, _COEF), min_size=1, max_size=3))
     a = fs.PuiseuxElem.from_terms(terms)
     f = draw(_FLOOR)
     return a if f is None else fs.with_floor(a, f)
@@ -118,9 +126,18 @@ class TestAgainstLaplace:
         pencil = tuple(
             tuple((fs.neg(ym[i][j]), xm[i][j]) for j in range(n)) for i in range(n)
         )
-        want = _laplace(pencil, sym._POLYNOMIALS)
+        want = _laplace(pencil, sym._polynomials(_SERIES))
         want = want + (fs.ZERO,) * (n + 1 - len(want))
         assert [fs.to_str(v) for v in sym.char_pencil(x, y)] == [fs.to_str(v) for v in want]
+
+
+@given(st.integers(1, 4).flatmap(_matrices))
+@settings(max_examples=60, deadline=None)
+def test_lattice_round_trip(m):
+    """Every entry comes back from the lattice over its row's scale."""
+    e, scales, rows = fs.to_lattice(m)
+    for row, scale, values in zip(m, scales, rows):
+        assert [fs.from_lattice(e, scale, v) for v in values] == list(row)
 
 
 def _leading_chain(m):
@@ -175,58 +192,61 @@ _DENSE5 = tuple(tuple(fs.from_rational(2 if i == j else 1) for j in range(5)) fo
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts series products (fs.mul), polynomial products and tables."""
-    seen = {"mul": 0, "poly_mul": 0, "tables": 0}
+    """Counts the products of the ring each table runs on, the series
+    products (fs.mul) made anywhere, and the tables."""
+    seen = {"ring_mul": 0, "fs_mul": 0, "tables": 0}
     mul, minors = fs.mul, sym._minors
-    zero, is_zero, add, neg, poly_mul = sym._POLYNOMIALS
 
     def counting_mul(a, b):
-        seen["mul"] += 1
+        seen["fs_mul"] += 1
         return mul(a, b)
-
-    def counting_poly_mul(p, q):
-        seen["poly_mul"] += 1
-        return poly_mul(p, q)
 
     def counting_minors(m, ring, masks):
         seen["tables"] += 1
-        return minors(m, ring, masks)
+        zero, is_zero, add, neg, ring_mul = ring
+
+        def counting_ring_mul(a, b):
+            seen["ring_mul"] += 1
+            return ring_mul(a, b)
+
+        return minors(m, (zero, is_zero, add, neg, counting_ring_mul), masks)
 
     monkeypatch.setattr(fs, "mul", counting_mul)
-    monkeypatch.setattr(sym, "_POLYNOMIALS", (zero, is_zero, add, neg, counting_poly_mul))
     monkeypatch.setattr(sym, "_minors", counting_minors)
     return seen
 
 
 class TestWorkCounts:
     """A dense 5 x 5 determinant takes sum_k C(5, k) * k = 75 ring products
-    from the table; the recursive expansion took sum_k 5!/(k - 1)! = 205."""
+    from the table; the recursive expansion took sum_k 5!/(k - 1)! = 205.
+    The tables run on the lattice ring, so no series product is made."""
 
     def test_mat_det(self, counts):
         sym.mat_det(_DENSE5)
-        assert counts == {"mul": 75, "poly_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
 
     def test_retract_reads_one_table(self, counts):
         # the recursive expansion took 205 + 40 + 9 + 2 = 256 for the chain
         sym.retract(sym.SPDPoint(_DENSE5, validate=False))
-        assert counts == {"mul": 75, "poly_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
 
     def test_char_pencil(self, counts):
+        # the table's ring is the polynomials: 75 polynomial products
         x = sym.SPDPoint(_DENSE5, validate=False)
         sym.char_pencil(x, x)
-        assert counts["poly_mul"] == 75 and counts["tables"] == 1
+        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
 
     def test_mat_adjugate(self, counts):
         sym.mat_adjugate(_DENSE5)
         # one 4 x 5 table per deleted row: sum_{k=2..4} C(5, k) * k each
-        assert counts == {"mul": 5 * 70, "poly_mul": 0, "tables": 5}
+        assert counts == {"ring_mul": 5 * 70, "fs_mul": 0, "tables": 5}
 
     def test_point_validation(self, counts):
         # det (for the det = 1 check) and the whole trailing chain come from
         # one table; the leading chain took 205 + 40 + 9 + 2 more products
         with pytest.raises(ValueError, match="determinant must be exactly 1"):
             sym.SPDPoint(_DENSE5)
-        assert counts == {"mul": 75, "poly_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
         entries = gen_point(trial_rng(7, "counts", 0), 5).entries
         counts["tables"] = 0
         sym.SPDPoint(entries)
