@@ -1,107 +1,69 @@
-"""The model apartment: Span(roots) tensor Lambda with norm, metric, walls,
-affine Weyl action, and feasibility of finite half-space intersections.
+"""The model apartment of SL(n): mu in Lambda^n with sum zero, with norm,
+metric, walls, affine Weyl action, and feasibility of finite half-space
+intersections.
 
-Coordinates are payloads of LambdaVal (Fraction or LexPair) in the simple-root
-basis. For type A there is an alternate mu-view: mu in Lambda^n with sum 0,
-where the root alpha_{ij} evaluates to mu_i - mu_j. The spherical part of an
-affine Weyl element built from a mu-view permutation sigma acts by
-nu_i = mu_{sigma(i)}.
-
-Pairing rows, reflections and the Weyl product live in rootsys: b_ext reads
-RootSystem.pairing_row, affine_reflection takes its linear part from
-rootsys.reflection, and compose_weyl multiplies spherical parts with
-WeylElem's @.
+Coordinates are Fraction payloads of LambdaVal.  The root alpha_ij = (i, j)
+of rootsys evaluates to mu_i - mu_j, and the affine Weyl group is
+S_n acting on sum-zero translations: the element (c, sigma) maps mu to
+nu_i = c_i + mu_{sigma(i)}, with sigma a permutation of 1..n.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import UnsupportedConstraint
-from .rootsys import WeylElem, positive_roots, reflection, weyl_from_perm, weyl_identity
 from .valfield.lam import LambdaVal
-
-PLUS, MINUS = 1, -1
 
 
 def _pay(x):
     return x.finite_value if isinstance(x, LambdaVal) else LambdaVal.of(x).finite_value
 
 
-def _zero_like(payload):
-    return payload * 0
-
-
 class ApartmentVec:
-    """Point of the model apartment in simple-root coordinates."""
+    """Point of the model apartment: mu in Lambda^(rank+1) with exact sum zero."""
 
-    __slots__ = ("rs", "coords")
+    __slots__ = ("rs", "mu")
 
-    def __init__(self, rs, coords):
+    def __init__(self, rs, mu):
+        mu = tuple(_pay(m) for m in mu)
+        if len(mu) != rs.rank + 1:
+            raise ValueError("mu-view length must be rank + 1")
+        if sum(mu) != 0:
+            raise ValueError("mu coordinates must sum to zero")
         self.rs = rs
-        self.coords = tuple(_pay(c) for c in coords)
-        if len(self.coords) != rs.rank:
-            raise ValueError("coordinate length must equal the rank")
-
-    @classmethod
-    def zero(cls, rs):
-        return cls(rs, [Fraction(0)] * rs.rank)
+        self.mu = mu
 
     @classmethod
     def from_mu(cls, rs, mu):
-        """Type A view: mu in Lambda^{n+1} with exact sum zero."""
-        if rs.kind[0] != "TypeA":
-            raise UnsupportedConstraint("mu-view requires a type A system")
-        mu = [_pay(m) for m in mu]
-        if len(mu) != rs.rank + 1:
-            raise ValueError("mu-view length must be rank + 1")
-        total = mu[0]
-        for m in mu[1:]:
-            total = total + m
-        if total != _zero_like(total):
-            raise ValueError("mu coordinates must sum to zero")
-        coords = []
-        acc = _zero_like(mu[0])
-        for k in range(rs.rank):
-            acc = acc + mu[k]
-            coords.append(acc)
-        return cls(rs, coords)
+        """The point with coordinates mu; the same as ApartmentVec(rs, mu)."""
+        return cls(rs, mu)
 
     def to_mu(self):
-        if self.rs.kind[0] != "TypeA":
-            raise UnsupportedConstraint("mu-view requires a type A system")
-        lam = self.coords
-        z = _zero_like(lam[0])
-        out = [lam[0]]
-        for k in range(1, self.rs.rank):
-            out.append(lam[k] - lam[k - 1])
-        out.append(z - lam[-1])
-        return tuple(out)
+        return self.mu
 
     def __add__(self, other):
-        return ApartmentVec(self.rs, [a + b for a, b in zip(self.coords, other.coords)])
+        return ApartmentVec(self.rs, [a + b for a, b in zip(self.mu, other.mu)])
 
     def __sub__(self, other):
-        return ApartmentVec(self.rs, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return ApartmentVec(self.rs, [-a for a in self.coords])
+        return ApartmentVec(self.rs, [a - b for a, b in zip(self.mu, other.mu)])
 
     def __eq__(self, other):
         if not isinstance(other, ApartmentVec):
             return NotImplemented
-        return self.rs == other.rs and self.coords == other.coords
+        return self.rs == other.rs and self.mu == other.mu
 
     def __hash__(self):
-        return hash((self.rs, self.coords))
+        return hash((self.rs, self.mu))
 
     def __repr__(self):
-        return f"ApartmentVec({list(self.coords)})"
+        return f"ApartmentVec({list(self.mu)})"
 
 
 class HalfApartment(NamedTuple):
-    root: object
+    """{mu : mu_i - mu_j >= threshold} for root = (i, j); all of the
+    apartment when the threshold is Bottom."""
+
+    root: tuple
     threshold: LambdaVal
-    sign: int = PLUS
 
 
 class WConvexSet(NamedTuple):
@@ -110,29 +72,23 @@ class WConvexSet(NamedTuple):
 
 
 class AffineWeylElem(NamedTuple):
-    """x -> translation + spherical(x); mu_perm records the type A mu-view
-    permutation when the element was built from one."""
+    """mu -> nu with nu_i = c_i + mu_{perm(i)}, c = translation.to_mu()."""
 
-    translation: object
-    spherical: WeylElem
-    mu_perm: tuple = None
+    translation: ApartmentVec
+    perm: tuple
 
 
 def b_ext(x, alpha):
-    """Pairing of an apartment point against a root, valued in Lambda."""
-    acc = _zero_like(x.coords[0])
-    for c, w in zip(x.coords, x.rs.pairing_row(alpha)):
-        if w:
-            acc = acc + c * w
-    return LambdaVal(acc)
+    """Pairing of an apartment point against the root alpha = (i, j):
+    mu_i - mu_j, valued in Lambda."""
+    i, j = x.rs.alpha(*alpha)
+    return LambdaVal(x.mu[i - 1] - x.mu[j - 1])
 
 
 def norm(x):
-    """Sum of |b_ext| over the positive roots; the W_s-invariant norm."""
-    acc = _zero_like(x.coords[0])
-    for alpha in sorted(positive_roots(x.rs)):
-        acc = acc + abs(b_ext(x, alpha).finite_value)
-    return LambdaVal(acc)
+    """Sum of |mu_i - mu_j| over i < j, the positive roots; S_n-invariant."""
+    mu = x.mu
+    return LambdaVal(sum(abs(a - b) for k, a in enumerate(mu) for b in mu[k + 1 :]))
 
 
 def dist(x, y):
@@ -141,9 +97,7 @@ def dist(x, y):
 
 def in_half(h, x):
     b = b_ext(x, h.root)
-    if h.threshold.is_bottom:
-        return h.sign == PLUS
-    return b >= h.threshold if h.sign == PLUS else b <= h.threshold
+    return h.threshold.is_bottom or b >= h.threshold
 
 
 def on_wall(alpha, ell, x):
@@ -151,95 +105,66 @@ def on_wall(alpha, ell, x):
 
 
 def in_chamber_C0(x):
-    z = LambdaVal(_zero_like(x.coords[0]))
-    return all(b_ext(x, d) >= z for d in x.rs.basis)
+    """mu_1 >= mu_2 >= ... >= mu_n."""
+    mu = x.mu
+    return all(a >= b for a, b in zip(mu, mu[1:]))
 
 
 def in_wconvex(s, x):
     return all(in_half(h, x) for h in s.constraints)
 
 
-def cochar_point(rs, beta, lam):
-    """Image of lam under the cocharacter of beta: coordinates lam * covec."""
-    lam = _pay(lam)
-    return ApartmentVec(rs, [lam * c for c in beta.covec])
-
-
 # --- affine Weyl group -------------------------------------------------------
-
-
-def identity_weyl(rs):
-    return AffineWeylElem(ApartmentVec.zero(rs), weyl_identity(rs.rank), None)
-
-
-def _inv_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
 
 
 def affine_from_mu(rs, sigma, c_mu):
     """Type A affine element acting on the mu-view by
-    nu_i = c_i + mu_{sigma(i)}."""
-    spherical = weyl_from_perm(rs, _inv_perm(tuple(sigma)))
-    return AffineWeylElem(ApartmentVec.from_mu(rs, c_mu), spherical, tuple(sigma))
+    nu_i = c_i + mu_{sigma(i)}; sigma must be a permutation of 1..rank+1."""
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(1, rs.rank + 2)):
+        raise ValueError(f"sigma {sigma} is not a permutation of 1..{rs.rank + 1}")
+    return AffineWeylElem(ApartmentVec(rs, c_mu), sigma)
 
 
 def affine_reflection(rs, alpha, ell):
-    """Affine reflection in the wall {b_ext(., alpha) = ell}."""
-    alpha = rs.root_from_vec(alpha.vec)
+    """Affine reflection in the wall {mu_i - mu_j = ell}: the transposition
+    (i j) with c_i = ell and c_j = -ell."""
+    i, j = rs.alpha(*alpha)
     ell = _pay(ell)
-    trans = ApartmentVec(rs, [ell * v for v in alpha.vec])
-    return AffineWeylElem(trans, reflection(rs.cartan, alpha), None)
+    perm = list(range(1, rs.rank + 2))
+    perm[i - 1], perm[j - 1] = j, i
+    c = [Fraction(0)] * (rs.rank + 1)
+    c[i - 1], c[j - 1] = ell, -ell
+    return AffineWeylElem(ApartmentVec(rs, c), tuple(perm))
 
 
 def apply_weyl(w, x):
-    n = x.rs.rank
-    m = w.spherical.matrix
-    coords = []
-    for i in range(n):
-        acc = _zero_like(x.coords[0])
-        for j in range(n):
-            if m[i][j]:
-                acc = acc + x.coords[j] * m[i][j]
-        coords.append(acc + w.translation.coords[i])
-    return ApartmentVec(x.rs, coords)
+    mu = x.mu
+    return ApartmentVec(x.rs, [c + mu[s - 1] for c, s in zip(w.translation.mu, w.perm)])
 
 
 def compose_weyl(w1, w2):
-    """Element acting as w1 after w2."""
-    a = w1.spherical
-    trans = w1.translation + apply_weyl(
-        AffineWeylElem(ApartmentVec.zero(w1.translation.rs), a, None), w2.translation
+    """Element acting as w1 after w2: perm s2(s1(i)), translation
+    c1_i + c2_{s1(i)}."""
+    s1, s2 = w1.perm, w2.perm
+    c1, c2 = w1.translation.mu, w2.translation.mu
+    trans = [c + c2[s - 1] for c, s in zip(c1, s1)]
+    return AffineWeylElem(
+        ApartmentVec(w1.translation.rs, trans), tuple(s2[s - 1] for s in s1)
     )
-    perm = None
-    if w1.mu_perm and w2.mu_perm:
-        s1, s2 = w1.mu_perm, w2.mu_perm
-        perm = tuple(s2[s1[i] - 1] for i in range(len(s1)))
-    return AffineWeylElem(trans, a @ w2.spherical, perm)
 
 
 # --- feasibility -------------------------------------------------------------
 
 
 def difference_form(s):
-    """Constraints as (i, j, ell payload): mu_i - mu_j >= ell.  Type A only."""
-    rs = s.rs
-    if rs.kind[0] != "TypeA":
-        raise UnsupportedConstraint("difference form requires a type A system")
+    """Constraints as (i, j, ell payload): mu_i - mu_j >= ell; Bottom
+    thresholds bind nothing and are dropped."""
     out = []
     for h in s.constraints:
-        if h.threshold.is_bottom:
-            if h.sign == MINUS:
-                raise UnsupportedConstraint("Minus half-apartment with Bottom threshold")
-            continue
-        i, j = rs.label_of(h.root)
-        ell = h.threshold.finite_value
-        if h.sign == PLUS:
-            out.append((i, j, ell))
-        else:
-            out.append((j, i, -ell))
+        i, j = s.rs.alpha(*h.root)
+        if not h.threshold.is_bottom:
+            out.append((i, j, h.threshold.finite_value))
     return out
 
 
@@ -249,10 +174,10 @@ def difference_potentials(m, cons):
 
     Bellman-Ford from a virtual source joined to every node by a zero edge,
     so the result is the pointwise largest solution with every d_i <= 0.
-    The ell payloads may be int, Fraction or LexPair: the loop only adds,
-    subtracts and compares them.  With no constraints every d_i is int 0.
+    The ell payloads may be int or Fraction: the loop only adds, subtracts
+    and compares them.  With no constraints every d_i is int 0.
     """
-    d = [_zero_like(cons[0][2]) if cons else 0] * m
+    d = [cons[0][2] * 0 if cons else 0] * m
     # edge i -> j with weight -ell encodes d_j <= d_i - ell
     for _ in range(m - 1):
         changed = False
@@ -294,18 +219,4 @@ def wconvex_feasible(s):
 
 
 def wconvex_to_json(s):
-    out = []
-    for i, j, ell in difference_form(s):
-        if not isinstance(ell, Fraction):
-            raise UnsupportedConstraint("JSON form requires rational thresholds")
-        out.append({"i": i, "j": j, "ell": str(ell)})
-    return out
-
-
-def wconvex_from_json(rs, data):
-    cons = []
-    for item in data:
-        i, j = int(item["i"]), int(item["j"])
-        ell = Fraction(str(item["ell"]))
-        cons.append(HalfApartment(rs.alpha(i, j), LambdaVal.of(ell), PLUS))
-    return WConvexSet(rs, tuple(cons))
+    return [{"i": i, "j": j, "ell": str(ell)} for i, j, ell in difference_form(s)]

@@ -15,7 +15,6 @@ from math import lcm
 from typing import NamedTuple
 
 from .apartment import (
-    PLUS,
     ApartmentVec,
     HalfApartment,
     WConvexSet,
@@ -61,21 +60,8 @@ def x_mu(mu):
 
 
 def trop(g):
-    """Entrywise negval matrix of a group element; Bottom marks exact zeros.
-
-    Max-plus products of these matrices dominate the tropicalization of the
-    corresponding group products.
-    """
+    """Entrywise negval matrix of a group element; Bottom marks exact zeros."""
     return tuple(tuple(fs.negval(e) for e in row) for row in g.entries)
-
-
-def trop_mul(a, b):
-    """Max-plus matrix product of two tropical matrices."""
-    n = len(a)
-    return tuple(
-        tuple(max(a[i][k] + b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def chart_image(g, mu):
@@ -123,7 +109,7 @@ def _region(rs, T, sigma):
             if tij.is_bottom:
                 continue
             thr = LambdaVal.of(tij.finite_value - base)
-            cons.append(HalfApartment(rs.alpha(a, j), thr, PLUS))
+            cons.append(HalfApartment(rs.alpha(a, j), thr))
     return WConvexSet(rs, tuple(cons))
 
 
@@ -224,7 +210,7 @@ def overlap_to_json(result):
     return {
         "constraints": wconvex_to_json(region),
         "weyl": {
-            "perm": list(w.mu_perm),
+            "perm": list(w.perm),
             "translation": [str(v) for v in w.translation.to_mu()],
         },
     }
@@ -243,14 +229,6 @@ APARTMENT_POINTWISE = "ApartmentPointwise"
 CHAMBER_C0 = "ChamberC0"
 
 
-class HalfApt(NamedTuple):
-    """Stabilizer target for the half-apartment {mu_i - mu_j >= ell}."""
-
-    i: int
-    j: int
-    ell: object
-
-
 def _stab_shape(g, off_diagonal):
     """Row-major scan: diagonal entries are units, and off_diagonal(i, j, e)
     holds for every other entry (0-based i, j)."""
@@ -264,16 +242,18 @@ def _stab_shape(g, off_diagonal):
 def stab_predicates(g, target):
     """Matrix-shape membership tests for the four stabilizer groups: the
     base-point stabilizer, the pointwise apartment stabilizer, the pointwise
-    chamber stabilizer, and a half-apartment stabilizer."""
+    chamber stabilizer, and a half-apartment stabilizer (target a
+    HalfApartment, whose root must be one of type_A(n - 1))."""
     if target == POINT_O:
         return stab_o(g)
     if target == APARTMENT_POINTWISE:
         return _stab_shape(g, lambda i, j, e: fs.provably_zero(e))
     if target == CHAMBER_C0:
         return _stab_shape(g, lambda i, j, e: fs.provably_zero(e) if i > j else fs.in_O(e))
-    if isinstance(target, HalfApt):
-        ell = target.ell if isinstance(target.ell, LambdaVal) else LambdaVal.of(target.ell)
-        wall = (target.i - 1, target.j - 1)
+    if isinstance(target, HalfApartment):
+        i, j = type_A(g.n - 1).alpha(*target.root)
+        ell = target.threshold
+        wall = (i - 1, j - 1)
         return _stab_shape(
             g, lambda i, j, e: fs.negval(e) <= ell if (i, j) == wall else fs.provably_zero(e)
         )
@@ -313,7 +293,7 @@ def fixed_set_root(u):
     if ell.is_bottom:
         raise IdentityElement("the identity fixes every point")
     rs = type_A(u.n - 1)
-    return HalfApartment(rs.alpha(u.i, u.j), ell, PLUS)
+    return HalfApartment(rs.alpha(u.i, u.j), ell)
 
 
 def _upper_root_order(n):
@@ -401,13 +381,11 @@ def _perm_sign(sigma):
 
 
 def normalizer_of(w, n):
-    """Monomial matrix realizing an affine Weyl element carrying mu-view
-    data: row i holds +-t^(c_i) in column sigma(i), one sign flipped when
-    sigma is odd so the determinant is one.  Acting on x_mu points it
-    implements apply_weyl(w, .)."""
-    if w.mu_perm is None:
-        raise ValueError("normalizer realization needs mu-view data")
-    sigma = w.mu_perm
+    """Monomial matrix realizing an affine Weyl element: row i holds
+    +-t^(c_i) in column sigma(i), one sign flipped when sigma is odd so the
+    determinant is one.  Acting on x_mu points it implements
+    apply_weyl(w, .)."""
+    sigma = w.perm
     if len(sigma) != n:
         raise ValueError("affine element size and matrix size disagree")
     c = [Fraction(v) for v in w.translation.to_mu()]

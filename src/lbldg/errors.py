@@ -30,15 +30,11 @@ class NegativeInput(ValueError):
 
 
 class NotARoot(ValueError):
-    """Vector is not a root of the system."""
+    """Index pair names no root of the system."""
 
 
 class EnumerationBound(RuntimeError):
-    """Generic root/Weyl enumeration exceeded its safety bound."""
-
-
-class UnsupportedConstraint(ValueError):
-    """Constraint is not in SL(n) difference form."""
+    """Permutation enumeration exceeded its size cap."""
 
 
 class NotUnipotent(ValueError):

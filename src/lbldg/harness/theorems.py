@@ -15,11 +15,10 @@ converse with a wall witness.
 
 from fractions import Fraction
 
-from ..apartment import ApartmentVec
+from ..apartment import ApartmentVec, HalfApartment
 from ..building import (
     APARTMENT_POINTWISE,
     CHAMBER_C0,
-    HalfApt,
     RootElem,
     stab_o,
     stab_predicates,
@@ -186,7 +185,7 @@ def _check_half_apt(cfg):
         rng = trial_rng(cfg.seed, "HalfAptStab", trial)
         i, j = rng.sample(range(1, cfg.n + 1), 2)
         ell = Fraction(rng.randint(-span, span), denom)
-        target = HalfApt(i, j, ell)
+        target = HalfApartment(rs.alpha(i, j), LambdaVal.of(ell))
         depth = Fraction(rng.randint(0, 2 * denom), denom)
         deep = RootElem(cfg.n, i, j, fs.monomial(ell - depth, Fraction(1)))
         g = gen_diag_units(rng, cfg.n) @ deep.as_group()

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction, shared by root-system, residue and
+"""Exact linear algebra over Fraction, shared by generator, residue and
 witness-search code."""
 
 from fractions import Fraction
@@ -14,10 +14,6 @@ def mat_mul(a, b):
         [sum((a[i][p] * b[p][j] for p in range(k)), Fraction(0)) for j in range(m)]
         for i in range(n)
     ]
-
-
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
 
 
 def row_reduce(a, ncols):

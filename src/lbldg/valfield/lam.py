@@ -1,76 +1,16 @@
-"""The value group Lambda with bottom element.
+"""The value group Lambda = Q with bottom element.
 
 A LambdaVal is Finite(payload) or Bottom, where Bottom is the (-v)-image of 0
 and behaves as -infinity: absorbing under addition, below every finite value.
-Two payload instances are provided: Rat (Fraction) and LexPair (Fraction pairs
-under lexicographic order). Only Rat backs the Puiseux field; LexPair serves
-the apartment and root-system operations.
+The payload is a Fraction, the value group the Puiseux field realises.
 """
 
 from fractions import Fraction
 from functools import total_ordering
 
 
-@total_ordering
-class LexPair:
-    """Q x Q with lexicographic order and componentwise group operations."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LexPair is immutable")
-
-    def __add__(self, other):
-        if not isinstance(other, LexPair):
-            return NotImplemented
-        return LexPair(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        if not isinstance(other, LexPair):
-            return NotImplemented
-        return LexPair(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return LexPair(-self.a, -self.b)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return LexPair(self.a * k, self.b * k)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        if not isinstance(k, int) or k <= 0:
-            raise ValueError("LexPair division requires a positive integer")
-        return LexPair(self.a / k, self.b / k)
-
-    def __abs__(self):
-        return -self if (self.a, self.b) < (0, 0) else self
-
-    def __eq__(self, other):
-        if not isinstance(other, LexPair):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __lt__(self, other):
-        if not isinstance(other, LexPair):
-            return NotImplemented
-        return (self.a, self.b) < (other.a, other.b)
-
-    def __hash__(self):
-        return hash((LexPair, self.a, self.b))
-
-    def __repr__(self):
-        return f"LexPair({self.a}, {self.b})"
-
-
 def _coerce_payload(x):
-    if isinstance(x, (LexPair, Fraction)):
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)

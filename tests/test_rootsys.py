@@ -1,236 +1,205 @@
-"""Root systems: pairing, reflections, Weyl enumeration, Cartan data."""
+"""The type A root system in mu coordinates: roots are index pairs, the
+pairing is a difference of coordinates, reflections and Weyl elements are
+permutations."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from lbldg import apartment as apt
 from lbldg import rootsys as rsys
-from lbldg.errors import EnumerationBound, NotARoot
+from lbldg.errors import NotARoot
 from lbldg.linalg import identity, mat_inv, mat_mul
+
+
+def _roots(rs):
+    """Every pair alpha accepts, searched over a box past both ends."""
+    span = range(-1, rs.rank + 4)
+    out = set()
+    for i in span:
+        for j in span:
+            try:
+                out.add(rs.alpha(i, j))
+            except NotARoot:
+                pass
+    return out
+
+
+def _point(rs, i, j):
+    """The coroot of alpha_ij as an apartment point: e_i - e_j."""
+    mu = [0] * (rs.rank + 1)
+    mu[i - 1], mu[j - 1] = 1, -1
+    return apt.ApartmentVec.from_mu(rs, mu)
+
+
+def _weyl(rs, sigma):
+    return apt.affine_from_mu(rs, sigma, [0] * (rs.rank + 1))
 
 
 class TestTypeA:
     def test_cartan_a2(self):
-        assert rsys.type_A(2).cartan == ((2, -1), (-1, 2))
+        rs = rsys.type_A(2)
+        simple = [(1, 2), (2, 3)]
+        cartan = tuple(
+            tuple(apt.b_ext(_point(rs, *a), b).finite_value for b in simple) for a in simple
+        )
+        assert cartan == ((2, -1), (-1, 2))
 
     def test_rank_1_roots(self):
         rs = rsys.type_A(1)
-        assert {r.vec for r in rs.roots} == {(1,), (-1,)}
+        assert rs.rank == 1
+        assert _roots(rs) == {(1, 2), (2, 1)}
 
     def test_root_counts(self):
-        assert len(rsys.type_A(3).roots) == 12
-        assert len(rsys.type_A(2).roots) == 6
+        assert len(_roots(rsys.type_A(3))) == 12
+        assert len(_roots(rsys.type_A(2))) == 6
 
     def test_alpha_labels(self):
         rs = rsys.type_A(2)
-        assert rs.alpha(1, 3).vec == (1, 1)
-        assert rs.alpha(3, 1).vec == (-1, -1)
-        assert rs.alpha(2, 3).vec == (0, 1)
-        with pytest.raises(NotARoot):
-            rs.alpha(1, 1)
+        assert rs.alpha(1, 3) == (1, 3)
+        assert rs.alpha(3, 1) == (3, 1)
+        for bad in ((1, 1), (0, 1), (1, 4), (4, 1)):
+            with pytest.raises(NotARoot):
+                rs.alpha(*bad)
+        assert rsys.type_A(2) is rs
+        with pytest.raises(ValueError):
+            rsys.type_A(0)
 
     def test_axioms_r1_r3(self):
         for n in (1, 2, 3):
             rs = rsys.type_A(n)
-            vecs = {r.vec for r in rs.roots}
-            assert (0,) * n not in vecs
-            assert all(tuple(-c for c in v) in vecs for v in vecs)
-            for r in rs.roots:
-                for d in rs.basis:
-                    assert rsys.reflect(rs, d, r) in rs.roots
-                for beta in rs.roots:
-                    assert isinstance(rsys.pairing(rs, r, beta), int)
+            roots = _roots(rs)
+            assert all(i != j for i, j in roots)
+            assert all((j, i) in roots for i, j in roots)
+            for a in roots:
+                s = apt.affine_reflection(rs, a, 0)
+                for i, j in roots:
+                    img = apt.apply_weyl(s, _point(rs, i, j))
+                    assert any(img == _point(rs, *r) for r in roots)
+                    assert apt.b_ext(_point(rs, i, j), a).finite_value.denominator == 1
 
 
 class TestPairing:
     def test_spec_values(self):
         rs = rsys.type_A(2)
-        d1, d2 = rs.basis
-        assert rsys.pairing(rs, d1, d1) == 2
-        assert rsys.pairing(rs, d1, d2) == -1
-        assert rsys.pairing(rs, (1, 1), d1) == 1
+        d1 = _point(rs, 1, 2)
+        assert apt.b_ext(d1, (1, 2)).finite_value == 2
+        assert apt.b_ext(d1, (2, 3)).finite_value == -1
+        assert apt.b_ext(_point(rs, 1, 3), (1, 2)).finite_value == 1
 
     def test_diagonal_is_two_everywhere(self):
         for rs in (rsys.type_A(2), rsys.type_A(3)):
-            for r in rs.roots:
-                assert rsys.pairing(rs, r, r) == 2
+            for r in _roots(rs):
+                assert apt.b_ext(_point(rs, *r), r).finite_value == 2
 
     def test_not_a_root(self):
         rs = rsys.type_A(2)
-        with pytest.raises(NotARoot):
-            rsys.pairing(rs, (1, 0), (2, 0))
+        x = _point(rs, 1, 2)
+        for bad in ((1, 1), (0, 2), (4, 1)):
+            with pytest.raises(NotARoot):
+                apt.b_ext(x, bad)
 
     def test_coroot_transpose_identity(self):
-        # b(alpha, beta_covec) computed directly vs with roles swapped on the
-        # dual side: alpha(beta_covec) = beta_covec(alpha) in the b pairing.
+        # simply laced: b(alpha^vee, beta) = b(beta^vee, alpha)
         for rs in (rsys.type_A(2), rsys.type_A(3)):
-            for a in rs.roots:
-                for b in rs.roots:
-                    lhs = rsys.pairing(rs, a, b)
-                    rhs = sum(
-                        b.covec[j] * sum(rs.cartan[j][k] * a.covec[k] for k in range(rs.rank))
-                        for j in range(rs.rank)
-                    )
-                    # simply laced: vec == covec, so both routes agree
-                    assert lhs == rhs
+            for a in _roots(rs):
+                for b in _roots(rs):
+                    assert apt.b_ext(_point(rs, *a), b) == apt.b_ext(_point(rs, *b), a)
 
 
 class TestReflect:
     def test_spec_values(self):
         rs = rsys.type_A(2)
-        d1, d2 = rs.basis
-        assert rsys.reflect(rs, d1, d1).vec == (-1, 0)
-        assert rsys.reflect(rs, d1, d2).vec == (1, 1)
+        s1 = apt.affine_reflection(rs, (1, 2), 0)
+        assert apt.apply_weyl(s1, _point(rs, 1, 2)) == _point(rs, 2, 1)
+        assert apt.apply_weyl(s1, _point(rs, 2, 3)) == _point(rs, 1, 3)
 
     def test_involution_a3(self):
         rs = rsys.type_A(3)
-        for a in rs.roots:
-            for x in rs.roots:
-                assert rsys.reflect(rs, a, rsys.reflect(rs, a, x)) == x
+        for a in _roots(rs):
+            s = apt.affine_reflection(rs, a, 0)
+            for x in _roots(rs):
+                p = _point(rs, *x)
+                assert apt.apply_weyl(s, apt.apply_weyl(s, p)) == p
 
 
 class TestWeyl:
     def test_s3_size(self):
-        assert len(rsys.weyl_elements(rsys.type_A(2))) == 6
+        # a regular point has one image per Weyl element
+        rs = rsys.type_A(2)
+        x = apt.ApartmentVec.from_mu(rs, [2, 1, -3])
+        images = {apt.apply_weyl(_weyl(rs, p), x) for p in permutations((1, 2, 3))}
+        assert len(images) == 6
 
     def test_positive_roots(self):
-        rs1 = rsys.type_A(1)
-        assert rsys.positive_roots(rs1) == {rs1.alpha(1, 2)}
-        rs = rsys.type_A(3)
-        assert rsys.positive_roots(rs) == {rs.alpha(i, j) for i in range(1, 5) for j in range(i + 1, 5)}
+        # the roots positive on the interior of the chamber C0
+        for n in (1, 3):
+            rs = rsys.type_A(n)
+            rho = apt.ApartmentVec.from_mu(rs, [Fraction(n, 2) - k for k in range(n + 1)])
+            assert apt.in_chamber_C0(rho)
+            positive = {r for r in _roots(rs) if apt.b_ext(rho, r).finite_value > 0}
+            assert positive == {(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)}
 
     def test_weyl_preserves_roots_a3(self):
         rs = rsys.type_A(3)
-        ws = rsys.weyl_elements(rs)
-        rng = random.Random(23)
-        roots = sorted(rs.roots)
-        for _ in range(50):
-            w = rng.choice(ws)
-            r = rng.choice(roots)
-            assert w.act_root(r) in rs.roots
+        for sigma in permutations((1, 2, 3, 4)):
+            inv = {s: k + 1 for k, s in enumerate(sigma)}
+            w = _weyl(rs, sigma)
+            for i, j in _roots(rs):
+                assert apt.apply_weyl(w, _point(rs, i, j)) == _point(rs, inv[i], inv[j])
 
     def test_perm_action_matches_labels(self):
         rs = rsys.type_A(2)
-        for w in rsys.weyl_elements(rs):
-            s = w.perm
-            for i in range(1, 4):
-                for j in range(1, 4):
-                    if i != j:
-                        assert w.act_root(rs.alpha(i, j)) == rs.alpha(s[i - 1], s[j - 1])
+        rng = random.Random(29)
+        for s in permutations((1, 2, 3)):
+            w = _weyl(rs, s)
+            c = [Fraction(rng.randint(-6, 6), 2) for _ in range(2)]
+            x = apt.ApartmentVec.from_mu(rs, c + [-sum(c)])
+            wx = apt.apply_weyl(w, x)
+            for i, j in _roots(rs):
+                assert apt.b_ext(wx, (i, j)) == apt.b_ext(x, (s[i - 1], s[j - 1]))
 
     def test_simple_reflections_are_involutions(self):
         rs = rsys.type_A(3)
-        n = rs.rank
-        for w in rsys.weyl_elements(rs):
-            if w.perm and sorted(
-                k for k in range(1, 5) if w.perm[k - 1] != k
-            ) in ([1, 2], [2, 3], [3, 4]):
-                sq = mat_mul([list(r) for r in w.matrix], [list(r) for r in w.matrix])
-                assert sq == identity(n)
-
-
-class TestFromCartan:
-    def test_recovers_a2(self):
-        rs = rsys.from_cartan([[2, -1], [-1, 2]])
-        assert len(rs.roots) == 6
-        assert {r.vec for r in rs.roots} == {r.vec for r in rsys.type_A(2).roots}
-        assert len(rsys.weyl_elements(rs)) == 6
-
-    def test_b2_counts(self):
-        rs = rsys.from_cartan([[2, -1], [-2, 2]])
-        assert len(rs.roots) == 8
-        assert len(rsys.weyl_elements(rs)) == 8
-
-    def test_g2_counts(self):
-        rs = rsys.from_cartan([[2, -1], [-3, 2]])
-        assert len(rs.roots) == 12
-        assert len(rsys.weyl_elements(rs)) == 12
-
-    def test_affine_cartan_hits_bound(self):
-        with pytest.raises(EnumerationBound):
-            rsys.from_cartan([[2, -2], [-2, 2]])
-
-    def test_rejects_bad_matrices(self):
-        with pytest.raises(ValueError):
-            rsys.from_cartan([[1, 0], [0, 2]])
-        with pytest.raises(ValueError):
-            rsys.from_cartan([[2, 1], [1, 2]])
-        with pytest.raises(ValueError):
-            rsys.from_cartan([[2, -1], [0, 2]])
-
-    def test_b2_pairing_not_symmetric(self):
-        rs = rsys.from_cartan([[2, -1], [-2, 2]])
-        d1, d2 = rs.basis
-        assert rsys.pairing(rs, d1, d2) == -1
-        assert rsys.pairing(rs, d2, d1) == -2
-
-
-B2, G2 = [[2, -1], [-2, 2]], [[2, -1], [-3, 2]]
-
-
-@pytest.mark.parametrize("cartan", [B2, G2], ids=["B2", "G2"])
-class TestNonSimplyLaced:
-    """Both sides of reflections and products, where vec and covec differ."""
-
-    def test_reflections_are_involutions_negating_their_root(self, cartan):
-        rs = rsys.from_cartan(cartan)
-        ident = rsys.weyl_identity(rs.rank)
-        for beta in rs.roots:
-            s = rsys.reflection(rs.cartan, beta)
-            assert s.act_root(beta) == rsys.Root(
-                tuple(-c for c in beta.vec), tuple(-c for c in beta.covec)
-            )
-            assert s @ s == ident
-            for r in rs.roots:
-                assert s.act_root(r) in rs.roots
-                assert s.act_root(r).vec == rsys.reflect(rs, beta, r.vec)
-
-    def test_product_acts_as_composition(self, cartan):
-        rs = rsys.from_cartan(cartan)
-        ws = rsys.weyl_elements(rs)
-        for a in ws:
-            for b in ws:
-                for r in rs.roots:
-                    assert (a @ b).act_root(r) == a.act_root(b.act_root(r))
-
-    def test_affine_reflection_fixes_its_wall(self, cartan):
-        rs = rsys.from_cartan(cartan)
-        rng = random.Random(71)
-        for alpha in sorted(rs.roots):
-            ell = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            refl = apt.affine_reflection(rs, alpha, ell)
-            for _ in range(5):
-                x = apt.ApartmentVec(rs, [Fraction(rng.randint(-9, 9), 2) for _ in alpha.vec])
-                b = apt.b_ext(x, alpha).finite_value
-                # move x along alpha onto the wall: b(alpha, alpha^∨) = 2
-                shift = (b - ell) / 2
-                p = apt.ApartmentVec(rs, [c - shift * v for c, v in zip(x.coords, alpha.vec)])
-                assert apt.on_wall(alpha, ell, p)
-                assert apt.apply_weyl(refl, p) == p
-                img = apt.apply_weyl(refl, x)
-                assert apt.b_ext(img, alpha).finite_value == 2 * ell - b
-                assert apt.apply_weyl(refl, img) == x
+        one = _weyl(rs, (1, 2, 3, 4))
+        for k in range(1, 4):
+            s = apt.affine_reflection(rs, (k, k + 1), 0)
+            assert s != one
+            assert apt.compose_weyl(s, s) == one
 
 
 def test_cartan_inverse_exact():
-    for rs in (rsys.type_A(2), rsys.type_A(3), rsys.from_cartan([[2, -1], [-2, 2]])):
-        cartan = [list(r) for r in rs.cartan]
-        prod = mat_mul(cartan, mat_inv(cartan))
-        assert prod == identity(rs.rank)
+    # the rows of the inverse Cartan matrix, over the simple coroots, are
+    # the fundamental coweights: b(omega_k, alpha_l) = delta_kl
+    for rs in (rsys.type_A(2), rsys.type_A(3)):
+        n = rs.rank
+        simple = [(k, k + 1) for k in range(1, n + 1)]
+        cartan = [
+            [Fraction(apt.b_ext(_point(rs, *a), b).finite_value) for b in simple] for a in simple
+        ]
+        inv = mat_inv(cartan)
+        assert mat_mul(cartan, inv) == identity(n)
+        for k in range(n):
+            mu = [Fraction(0)] * (n + 1)
+            for (i, j), c in zip(simple, inv[k]):
+                mu[i - 1] += c
+                mu[j - 1] -= c
+            omega = apt.ApartmentVec.from_mu(rs, mu)
+            assert [apt.b_ext(omega, b).finite_value for b in simple] == identity(n)[k]
 
 
 def test_basis_sign_property_a2():
-    # every root written in any Weyl image of the basis has coefficients of
-    # one sign; exhaustive over W x roots for A_2
+    # every root written in any Weyl image of the simple coroots has
+    # coefficients of one sign; exhaustive over W x roots for A_2, with a
+    # sum-zero point read in its first two coordinates
     rs = rsys.type_A(2)
-    from lbldg.linalg import mat_vec
-
-    for w in rsys.weyl_elements(rs):
-        cols = [w.act_root(d).vec for d in rs.basis]
-        mat = [[Fraction(cols[j][i]) for j in range(2)] for i in range(2)]
-        inv = mat_inv(mat)
-        for r in rs.roots:
-            coeffs = mat_vec(inv, [Fraction(c) for c in r.vec])
+    for sigma in permutations((1, 2, 3)):
+        w = _weyl(rs, sigma)
+        cols = [apt.apply_weyl(w, _point(rs, k, k + 1)).to_mu()[:2] for k in (1, 2)]
+        inv = mat_inv([[Fraction(cols[j][i]) for j in range(2)] for i in range(2)])
+        for r in _roots(rs):
+            v = _point(rs, *r).to_mu()[:2]
+            coeffs = [sum(a * b for a, b in zip(row, v)) for row in inv]
             assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)

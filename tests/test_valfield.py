@@ -17,7 +17,7 @@ from lbldg.errors import (
     PrecisionError,
     SeriesSyntaxError,
 )
-from lbldg.valfield.lam import BOTTOM, LambdaVal, LexPair
+from lbldg.valfield.lam import BOTTOM, LambdaVal
 
 
 def _rand_exact(rng, max_terms=4):
@@ -62,7 +62,7 @@ def _assert_canonical(x):
         assert all(e > x.floor for e, _ in x.terms)
 
 
-# --- LambdaVal / LexPair -----------------------------------------------------
+# --- LambdaVal ---------------------------------------------------------------
 
 
 class TestLambdaVal:
@@ -88,22 +88,6 @@ class TestLambdaVal:
             -BOTTOM
         with pytest.raises(ValueError):
             abs(BOTTOM)
-
-    def test_lexpair_ordering(self):
-        a = LexPair(Q(1), Q(0))
-        b = LexPair(Q(1), Q(5))
-        c = LexPair(Q(2), Q(-100))
-        assert a < b < c
-        assert a + b == LexPair(Q(2), Q(5))
-        assert (c / 2) == LexPair(Q(1), Q(-50))
-        assert abs(LexPair(Q(-1), Q(3))) == LexPair(Q(1), Q(-3))
-
-    def test_lexpair_inside_lambdaval(self):
-        x = LambdaVal.of(LexPair(Q(0), Q(1)))
-        y = LambdaVal.of(LexPair(Q(0), Q(-1)))
-        assert y < x
-        assert BOTTOM < y
-        assert (x + y).finite_value == LexPair(Q(0), Q(0))
 
 
 # --- parse / print -----------------------------------------------------------
