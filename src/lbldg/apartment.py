@@ -1,6 +1,6 @@
-"""The model apartment of SL(n): mu in Lambda^n with sum zero, with norm,
-metric, walls, affine Weyl action, and feasibility of finite half-space
-intersections.
+"""The model apartment of SL(n): mu in Lambda^n with sum zero, with walls,
+half-apartments, the affine Weyl action, and feasibility of finite
+half-space intersections.
 
 Coordinates are Fraction payloads of LambdaVal.  The root alpha_ij = (i, j)
 of rootsys evaluates to mu_i - mu_j, and the affine Weyl group is
@@ -85,16 +85,6 @@ def b_ext(x, alpha):
     return LambdaVal(x.mu[i - 1] - x.mu[j - 1])
 
 
-def norm(x):
-    """Sum of |mu_i - mu_j| over i < j, the positive roots; S_n-invariant."""
-    mu = x.mu
-    return LambdaVal(sum(abs(a - b) for k, a in enumerate(mu) for b in mu[k + 1 :]))
-
-
-def dist(x, y):
-    return norm(x - y)
-
-
 def in_half(h, x):
     b = b_ext(x, h.root)
     return h.threshold.is_bottom or b >= h.threshold
@@ -102,12 +92,6 @@ def in_half(h, x):
 
 def on_wall(alpha, ell, x):
     return b_ext(x, alpha) == (ell if isinstance(ell, LambdaVal) else LambdaVal.of(ell))
-
-
-def in_chamber_C0(x):
-    """mu_1 >= mu_2 >= ... >= mu_n."""
-    mu = x.mu
-    return all(a >= b for a, b in zip(mu, mu[1:]))
 
 
 def in_wconvex(s, x):
@@ -141,17 +125,6 @@ def affine_reflection(rs, alpha, ell):
 def apply_weyl(w, x):
     mu = x.mu
     return ApartmentVec(x.rs, [c + mu[s - 1] for c, s in zip(w.translation.mu, w.perm)])
-
-
-def compose_weyl(w1, w2):
-    """Element acting as w1 after w2: perm s2(s1(i)), translation
-    c1_i + c2_{s1(i)}."""
-    s1, s2 = w1.perm, w2.perm
-    c1, c2 = w1.translation.mu, w2.translation.mu
-    trans = [c + c2[s - 1] for c, s in zip(c1, s1)]
-    return AffineWeylElem(
-        ApartmentVec(w1.translation.rs, trans), tuple(s2[s - 1] for s in s1)
-    )
 
 
 # --- feasibility -------------------------------------------------------------
@@ -209,10 +182,6 @@ def wconvex_witness(s):
         total = total + v
     shift = total / m
     return tuple(v - shift for v in d)
-
-
-def wconvex_feasible(s):
-    return wconvex_witness(s) is not None
 
 
 # --- JSON --------------------------------------------------------------------

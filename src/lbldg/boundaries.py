@@ -126,7 +126,7 @@ def chamber_rays(n):
     return tuple(rays)
 
 
-def sampled_germ_equal(s1, s2, radii=GERM_RADII):
+def sampled_germ_equal(s1, s2):
     """Point-sampling oracle for the germ relation.
 
     For each radius, the transition element is tested on a ladder of
@@ -147,7 +147,7 @@ def sampled_germ_equal(s1, s2, radii=GERM_RADII):
         raise NotInRing("sampled germs require base charts in O")
     rs = type_A(b.n - 1)
     rays = chamber_rays(b.n)
-    for eps in radii:
+    for eps in GERM_RADII:
         agreed = True
         for ray in rays:
             for rung in GERM_LADDER:
@@ -187,7 +187,7 @@ def _deep_direction(n):
     return [p - mean for p in powers]
 
 
-def sampled_infinity_equal(c1, c2, samples=3):
+def sampled_infinity_equal(c1, c2):
     """Deep-point sampling oracle for parallelism.
 
     The transition element is applied to points far out in the standard
@@ -216,7 +216,7 @@ def sampled_infinity_equal(c1, c2, samples=3):
     rs = type_A(b.n - 1)
     rho = _deep_direction(b.n)
     shift = None
-    for k in range(samples):
+    for k in range(3):
         mu = ApartmentVec.from_mu(rs, [(r0 + k) * x for x in rho])
         nu = chart_image(b, mu)
         if nu is None:
@@ -242,38 +242,3 @@ def transitivity_witness(s1, s2):
     if not (r2.inverse() @ h @ r1).is_upper():
         raise AssertionError("witness failed the Borel check")
     return h
-
-
-def kernel_fix_radius(g):
-    """Radius around the base point fixed by a reduction-kernel element.
-
-    Returns None for the exact identity (every radius works).  Otherwise
-    all entries of g - Id must have negative negval; with delta their
-    common depth, the fixed radius is delta / (n - 1).
-
-    The constant comes from the diagonal subgroup: if a positive diagonal
-    determinant-one matrix has all consecutive-gap negvals at most lam,
-    its entry negvals are at most lam (n - 1)/2, because with x_i the
-    diagonal negvals, summing x_1 - x_j <= (j - 1) lam over j against
-    sum x_j = 0 gives x_1 <= lam (n - 1)/2, and the arithmetic staircase
-    attains it.  A point within distance lam of the base point has a
-    Cartan representative with entry negvals at most lam (n - 1)/2 on both
-    sides, so conjugating g - Id by it keeps every entry in the maximal
-    ideal whenever its depth exceeds lam (n - 1).
-    """
-    deepest = None
-    for i in range(g.n):
-        for j in range(g.n):
-            e = g.entries[i][j]
-            if i == j:
-                e = fs.add(e, fs.neg(fs.ONE))
-            v = fs.negval(e)
-            if v.is_bottom:
-                continue
-            if v.payload >= 0:
-                raise ValueError("reduction is not the identity")
-            if deepest is None or -v.payload < deepest:
-                deepest = -v.payload
-    if deepest is None:
-        return None
-    return deepest / (g.n - 1)

@@ -22,13 +22,7 @@ from .apartment import (
     difference_potentials,
     wconvex_to_json,
 )
-from .errors import (
-    AmbiguousWeyl,
-    ConfigError,
-    EnumerationBound,
-    IdentityElement,
-    NotUnipotent,
-)
+from .errors import AmbiguousWeyl, ConfigError, EnumerationBound, IdentityElement
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
@@ -294,46 +288,6 @@ def fixed_set_root(u):
         raise IdentityElement("the identity fixes every point")
     rs = type_A(u.n - 1)
     return HalfApartment(rs.alpha(u.i, u.j), ell)
-
-
-def _upper_root_order(n):
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return sorted(pairs, key=lambda p: (p[0], p[1] - p[0]), reverse=True)
-
-
-def unipotent_factors(u):
-    """Root-element factors of an upper unipotent u, in the (i, j - i)
-    lexicographically descending root order.
-
-    Multiplying factors in this order never creates cross terms: a product
-    E_{kl} E_{i'j'} of elementary parts survives only when l = i', but an
-    earlier factor has l > k >= i' since row indices never increase along
-    the order.  So the factor parameters are the matrix entries themselves.
-    """
-    n = u.n
-    for i in range(n):
-        for j in range(n):
-            e = u.entries[i][j]
-            if i == j:
-                if e != fs.ONE:
-                    raise NotUnipotent("diagonal entries must be exactly one")
-            elif i > j:
-                if e != fs.ZERO:
-                    raise NotUnipotent("entries below the diagonal must vanish")
-    out = []
-    for i, j in _upper_root_order(n):
-        s = u.entries[i - 1][j - 1]
-        if not fs.provably_zero(s):
-            out.append(RootElem(n, i, j, s))
-    return out
-
-
-def fixed_set_unipotent(u):
-    """Intersection of the factors' fixed half-apartments; all of the
-    apartment when u is the identity."""
-    factors = unipotent_factors(u)
-    rs = type_A(u.n - 1)
-    return WConvexSet(rs, tuple(fixed_set_root(f) for f in factors))
 
 
 def m_of(u):

@@ -37,10 +37,6 @@ class EnumerationBound(RuntimeError):
     """Permutation enumeration exceeded its size cap."""
 
 
-class NotUnipotent(ValueError):
-    """Matrix is not upper unipotent."""
-
-
 class IdentityElement(ValueError):
     """Operation undefined for the identity root element."""
 

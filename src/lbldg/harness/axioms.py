@@ -10,27 +10,37 @@ The constructions are pinned so every trial is decidable:
 - A1 realizes an affine Weyl element as a monomial normalizer matrix and
   checks that precomposing any chart with it is again a chart, acting the
   same way on sampled apartment points.
-- A2 computes the apartment overlap of a random chart and confirms a single
-  Weyl element transports sampled overlap points, with the constraint count
-  within the root bound.
+- A2 computes the apartment overlap of a random chart whose overlap holds
+  at least two sampled points and confirms a single Weyl element transports
+  them, with the constraint count within the root bound.
 - A3r builds point pairs sharing a chart by construction and checks the
   distance read in any chart presentation agrees.
 - TI exercises the pseudo-distance axioms on random point triples.
 - A4 builds the transition between two sector charts in unipotent-times-
   normalizer-times-unipotent form, so one chart provably contains deep
   subsectors of both sectors; trials confirm membership at sampled depths.
-- EC starts from a root element whose overlap is a half-apartment and
-  builds the third chart from the opposite root element; trials confirm the
-  three pairwise overlaps are the two half-apartments and their wall.
+- EC starts from a root element u whose overlap is its fixed half-apartment
+  and builds the third chart from the opposite root element; trials confirm
+  the three pairwise overlaps are the two half-apartments and their wall,
+  and that m(u) and the remaining transition both act as the reflection in
+  the wall mu_i - mu_j = phi(u).
 """
 
 from fractions import Fraction
 
-from ..apartment import ApartmentVec, affine_from_mu, apply_weyl, in_wconvex
+from ..apartment import (
+    ApartmentVec,
+    affine_from_mu,
+    affine_reflection,
+    apply_weyl,
+    in_wconvex,
+)
 from ..building import (
     RootElem,
     apartment_overlap,
     chart_image,
+    fixed_set_root,
+    m_of,
     normalizer_of,
     trop,
     x_mu,
@@ -39,7 +49,7 @@ from ..errors import AmbiguousWeyl
 from ..rootsys import type_A
 from ..symspace import act, distance, equivalent, matrix_to_json
 from ..valfield import series as fs
-from ..valfield.lam import LambdaVal
+from ..valfield.lam import ZERO
 from .generators import (
     draw_group,
     draw_point,
@@ -51,8 +61,6 @@ from .generators import (
     trial_rng,
 )
 from .report import payload_strs, run_check, run_suite
-
-ZERO = LambdaVal.of(0)
 
 
 def _vec(rs, mu):
@@ -92,28 +100,28 @@ def _check_a1(cfg):
 
 
 def _check_a2(cfg):
-    rs = type_A(cfg.n - 1)
     bound = cfg.n * (cfg.n - 1)
 
     def one(trial):
         rng = trial_rng(cfg.seed, "A2", trial)
-        g = None
-        res = None
+        # a one-point region is carried by many Weyl elements, so keep
+        # drawing until the overlap holds at least two sampled points
         for _ in range(40):
-            cand = draw_group(rng, cfg)
+            g = draw_group(rng, cfg)
             try:
-                got = apartment_overlap(cand)
+                res = apartment_overlap(g)
             except AmbiguousWeyl:
-                return {"g": matrix_to_json(cand), "ambiguous": True}
-            if got is not None:
-                g, res = cand, got
-                break
-        if g is None:
-            return {"note": "no chart with nonempty overlap in 40 draws"}
+                return {"g": matrix_to_json(g), "ambiguous": True}
+            if res is not None:
+                points = sample_in_region(rng, res[0], 20)
+                if len(points) >= 2:
+                    break
+        else:
+            return {"note": "no chart with an overlap of two points in 40 draws"}
         region, w = res
         if len(region.constraints) > bound:
             return {"g": matrix_to_json(g), "constraints": len(region.constraints)}
-        for mu in sample_in_region(rng, region, 20):
+        for mu in points:
             if chart_image(g, mu) != apply_weyl(w, mu):
                 return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
@@ -249,6 +257,7 @@ def _check_ec(cfg):
             cfg.exponent_magnitude_bound,
             cfg.exponent_denominator_bound,
         )
+        root_elem = RootElem(cfg.n, i, j, s)
         exp = fs.lead_exp(s)
         coef = fs.coef_at(s, exp)
         ell = exp
@@ -261,6 +270,8 @@ def _check_ec(cfg):
             return dict(bad, kind="empty overlap")
         if any(len(res[0].constraints) != 1 for res in (ov12, ov13, ov23)):
             return dict(bad, kind="not a half-apartment")
+        if ov12[0].constraints != (fixed_set_root(root_elem),):
+            return dict(bad, kind="overlap is not the fixed half-apartment")
         wall = _gap_point(rs, cfg.n, i, j, ell)
         plus = _gap_point(rs, cfg.n, i, j, ell + 2)
         minus = _gap_point(rs, cfg.n, i, j, ell - 2)
@@ -281,12 +292,12 @@ def _check_ec(cfg):
             return dict(bad, kind="plus chart moves its half")
         if chart_image(opp, wall) != wall or chart_image(opp, minus) != minus:
             return dict(bad, kind="minus chart moves its half")
-        # the remaining transition reflects across the shared wall
-        mu = plus.to_mu()
-        nu = list(mu)
-        nu[i - 1] = ell + mu[j - 1]
-        nu[j - 1] = mu[i - 1] - ell
-        reflected = _vec(rs, nu)
+        # m(u) and the remaining transition both reflect across the wall
+        # mu_i - mu_j = phi(u)
+        m, root, level = m_of(root_elem)
+        reflected = apply_weyl(affine_reflection(rs, root, level), plus)
+        if chart_image(m, plus) != reflected or chart_image(m, wall) != wall:
+            return dict(bad, kind="m(u) is not the wall reflection")
         got = chart_image(u.inverse() @ opp, plus)
         if got != reflected or apply_weyl(ov23[1], plus) != reflected:
             return dict(bad, kind="transition is not the wall reflection")

@@ -8,7 +8,6 @@ from per-trial streams split by counter, so execution order cannot change
 a report either.
 """
 
-import json
 import time
 from typing import NamedTuple
 
@@ -99,10 +98,6 @@ def report_to_dict(report):
         "ok": report.ok,
         "elapsed_ms": report.elapsed_ms,
     }
-
-
-def report_to_json(report):
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
 def format_lines(report):

@@ -44,7 +44,7 @@ from ..symspace import (
     retract,
 )
 from ..valfield import series as fs
-from ..valfield.lam import LambdaVal
+from ..valfield.lam import ZERO, LambdaVal
 from .generators import (
     draw_group,
     draw_point,
@@ -56,8 +56,6 @@ from .generators import (
     trial_rng,
 )
 from .report import payload_strs, run_check, run_suite
-
-ZERO = LambdaVal.of(0)
 
 
 # --- base-point stabilizer -------------------------------------------------------

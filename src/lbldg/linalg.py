@@ -1,5 +1,5 @@
-"""Exact linear algebra over Fraction, shared by generator, residue and
-witness-search code."""
+"""Exact linear algebra over Fraction, shared by the generators and the
+residue group of the boundaries."""
 
 from fractions import Fraction
 

@@ -1,62 +1,10 @@
-"""Valued field: truncated Puiseux series and the ordered value group."""
+"""Valued field: truncated Puiseux series and the ordered value group.
 
-from .lam import BOTTOM, LambdaVal
-from .series import (
-    EQ,
-    GT,
-    LT,
-    ONE,
-    T,
-    ZERO,
-    PuiseuxElem,
-    add,
-    cmp,
-    coef_at,
-    from_rational,
-    in_O,
-    inv,
-    is_unit,
-    lead_exp,
-    monomial,
-    mul,
-    neg,
-    negval,
-    parse,
-    provably_zero,
-    residue,
-    sqrt_pos,
-    sub,
-    to_str,
-    with_floor,
-)
+Import the two layers as modules, ``valfield.series`` and ``valfield.lam``.
+"""
 
-__all__ = [
-    "BOTTOM",
-    "EQ",
-    "GT",
-    "LT",
-    "LambdaVal",
-    "ONE",
-    "PuiseuxElem",
-    "T",
-    "ZERO",
-    "add",
-    "cmp",
-    "coef_at",
-    "from_rational",
-    "in_O",
-    "inv",
-    "is_unit",
-    "lead_exp",
-    "monomial",
-    "mul",
-    "neg",
-    "negval",
-    "parse",
-    "provably_zero",
-    "residue",
-    "sqrt_pos",
-    "sub",
-    "to_str",
-    "with_floor",
-]
+# perfbench's tracer self-test reads valfield.mul to check that a function
+# bound under a second module's name is wrapped as well
+from .series import mul
+
+__all__ = ["mul"]

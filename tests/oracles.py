@@ -1,6 +1,7 @@
-"""Witness searches and brute-force oracles used by the property harness.
+"""Reference oracles for the tests: a brute-force membership search and a
+greedy Iwasawa witness search, each independent of the algorithm it checks.
 
-The main search factors g = u . n . k with u upper unipotent, n a diagonal
+The witness search factors g = u . n . k with u upper unipotent, n a diagonal
 monomial matrix of determinant one, and k a matrix over O.  It runs a greedy
 leading-vector elimination: rows are finalized bottom up, and while the top
 coefficient vector of row i at its peak exponent lies in the rational span
@@ -14,10 +15,10 @@ making diag(t^peak) special and leaving the scaled rows over O.
 from fractions import Fraction
 from itertools import product
 
-from ..building import trop
-from ..linalg import row_reduce
-from ..symspace import GroupElem
-from ..valfield import series as fs
+from lbldg.building import trop
+from lbldg.linalg import row_reduce
+from lbldg.symspace import GroupElem
+from lbldg.valfield import series as fs
 
 MAX_STEPS = 500
 
@@ -59,7 +60,7 @@ def brute_membership(g, mu, denom=2):
     return False
 
 
-def _solve_combo(basis, v):
+def solve_combo(basis, v):
     """Rationals lam with sum(lam_k * basis[k]) = v, or None."""
     if not basis:
         return None
@@ -94,7 +95,7 @@ def iwasawa_witness(g):
             m = peak.finite_value
             v = [fs.coef_at(e, m) for e in rows[i]]
             lower = list(range(i + 1, size))
-            lam = _solve_combo([tops[k] for k in lower], v)
+            lam = solve_combo([tops[k] for k in lower], v)
             if lam is None:
                 peaks[i], tops[i] = m, v
                 break

@@ -7,7 +7,6 @@ import random
 import time
 from fractions import Fraction as Q
 
-from lbldg import valfield as vf
 from lbldg.apartment import ApartmentVec, apply_weyl, in_half
 from lbldg.building import (
     RootElem,
@@ -38,7 +37,6 @@ from lbldg.harness.generators import (
     sample_in_region,
     trial_rng,
 )
-from lbldg.harness.search import brute_membership
 from lbldg.rootsys import type_A
 from lbldg.symspace import (
     GroupElem,
@@ -48,7 +46,9 @@ from lbldg.symspace import (
     distance,
     retract,
 )
+from lbldg.valfield import series as vf
 from lbldg.valfield.lam import LambdaVal
+from oracles import brute_membership
 
 A1 = type_A(1)
 A2 = type_A(2)

@@ -1,5 +1,5 @@
-"""Model apartment in mu coordinates: pairing, norm/metric, Weyl action,
-feasibility."""
+"""Model apartment in mu coordinates: pairing, the metric the building
+distance induces on it, Weyl action, feasibility."""
 
 import random
 from fractions import Fraction as Q
@@ -9,7 +9,9 @@ import pytest
 
 from lbldg import apartment as apt
 from lbldg import rootsys as rsys
+from lbldg.building import apartment_overlap, chart_image, normalizer_of, x_mu
 from lbldg.errors import NotARoot
+from lbldg.symspace import GroupElem, distance
 from lbldg.valfield.lam import BOTTOM, LambdaVal
 
 A1 = rsys.type_A(1)
@@ -26,6 +28,18 @@ def _rand_mu(rng, rs, denom=2, span=4):
     vals = [Q(rng.randint(-span * denom, span * denom), denom) for _ in range(m - 1)]
     vals.append(-sum(vals))
     return apt.ApartmentVec.from_mu(rs, vals)
+
+
+def _dist(x, y):
+    """The building distance between two points of the standard apartment;
+    it is twice the sum of |mu_i - mu_j| over i < j for mu = x - y."""
+    return distance(x_mu(x), x_mu(y))
+
+
+def _in_C0(x):
+    """mu_1 >= mu_2 >= ... >= mu_n."""
+    mu = x.to_mu()
+    return all(a >= b for a, b in zip(mu, mu[1:]))
 
 
 def _spherical(rs, sigma):
@@ -68,74 +82,87 @@ class TestCoordinates:
 
 
 class TestNormDist:
+    """The building distance restricted to the standard apartment."""
+
     def test_norm_spec_values(self):
-        assert apt.norm(_mu(A2, 1, -1, 0)) == LambdaVal.of(4)
-        assert apt.norm(_mu(A2, 0, 0, 0)) == LambdaVal.of(0)
+        zero = _mu(A2, 0, 0, 0)
+        assert _dist(_mu(A2, 1, -1, 0), zero) == LambdaVal.of(2 * 4)
+        assert _dist(zero, zero) == LambdaVal.of(0)
 
     def test_norm_weyl_invariant_a2_exhaustive(self):
         rng = random.Random(37)
+        zero = _mu(A2, 0, 0, 0)
         for _ in range(10):
             x = _rand_mu(rng, A2)
             for sigma in permutations((1, 2, 3)):
                 wx = apt.apply_weyl(_spherical(A2, sigma), x)
-                assert apt.norm(wx) == apt.norm(x)
+                assert _dist(wx, zero) == _dist(x, zero)
 
     def test_norm_weyl_invariant_a3_sampled(self):
         # sampled points, every element of S_4
         rng = random.Random(41)
+        zero = _mu(A3, 0, 0, 0, 0)
         for _ in range(10):
             x = _rand_mu(rng, A3)
             for sigma in permutations((1, 2, 3, 4)):
                 wx = apt.apply_weyl(_spherical(A3, sigma), x)
-                assert apt.norm(wx) == apt.norm(x)
+                assert _dist(wx, zero) == _dist(x, zero)
 
     def test_dist_basics(self):
         x = _mu(A2, 2, -1, -1)
-        assert apt.dist(x, x) == LambdaVal.of(0)
-        # positive-roots norm: |mu1-mu2| summed over the single positive root
-        # of A_1 gives 2, not 4 (see the decision ledger on this example)
-        assert apt.dist(_mu(A1, 1, -1), _mu(A1, 0, 0)) == LambdaVal.of(2)
+        assert _dist(x, x) == LambdaVal.of(0)
+        # |mu1 - mu2| over the single positive root of A_1 is 2, and the
+        # building distance is twice that
+        assert _dist(_mu(A1, 1, -1), _mu(A1, 0, 0)) == LambdaVal.of(4)
 
     def test_dist_symmetry_100(self):
         rng = random.Random(43)
         for _ in range(100):
             x, y = _rand_mu(rng, A2), _rand_mu(rng, A2)
-            assert apt.dist(x, y) == apt.dist(y, x)
-            assert not apt.dist(x, y) < LambdaVal.of(0)
+            assert _dist(x, y) == _dist(y, x)
+            assert not _dist(x, y) < LambdaVal.of(0)
 
     def test_triangle_inequality_500_a3(self):
         rng = random.Random(47)
         for _ in range(500):
             x, y, z = (_rand_mu(rng, A3, denom=rng.choice([1, 2])) for _ in range(3))
-            dxz = apt.dist(x, z)
-            dxy = apt.dist(x, y)
-            dyz = apt.dist(y, z)
+            dxz = _dist(x, z)
+            dxy = _dist(x, y)
+            dyz = _dist(y, z)
             assert not dxz > LambdaVal(dxy.finite_value + dyz.finite_value)
 
     def test_chamber_identity(self):
-        # for z = x - y in C0: dist(x, y) = b_ext(z, sum of positive coroots)
+        # for z = x - y in C0: dist(x, y) = 2 b_ext(z, sum of positive coroots)
         rng = random.Random(53)
         found = 0
         while found < 20:
             x, y = _rand_mu(rng, A3), _rand_mu(rng, A3)
             z = x - y
-            if not apt.in_chamber_C0(z):
+            if not _in_C0(z):
                 continue
             found += 1
             total = Q(0)
             for i in range(1, 5):
                 for j in range(i + 1, 5):
                     total += apt.b_ext(z, (i, j)).finite_value
-            assert apt.dist(x, y) == LambdaVal.of(total)
+            assert _dist(x, y) == LambdaVal.of(2 * total)
 
 
 class TestChambersWalls:
     def test_chamber_examples(self):
-        assert apt.in_chamber_C0(_mu(A2, 0, 0, 0))
-        assert apt.in_chamber_C0(_mu(A2, 2, 1, -3))
-        assert apt.in_chamber_C0(_mu(A2, 1, 1, -2))
-        assert not apt.in_chamber_C0(_mu(A2, 1, 2, -3))
-        assert not apt.in_chamber_C0(_mu(A2, 2, -3, 1))
+        # C0 is the fixed set of the integral upper unipotent with every
+        # entry above the diagonal equal to 1
+        u = GroupElem([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        for mu, inside in (
+            ((0, 0, 0), True),
+            ((2, 1, -3), True),
+            ((1, 1, -2), True),
+            ((1, 2, -3), False),
+            ((2, -3, 1), False),
+        ):
+            x = _mu(A2, *mu)
+            assert _in_C0(x) == inside
+            assert (chart_image(u, x) == x) == inside
 
     def test_on_wall_via_cochar(self):
         alpha = A2.alpha(1, 2)
@@ -203,6 +230,8 @@ class TestAffineWeyl:
                 assert nu[i] == c[i] + mu[sigma[i] - 1]
 
     def test_composition_homomorphism(self):
+        # the overlap of a product of two normalizer realizations is the
+        # composite: perm s2(s1(i)), translation c1_i + c2_{s1(i)}
         rng = random.Random(67)
         for _ in range(30):
             ws = []
@@ -214,15 +243,22 @@ class TestAffineWeyl:
                 ws.append(apt.affine_from_mu(A2, tuple(sigma), c))
             w1, w2 = ws
             x = _rand_mu(rng, A2)
-            composite = apt.compose_weyl(w1, w2)
+            region, composite = apartment_overlap(normalizer_of(w1, 3) @ normalizer_of(w2, 3))
+            assert region.constraints == ()
             assert apt.apply_weyl(composite, x) == apt.apply_weyl(w1, apt.apply_weyl(w2, x))
             s1, s2 = w1.perm, w2.perm
+            c1, c2 = w1.translation.to_mu(), w2.translation.to_mu()
             assert composite.perm == tuple(s2[s1[i] - 1] for i in range(3))
+            assert composite.translation.to_mu() == tuple(c1[i] + c2[s1[i] - 1] for i in range(3))
 
     @pytest.mark.parametrize("sigma", [(0, 1, 2), (1, 2, 3, 4), (1, 2), (1, 1, 2)])
     def test_sigma_must_be_a_permutation(self, sigma):
         with pytest.raises(ValueError, match="not a permutation"):
             apt.affine_from_mu(A2, sigma, [Q(1), Q(-2), Q(1)])
+
+
+def _feasible(s):
+    return apt.wconvex_witness(s) is not None
 
 
 class TestWConvex:
@@ -234,9 +270,9 @@ class TestWConvex:
         return apt.WConvexSet(rs, halves)
 
     def test_spec_examples(self):
-        assert apt.wconvex_feasible(apt.WConvexSet(A2, ()))
+        assert _feasible(apt.WConvexSet(A2, ()))
         bad = self._set(A1, [(1, 2, Q(1)), (2, 1, Q(0))])
-        assert not apt.wconvex_feasible(bad)
+        assert not _feasible(bad)
         s = self._set(A2, [(1, 2, Q(1)), (2, 3, Q(1))])
         w = apt.wconvex_witness(s)
         assert w == (Q(1), Q(0), Q(-1))
@@ -244,14 +280,14 @@ class TestWConvex:
 
     def test_bottom_threshold_is_whole_apartment(self):
         s = apt.WConvexSet(A2, (apt.HalfApartment(A2.alpha(1, 2), BOTTOM),))
-        assert apt.wconvex_feasible(s)
+        assert _feasible(s)
         assert apt.wconvex_to_json(s) == []
 
     def test_constraint_naming_no_root(self):
         for root in ((1, 1), (1, 4), (0, 2)):
             s = apt.WConvexSet(A2, (apt.HalfApartment(root, LambdaVal.of(0)),))
             with pytest.raises(NotARoot):
-                apt.wconvex_feasible(s)
+                _feasible(s)
 
     def _grid_vals(self):
         vals = set()
@@ -274,7 +310,7 @@ class TestWConvex:
             brute = any(
                 all(p[i - 1] - p[j - 1] >= ell for i, j, ell in cons) for p in pts
             )
-            assert apt.wconvex_feasible(s) == brute
+            assert _feasible(s) == brute
 
     def test_agreement_with_brute_force_sl3(self):
         rng = random.Random(73)
@@ -293,7 +329,7 @@ class TestWConvex:
             brute = any(
                 all(val(p, i) - val(p, j) >= ell for i, j, ell in cons) for p in pairs
             )
-            mine = apt.wconvex_feasible(s)
+            mine = _feasible(s)
             if mine:
                 w = apt.wconvex_witness(s)
                 assert all(w[i - 1] - w[j - 1] >= ell for i, j, ell in cons)

@@ -152,14 +152,16 @@ class TestGerms:
 
 
 class TestKernelRadius:
-    def test_radius_formula(self):
-        assert bn.kernel_fix_radius(_deep_root(2, 1, 2, -1)) == Q(1)
-        assert bn.kernel_fix_radius(_deep_root(3, 1, 3, "-3/2")) == Q(3, 4)
-        assert bn.kernel_fix_radius(GroupElem.identity(2)) is None
+    """A reduction-kernel element whose entries of g - Id all have negval at
+    most -delta fixes the ball of radius delta / (n - 1) around o.
 
-    def test_rejects_nonkernel(self):
-        with pytest.raises(ValueError):
-            bn.kernel_fix_radius(_g([["2", "0"], ["0", "1/2"]]))
+    The constant comes from the diagonal subgroup: a positive diagonal
+    determinant-one matrix whose consecutive-gap negvals are at most lam has
+    entry negvals at most lam (n - 1)/2, and the arithmetic staircase
+    attains it.  A point within distance lam of o has a Cartan
+    representative with entry negvals at most lam (n - 1)/2 on both sides,
+    so conjugating g - Id by it keeps every entry in the maximal ideal
+    whenever delta exceeds lam (n - 1)."""
 
     def test_staircase_attains_the_constant(self):
         # consecutive gaps lam, entry negvals peak at lam (n-1)/2
@@ -175,11 +177,14 @@ class TestKernelRadius:
             rng = trial_rng(11, "kernel-ball", trial)
             n = rng.choice([2, 3])
             ker = GroupElem.identity(n)
+            depth = None
             for _ in range(2):
                 i, j = rng.sample(range(1, n + 1), 2)
-                ker = ker @ _deep_root(n, i, j, Q(rng.randint(-4, -1), 2), rng.randint(1, 3))
+                exp = Q(rng.randint(-4, -1), 2)
+                ker = ker @ _deep_root(n, i, j, exp, rng.randint(1, 3))
+                depth = -exp if depth is None else min(depth, -exp)
             assert bn.reduce(ker) == bn.ResidueElem.identity(n)
-            lam = bn.kernel_fix_radius(ker)
+            lam = depth / (n - 1)
             o = SPDPoint.basepoint(n)
             for _ in range(4):
                 mu = [Q(rng.randint(-2, 2), 8) for _ in range(n - 1)]

@@ -18,7 +18,6 @@ from lbldg.apartment import (
     affine_from_mu,
     apply_weyl,
     b_ext,
-    in_chamber_C0,
     in_half,
     in_wconvex,
     wconvex_witness,
@@ -28,7 +27,6 @@ from lbldg.errors import (
     EnumerationBound,
     IdentityElement,
     NotARoot,
-    NotUnipotent,
     PrecisionError,
 )
 from lbldg.harness import generators
@@ -42,11 +40,11 @@ from lbldg.harness.generators import (
     sample_in_region,
     trial_rng,
 )
-from lbldg.harness.search import brute_membership, iwasawa_witness
 from lbldg.rootsys import type_A
 from lbldg.symspace import GroupElem, SPDPoint, act, distance, equivalent, retract
 from lbldg.valfield import series as fs
 from lbldg.valfield.lam import BOTTOM, LambdaVal
+from oracles import brute_membership, iwasawa_witness
 
 A1 = type_A(1)
 A2 = type_A(2)
@@ -641,6 +639,21 @@ class TestPhi:
 # --- fixed sets ------------------------------------------------------------------
 
 
+def _root_fixed_sets(u):
+    """The fixed half-apartments of the root elements at the nonzero
+    entries of an upper unipotent u; u fixes their intersection."""
+    n = u.n
+    return WConvexSet(
+        type_A(n - 1),
+        tuple(
+            bd.fixed_set_root(bd.RootElem(n, i + 1, j + 1, u.entries[i][j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not fs.provably_zero(u.entries[i][j])
+        ),
+    )
+
+
 class TestFixedSets:
     def test_root_element_upper(self):
         h = bd.fixed_set_root(bd.RootElem(2, 1, 2, fs.parse("t")))
@@ -678,34 +691,40 @@ class TestFixedSets:
             assert got.threshold == want
 
     def test_unipotent_identity_fixes_everything(self):
-        s = bd.fixed_set_unipotent(GroupElem.identity(3))
-        assert s.constraints == ()
+        ident = GroupElem.identity(3)
+        region, _ = bd.apartment_overlap(ident)
+        assert region.constraints == ()
+        assert all(bd.chart_image(ident, mu) == mu for mu in _sl3_grid(1))
 
     def test_unipotent_example_with_grid(self):
         u = _g([["1", "t", "t^3"], ["0", "1", "0"], ["0", "0", "1"]])
-        s = bd.fixed_set_unipotent(u)
+        s = _root_fixed_sets(u)
         labels = {h.root: h.threshold for h in s.constraints}
         assert labels == {(1, 2): LambdaVal.of(1), (1, 3): LambdaVal.of(3)}
         for mu in _sl3_grid(2):
             assert in_wconvex(s, mu) == (bd.chart_image(u, mu) is not None)
 
     def test_factor_order_and_product(self):
+        # in the (i, j - i) descending root order the root elements at the
+        # entries of u multiply back to u with no cross terms
+        order = sorted(
+            ((i, j) for i in range(1, 5) for j in range(i + 1, 5)),
+            key=lambda p: (p[0], p[1] - p[0]),
+            reverse=True,
+        )
         for trial in range(20):
             rng = trial_rng(3, "fix-factors", trial)
             u = gen_unipotent(rng, 4)
-            facs = bd.unipotent_factors(u)
-            order = [(f.i, f.j) for f in facs]
-            assert order == sorted(order, key=lambda p: (p[0], p[1] - p[0]), reverse=True)
             prod = GroupElem.identity(4)
-            for f in facs:
-                prod = prod @ f.as_group()
+            for i, j in order:
+                prod = prod @ bd.RootElem(4, i, j, u.entries[i - 1][j - 1]).as_group()
             assert prod == u
 
     def test_grid_agreement_random_unipotent(self):
         for trial in range(12):
             rng = trial_rng(3, "fix-uni-grid", trial)
             u = gen_unipotent(rng, 3)
-            s = bd.fixed_set_unipotent(u)
+            s = _root_fixed_sets(u)
             for mu in _sl3_grid(1):
                 assert in_wconvex(s, mu) == (bd.chart_image(u, mu) is not None)
 
@@ -723,14 +742,7 @@ class TestFixedSets:
             mu = _mu(A2, *gen_apartment_mu(rng, 3))
             dom = sorted(mu.to_mu(), reverse=True)
             pt = _mu(A2, *dom)
-            assert in_chamber_C0(pt)
             assert bd.chart_image(u, pt) == pt
-
-    def test_not_unipotent(self):
-        with pytest.raises(NotUnipotent):
-            bd.fixed_set_unipotent(_g([["t", "0"], ["0", "t^(-1)"]]))
-        with pytest.raises(NotUnipotent):
-            bd.fixed_set_unipotent(_g([["1", "0"], ["t", "1"]]))
 
 
 # --- rank-one reflections --------------------------------------------------------
@@ -898,7 +910,12 @@ class TestIwasawa:
             res = iwasawa_witness(g)
             assert res is not None
             u, n, k = res
-            assert bd.fixed_set_unipotent(u) is not None  # upper unipotent shape
+            # u is upper unipotent
+            assert all(
+                u.entries[i][j] == (fs.ONE if i == j else fs.ZERO)
+                for i in range(2)
+                for j in range(i + 1)
+            )
             for i in range(2):
                 for j in range(2):
                     e = n.entries[i][j]
@@ -925,17 +942,20 @@ class TestIwasawa:
             assert list(nu.to_mu()) == exps
 
     def test_retraction_cross_check(self):
-        # the trailing-minor retraction must reproduce the witness exponents
-        for trial in range(30):
-            rng = trial_rng(3, "iwasawa-retract", trial)
-            n_size = rng.choice([2, 3])
-            g = gen_group_elem(rng, n_size)
-            res = iwasawa_witness(g)
-            assert res is not None
-            _, n, _ = res
-            exps = [fs.negval(n.entries[i][i]).finite_value for i in range(n_size)]
-            got = retract(act(g, SPDPoint.basepoint(n_size)))
-            assert list(got.to_mu()) == exps
+        # two independent Iwasawa readings must agree: k in SL(n, O) keeps
+        # the negvals of the trailing principal minors and an upper
+        # unipotent keeps the minors themselves, so the witness exponents
+        # are the trailing-minor retraction of g . o
+        for size in (2, 3, 4):
+            for trial in range(40):
+                rng = trial_rng(size, "iwasawa-retract", trial)
+                g = gen_group_elem(rng, size)
+                res = iwasawa_witness(g)
+                assert res is not None
+                _, n, _ = res
+                exps = [fs.negval(n.entries[i][i]).finite_value for i in range(size)]
+                got = retract(act(g, SPDPoint.basepoint(size)))
+                assert list(got.to_mu()) == exps
 
     def test_point_equivalence(self):
         for trial in range(20):

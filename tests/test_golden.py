@@ -1,20 +1,22 @@
 """Byte-for-byte outputs: series text, matrix and overlap JSON, distances,
-retractions and a suite report (without ``elapsed_ms``).
+retractions and suite reports (without ``elapsed_ms``).
 
 The expected values are literals. Any change to the series representation,
 the kernel or the geometry must reproduce them exactly.
 """
 
+import hashlib
 import json
 from fractions import Fraction as Q
 
 import pytest
 
 from lbldg.building import apartment_overlap, overlap_to_json, x_mu
-from lbldg.harness.axioms import check_axiom
+from lbldg.harness.axioms import AXIOMS, check_axiom
 from lbldg.harness.config import TrialConfig
 from lbldg.harness.generators import gen_group_elem, gen_point, trial_rng
 from lbldg.harness.report import report_to_dict
+from lbldg.harness.theorems import THEOREMS, check_theorem
 from lbldg.symspace import GroupElem, distance, matrix_to_json, retract
 from lbldg.valfield import series as fs
 
@@ -223,3 +225,82 @@ def test_golden_output(name):
 
 def test_every_case_has_a_literal():
     assert CASES.keys() == GOLDEN.keys()
+
+
+# sha256 of every suite's report JSON (sorted keys, without ``elapsed_ms``)
+# at seed 1 with 5 trials, for n = 2..5
+SUITE_REPORTS = {
+    ("A1", 2): "bce419e70d25f3d1759db0ff4d895bceae2d3afb0ca3b22db04efe8f82e5de2f",
+    ("A1", 3): "ecc56f34a37a9765bfd1e0b17793102bdafb11da06eb6ca8ec10a31154b1eebf",
+    ("A1", 4): "64cc6ca9d181a14337a102425bacd65a9964ff11d0d86184228cf696a804ac0c",
+    ("A1", 5): "6c80a0ec0d549aff1fc9cee673cf800a68ca7565349e00ae003a2dcceba4262b",
+    ("A2", 2): "1b5d79a99a5eba1c97ee273cf964f42f67d40cc52433b088b27f3c67635649e7",
+    ("A2", 3): "6fe63c278dff2e37bbd27b90a7b101e339e1b8a72acf25ab15ce375943e8115b",
+    ("A2", 4): "bcdfb89279c8a09c2fad2754f1848842714d9eb8113cb3aee60695ee2ecee5c4",
+    ("A2", 5): "8d849309b2489a052e6c1e08e2e1afd5e1c636e83f87042025fe9fe8e149609d",
+    ("A3r", 2): "16ef54836c3d1da903f846c042a6871227819956dfce994528ffd1918992e745",
+    ("A3r", 3): "bb3397a9c4d186af7770fde96463c504e9cb5bc9624d23c5b445916f0957f2ae",
+    ("A3r", 4): "b668be931d270dcb1c3e0b8275088a97ae1d5ea39c3a2cfe7a439a365a9a1e57",
+    ("A3r", 5): "44203fde899f43f689aaea375497fd375368e84a2d215c36d7b631fd624a1e99",
+    ("TI", 2): "bf1ac23ae920b1653492851033345dde400272d62cb4d9e9d761a9745b3f4869",
+    ("TI", 3): "647bdae40394b4ae9d8ebcf53ccde823470a6b1dfa9bea76b3619994f10110cb",
+    ("TI", 4): "113f2ab0a8170c536ca48551f5f425c465ba776830d21642613c3d5982c1736f",
+    ("TI", 5): "c271ac4382dd50bbb7c075a1e214dd959970e7bbf18fb46c8edfb36d44742359",
+    ("A4", 2): "04d1581fd53bcc58dab3fc34d32c15944b5416a24d96c2db8c54b99b5ed50547",
+    ("A4", 3): "b7e24b18a336b3a75dd35b7b96e73217df9332ea9d0cb09b8e3845167d238459",
+    ("A4", 4): "d2c5029428a8e7f7d37b305b723e6216acfa79a090a8d09c3f7bbd1327281037",
+    ("A4", 5): "4396080132f5e19b376e0b54601e8593b97a1e58fc35876032ec7db48f95e7dd",
+    ("EC", 2): "77dce73a20e81b38742cafa5b6b26dd8da612d24f0ff6d0036d141aace7fbbf8",
+    ("EC", 3): "a2cb8630cb45d85ee3e96b356c5f1ddec9246bfc0d073b293cada58a50e12cb6",
+    ("EC", 4): "8fe8d12b990d303920635eb5dee10c329db86c4983bf89f891fad51d1b4b2b3f",
+    ("EC", 5): "aaef57bca3149eb042f267ee9451f20ac632294a62318402767a3841987f02f9",
+    ("Stab_o", 2): "fb6ad27887c7e26b8b3bed6d8966531bd01e3977b9085e4480356b4ebdb1373a",
+    ("Stab_o", 3): "5301f133aa8633f936c24fe58ac84d23233d00c5cf97452d708f861e0f58550a",
+    ("Stab_o", 4): "c69c63d0a6189c4a97d174369b76b09fe3350b97f45668a9d9c46211e807640f",
+    ("Stab_o", 5): "8c7e1ae9de26e196aeeeec678021060b14faeea366344e47d7ba1dcc874d77d4",
+    ("Stab_A", 2): "05aba856921bbf0433307a1eaa3dd57126b6b0c1680ff18f06bff89838550770",
+    ("Stab_A", 3): "31bcb6e047f3534594e8da69f83f275bf9bcb88d30177b37d8cd363605446bf9",
+    ("Stab_A", 4): "a10d886639f2267059465e58718c1ffc73cf784614a8d42e6659d970cad4e678",
+    ("Stab_A", 5): "55ea463a7a31cf150b4791f6aaa1395399723cc75b9c94f71980468917fc9e92",
+    ("Stab_C0", 2): "64bc9d2333094edd35f5977d415495b0933d76b0f1ec9f65a085eb37ebce84e6",
+    ("Stab_C0", 3): "f9442639142c1e05d1446e18d6ee36925d0b30dd95487e79d0577046ed5fc1cb",
+    ("Stab_C0", 4): "0093aa2b6ddc6f1eb2a17467a390f582224bfc33fca4d6f5f14259eba5920965",
+    ("Stab_C0", 5): "4a539d7e8aee537a3174c8c9f319228f1d87ee521f9d03766ab0285a54e62917",
+    ("HalfAptStab", 2): "0c9303451541152dff91e4f6bae0efd3a9233202a98a838f1421a64c86942bb2",
+    ("HalfAptStab", 3): "3746cc70699a791abf1b3bc96ade45a286c1bf54e0cd9d65b573560dac9ff244",
+    ("HalfAptStab", 4): "4220c8bad59382c1d41eb461141d818e1a163b6a609e17d4eded774ff46a125e",
+    ("HalfAptStab", 5): "d2ddc62457f110da6ff466d986f04ad0da2b483126d83396c9400bb8f8e7d9f0",
+    ("Retract", 2): "16781259fb9b6043d1c79905570e018d1bf7982da4794a84aba19bd76a714819",
+    ("Retract", 3): "a29176db79c7ec90deebe21d14d1e54550a23f129c372691cd3cbf0648b4cb0a",
+    ("Retract", 4): "6dd3f2d78ff3f241e842690d59769c0464c94c117f0dbda5a5097964bbd1dba6",
+    ("Retract", 5): "908de42398099c1fcf114012772b36c86e8210185ef0cbbc559a14614280d2f6",
+    ("GermBorel", 2): "d3ab04935af820a3ae05e05586e081a7bcc1743d118d4ebad148f679f7c5aeed",
+    ("GermBorel", 3): "e3e4dc91fce63528103f7593a32426274603c8b78184fb7811360d59ebbc826c",
+    ("GermBorel", 4): "b98b400001e0037f26a5e69d11d312b6095d9050251b9090db019faf92acb5c7",
+    ("GermBorel", 5): "b096250140d8eba0df895b9c5a4dcccfefe2e2e62469922015b636a52148b92f",
+    ("InfinityBorel", 2): "f57e3aeb7cfc468b9c0491b0584daaee952bf5a10a239bbe2bdf9cb626c7c8a2",
+    ("InfinityBorel", 3): "fed559cf598bc02df03c4ae8dd2a416f68f98bd24c4cb41078583be5196e1d71",
+    ("InfinityBorel", 4): "678805606857f97667e9b76a3295a9dc7d178f3a4e154df63a411d5c71cb7613",
+    ("InfinityBorel", 5): "5a0a95b4d5f76d8fa98c22c3c261993fc4e08688a4f60e1cc57049b8cbd06571",
+    ("IwasawaO", 2): "6399d11613b68c05a215a64ef7cd57f6c79b032eb954ed3cbaa4a4391d5fe1d8",
+    ("IwasawaO", 3): "caa560e44e046759bb217e7b19e1ba0b2d28cc46fa70c40b2809eb0b031317d7",
+    ("IwasawaO", 4): "b856a3c42a95901a7577edf12f4f12adb0c80fcbc5f35d1b6ffcdddbacd7eb7e",
+    ("IwasawaO", 5): "b4b4554e63fc3dc87952a6483f99a46fda42340f9045eb2bf0a593e477fe0921",
+}
+
+
+def _report_digest(which, n):
+    check = check_axiom if which in AXIOMS else check_theorem
+    rep = report_to_dict(check(TrialConfig(n=n, trials=5, seed=1), which))
+    rep.pop("elapsed_ms")
+    return hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("which, n", sorted(SUITE_REPORTS))
+def test_suite_report(which, n):
+    assert _report_digest(which, n) == SUITE_REPORTS[which, n]
+
+
+def test_every_suite_has_a_report_literal():
+    assert {w for w, _ in SUITE_REPORTS} == AXIOMS.keys() | THEOREMS.keys()
+    assert {n for _, n in SUITE_REPORTS} == {2, 3, 4, 5}

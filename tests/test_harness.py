@@ -18,7 +18,6 @@ from lbldg.harness.report import (
     SCHEMA,
     format_lines,
     report_to_dict,
-    report_to_json,
     run_check,
 )
 from lbldg.symspace import matrix_to_json
@@ -80,7 +79,7 @@ class TestReports:
         assert d["kind"] == "theorems" and d["which"] == "IwasawaO"
         assert d["config"] == cfg._asdict()
         assert d["ok"] is True
-        parsed = json.loads(report_to_json(rep))
+        parsed = json.loads(json.dumps(report_to_dict(rep)))
         assert parsed["checks"][0]["trials"] == 3
 
     def test_format_lines(self):

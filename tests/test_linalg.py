@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbldg.harness.search import _solve_combo
 from lbldg.linalg import det, identity, mat_inv, mat_mul
+from oracles import solve_combo
 
 _ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -64,16 +64,16 @@ class TestSolveCombo:
     def test_vector_in_the_span(self):
         basis = [[Q(0), Q(1), Q(1)], [Q(2), Q(0), Q(1)]]
         v = _combine(basis, [Q(3), Q(-1, 2)])
-        assert _solve_combo(basis, v) == [Q(3), Q(-1, 2)]
+        assert solve_combo(basis, v) == [Q(3), Q(-1, 2)]
 
     def test_dependent_basis_gives_a_valid_combination(self):
         basis = [[Q(1), Q(0), Q(0)], [Q(2), Q(0), Q(0)], [Q(0), Q(1), Q(0)]]
         v = [Q(3), Q(5), Q(0)]
-        lam = _solve_combo(basis, v)
+        lam = solve_combo(basis, v)
         assert lam == [Q(3), Q(0), Q(5)]
         assert _combine(basis, lam) == v
 
     def test_inconsistent_system_is_none(self):
         basis = [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)]]
-        assert _solve_combo(basis, [Q(1), Q(1), Q(3)]) is None
-        assert _solve_combo([], [Q(1)]) is None
+        assert solve_combo(basis, [Q(1), Q(1), Q(3)]) is None
+        assert solve_combo([], [Q(1)]) is None

@@ -384,25 +384,21 @@ class TestRetract:
             assert lhs == rhs
 
     def test_distance_diminishing_200(self):
-        from lbldg import apartment as apt
-
         rng = trial_rng(5, "dimin", 10)
         for _ in range(200):
             x, y = gen_point(rng, 3), gen_point(rng, 3)
             rx, ry = sym.retract(x), sym.retract(y)
             # apartment distance between retractions, in symspace normalization:
-            # ordered-pair sum equals twice the positive-root sum
-            dr = apt.dist(rx, ry).finite_value * 2
+            # twice the sum of |d_i - d_j| over i < j, d the difference of mu
+            d = [a - b for a, b in zip(rx.to_mu(), ry.to_mu())]
+            dr = 2 * sum(abs(a - b) for k, a in enumerate(d) for b in d[k + 1 :])
             assert dr <= sym.distance(x, y).finite_value
 
 
 def test_distance_matches_apartment_dist_on_monomials():
-    # the factor-two dictionary between the two distance normalizations
-    from lbldg import apartment as apt
-
+    # the factor-two dictionary between the two distance normalizations:
+    # the apartment distance is the sum of |d_i - d_j| over i < j
     ident = sym.SPDPoint.basepoint(2)
     y = _diag_point(2, -2)
-    rs = sym.retract(y).rs
-    a = sym.retract(y)
-    b = sym.retract(ident)
-    assert sym.distance(ident, y).finite_value == 2 * apt.dist(a, b).finite_value
+    d = [a - b for a, b in zip(sym.retract(y).to_mu(), sym.retract(ident).to_mu())]
+    assert sym.distance(ident, y).finite_value == 2 * abs(d[0] - d[1])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lbldg import valfield as vf
 from lbldg.errors import (
     DuplicateExponent,
     NegativeInput,
@@ -17,6 +16,7 @@ from lbldg.errors import (
     PrecisionError,
     SeriesSyntaxError,
 )
+from lbldg.valfield import series as vf
 from lbldg.valfield.lam import BOTTOM, LambdaVal
 
 
