@@ -90,10 +90,6 @@ def in_half(h, x):
     return h.threshold.is_bottom or b >= h.threshold
 
 
-def on_wall(alpha, ell, x):
-    return b_ext(x, alpha) == (ell if isinstance(ell, LambdaVal) else LambdaVal.of(ell))
-
-
 def in_wconvex(s, x):
     return all(in_half(h, x) for h in s.constraints)
 

@@ -12,9 +12,10 @@ point validation (det = 1, then Sylvester's criterion), and a row's
 cofactors, from the matrix without that row, for mat_adjugate.  Each table
 runs on one integer lattice (series.to_lattice): one ramification index for
 the matrix and one integer scale per row, so every term of a minor shares
-exponent denominator and coefficient denominator, and the table adds and
-multiplies bare integer pairs.  Each result is put in canonical form once,
-at the end (series.from_lattice), with the product of its rows' scales.
+exponent denominator and coefficient denominator, and the table builds each
+minor, a signed sum of products of bare integer pairs, with one kernel call
+(series.lattice_ring).  Each result is put in canonical form once, at the
+end (series.from_lattice), with the product of its rows' scales.
 """
 
 from fractions import Fraction
@@ -77,9 +78,10 @@ def mat_transpose(a):
 def _minors(m, ring, masks):
     """The minors of m named by masks, from one bottom-up table.
 
-    m has r <= c rows of c entries over the ring (zero, is_zero, add, neg,
-    mul).  A mask with k set bits names the minor on the last k rows and the
-    columns it sets: (1 << c) - 1 is the full minor of a square m, and
+    m has r <= c rows of c entries over the ring (zero, is_zero, dot), where
+    dot takes (a, b, negative) triples and returns the sum of a*b, or of
+    -a*b where negative is set.  A mask with k set bits names the minor on
+    the last k rows and the columns it sets: (1 << c) - 1 is the full minor of a square m, and
     (1 << c) - (1 << i) its trailing principal minor on rows and columns i..
     Each minor is expanded along its first row, columns ascending with sign
     (-1)^position, exactly-zero entries skipped.  A top-down pass marks every
@@ -87,16 +89,17 @@ def _minors(m, ring, masks):
     many expansions share it.  For a dense square matrix that is
     sum_{k=2..c} C(c, k) * k ring products where the recursive expansion
     makes sum_{k=2..c} c!/(k - 1)!, and it is never more on any input.  Each
-    minor is the same sequence of add/neg/mul calls on the same operands as
-    its recursive expansion, so results are identical even on floored
-    operands: floors follow the expression tree, which is unchanged.
+    minor is one dot call on the signed products its recursive expansion
+    sums, so results are identical even on floored operands: the floor of a
+    sum of products is the largest product floor, however the sum is
+    grouped.
 
     The callers hand it series.lattice_ring on values from series.to_lattice
-    (or polynomials over it), so the table's sums and products are bare
-    kernel calls on one lattice and each result becomes a canonical series
-    once, after the table.
+    (or polynomials over it), so each minor is one kernel call on one
+    lattice and each result becomes a canonical series once, after the
+    table.
     """
-    zero, is_zero, add, neg, mul = ring
+    _, is_zero, dot = ring
     rows = len(m)
     # levels[k]: the wanted or reached minors on the last k rows
     levels = [set() for _ in range(rows + 1)]
@@ -117,13 +120,14 @@ def _minors(m, ring, masks):
     for k in range(2, rows + 1):
         nz = nonzero[k]
         for mask in levels[k]:
-            acc = zero
-            for bit, v in nz:
-                if mask & bit:
-                    term = mul(v, table[mask ^ bit])
-                    # the sign is (-1)^(columns of mask left of this one)
-                    acc = add(acc, neg(term) if (mask & (bit - 1)).bit_count() & 1 else term)
-            table[mask] = acc
+            # the sign is (-1)^(columns of mask left of this one)
+            table[mask] = dot(
+                [
+                    (v, table[mask ^ bit], (mask & (bit - 1)).bit_count() & 1)
+                    for bit, v in nz
+                    if mask & bit
+                ]
+            )
     return [table[mask] for mask in masks]
 
 
@@ -271,34 +275,28 @@ def act(g, x):
 
 
 def _polynomials(ring):
-    """The ring (zero, is_zero, add, neg, mul) of polynomials, tuples of
-    coefficients low degree first, over the given coefficient ring."""
-    zero, is_zero, add, neg, mul = ring
+    """The ring (zero, is_zero, dot) of polynomials, tuples of coefficients
+    low degree first, over the given coefficient ring.  dot makes one
+    coefficient dot call per degree, on the products of the nonzero
+    coefficients whose degrees sum to it."""
+    zero, is_zero, dot = ring
 
-    def poly_add(p, q):
-        n = max(len(p), len(q))
-        p = p + (zero,) * (n - len(p))
-        q = q + (zero,) * (n - len(q))
-        return tuple([add(a, b) for a, b in zip(p, q)])
-
-    def poly_neg(p):
-        return tuple([neg(a) for a in p])
-
-    def poly_mul(p, q):
-        out = [zero] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if is_zero(a):
-                continue
-            for j, b in enumerate(q):
-                if is_zero(b):
+    def poly_dot(terms):
+        size = max([len(p) + len(q) - 1 for p, q, _ in terms], default=1)
+        by_degree = [[] for _ in range(size)]
+        for p, q, negative in terms:
+            for i, a in enumerate(p):
+                if is_zero(a):
                     continue
-                out[i + j] = add(out[i + j], mul(a, b))
-        return tuple(out)
+                for j, b in enumerate(q):
+                    if not is_zero(b):
+                        by_degree[i + j].append((a, b, negative))
+        return tuple([dot(products) for products in by_degree])
 
     def poly_is_zero(p):
         return all(is_zero(a) for a in p)
 
-    return (zero,), poly_is_zero, poly_add, poly_neg, poly_mul
+    return (zero,), poly_is_zero, poly_dot
 
 
 def char_pencil(x, y):
@@ -307,10 +305,12 @@ def char_pencil(x, y):
     pencil."""
     n = x.n
     e, scales, rows = fs.to_lattice([y.entries[i] + x.entries[i] for i in range(n)])
-    ring = fs.lattice_ring(e)
-    neg = ring[3]
-    m = tuple(tuple([(neg(row[j]), row[n + j]) for j in range(n)]) for row in rows)
-    q = _minors(m, _polynomials(ring), [(1 << n) - 1])[0]
+    # entry (i, j) of the pencil is the polynomial (-y_ij, x_ij)
+    m = tuple(
+        tuple([((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])])
+        for row in rows
+    )
+    q = _minors(m, _polynomials(fs.lattice_ring(e)), [(1 << n) - 1])[0]
     scale = prod(scales)
     return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
 
@@ -379,14 +379,13 @@ def cartan_valuations(x, y):
 
 
 def distance(x, y):
-    """Sum over ordered pairs i != j of |mu_i - mu_j|; a pseudo-distance."""
-    mu = [v.finite_value for v in cartan_valuations(x, y)]
-    total = Fraction(0)
-    for i in range(len(mu)):
-        for j in range(len(mu)):
-            if i != j:
-                total += abs(mu[i] - mu[j])
-    return LambdaVal.of(total)
+    """Sum over ordered pairs i != j of |mu_i - mu_j|; a pseudo-distance.
+    The mu are sorted descending, so mu_i enters n - 1 - i pairs i < j with
+    sign + and i pairs j < i with sign -, twice each."""
+    mu = cartan_valuations(x, y)
+    n = len(mu)
+    total = sum([(n - 1 - 2 * i) * v.finite_value for i, v in enumerate(mu)], Fraction(0))
+    return LambdaVal.of(2 * total)
 
 
 def equivalent(x, y):

@@ -4,9 +4,11 @@ A term list is a tuple of (k, n) int pairs in strictly descending k with no
 zero n. It stands for the terms (n/d)*t^(k/e) of a series whose ramification
 index e and coefficient denominator d the caller keeps: both operands of
 ``kernel_add`` share one e and one d, both operands of ``kernel_mul`` share
-one e, and the product's denominator is the product of theirs. Results are
+one e, and the product's denominator is the product of theirs.
+``kernel_dot`` sums signed products whose operands all share one e and whose
+products share one d; it is what every minor table runs on. Results are
 term lists of the same form; dividing out common factors is the caller's
-job. These two functions carry essentially all the arithmetic load of the
+job. These three functions carry essentially all the arithmetic load of the
 package.
 """
 
@@ -51,3 +53,51 @@ def kernel_mul(a, b):
     return tuple(
         [(e, acc[e]) for e in sorted(acc.keys(), reverse=True) if acc[e]]
     )
+
+
+# kernel_dot accumulates in a list, one slot per exponent, while the span of
+# the exponents is at most this many times the number of term products, and
+# in a dict otherwise: a sparse operand such as t^(10^6) + 1 would make the
+# list millions of slots long
+_DENSE_SPAN = 4
+
+
+def kernel_dot(terms):
+    """The sum of a*b, or of -a*b where negative is set, over the (a, b,
+    negative) triples of terms, in one accumulator with one final scan."""
+    top = bottom = None
+    products = 0
+    for a, b, _ in terms:
+        if not a or not b:
+            continue
+        hi, lo = a[0][0] + b[0][0], a[-1][0] + b[-1][0]
+        if top is None:
+            top, bottom = hi, lo
+        else:
+            if hi > top:
+                top = hi
+            if lo < bottom:
+                bottom = lo
+        products += len(a) * len(b)
+    if top is None:
+        return ()
+    if top - bottom <= _DENSE_SPAN * products:
+        acc = [0] * (top - bottom + 1)
+        for a, b, negative in terms:
+            for ea, ca in a:
+                if negative:
+                    ca = -ca
+                base = top - ea
+                for eb, cb in b:
+                    acc[base - eb] += ca * cb
+        return tuple([(top - i, c) for i, c in enumerate(acc) if c])
+    acc = {}
+    for a, b, negative in terms:
+        for ea, ca in a:
+            if negative:
+                ca = -ca
+            for eb, cb in b:
+                e = ea + eb
+                prev = acc.get(e)
+                acc[e] = ca * cb if prev is None else prev + ca * cb
+    return tuple([(e, acc[e]) for e in sorted(acc.keys(), reverse=True) if acc[e]])

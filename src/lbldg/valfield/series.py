@@ -25,10 +25,10 @@ and the payloads of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
 
 Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
 matrix on one ramification index and one integer scale per row,
-``lattice_ring`` adds and multiplies the resulting bare (pairs, floor) values
-with the kernels alone, and ``from_lattice`` makes each result canonical
-once. Between the two conversions an element is not canonical, and no
-Fraction appears except in floors.
+``lattice_ring`` builds each sum of signed products of the resulting bare
+(pairs, floor) values with one ``kernel_dot`` call, and ``from_lattice``
+makes each result canonical once. Between the two conversions an element is
+not canonical, and no Fraction appears except in floors.
 
 All operations are pure; results are immutable.
 """
@@ -45,7 +45,7 @@ from ..errors import (
     PrecisionError,
     SeriesSyntaxError,
 )
-from ._backend import kernel_add, kernel_mul
+from ._backend import kernel_add, kernel_dot, kernel_mul
 from .lam import BOTTOM, LambdaVal
 
 LT, EQ, GT = -1, 0, 1
@@ -334,10 +334,10 @@ def mul(a, b):
 # A term of a Laplace minor is a product of one entry from each row the minor
 # spans. With one ramification index E for the whole matrix and one integer
 # scale D_i per row, every term of a minor lives on exponents k/E with
-# coefficients n/(product of its rows' D_i). So a minor table can add and
-# multiply bare (pairs, floor) values with the kernels and convert back once
-# per result, where add and mul would rescale and divide the gcds out at
-# every step.
+# coefficients n/(product of its rows' D_i). So a minor table can build each
+# minor, a signed sum of products of bare (pairs, floor) values, with one
+# kernel call and convert back once per result, where add and mul would
+# rescale and divide the gcds out at every step.
 
 
 def to_lattice(rows):
@@ -363,54 +363,41 @@ def from_lattice(e, scale, v):
 
 
 def lattice_ring(e):
-    """(zero, is_zero, add, neg, mul) on lattice values over ramification
-    index e. A sum's operands share one scale and a product's scale is the
-    product of its operands'. Floors follow add and mul exactly (floors only
-    depend on exponents), so every result has the value and floor of the same
-    expression in series."""
+    """(zero, is_zero, dot) on lattice values over ramification index e.
+    dot takes (a, b, negative) triples whose products share one scale (the
+    product of a's and b's) and returns the sum of a*b, or of -a*b where
+    negative is set.  Its floor is the largest product floor, each product
+    floor following mul and the sum's following add (floors only depend on
+    exponents), so every result has the value and floor of the same sum of
+    products in series: a term that add or mul would cut at an earlier,
+    lower floor is cut at the final one as well."""
     zero = ((), None)
 
     def is_zero(a):
         return not a[0] and a[1] is None
 
-    def lat_add(a, b):
-        pa, fa = a
-        pb, fb = b
-        if fa is None:
-            floor = fb
-        elif fb is None:
-            floor = fa
-        else:
-            floor = max(fa, fb)
-        if not pb and floor == fa:
-            return a
-        if not pa and floor == fb:
-            return b
-        pairs = kernel_add(pa, pb)
+    def lat_dot(terms):
+        products = []
+        floor = None
+        for (pa, fa), (pb, fb), negative in terms:
+            if not pa and fa is None or not pb and fb is None:
+                continue
+            if pa and pb:
+                products.append((pa, pb, negative))
+            if fa is not None:
+                f = fa + (Fraction(pb[0][0], e) if pb else fb)
+                if floor is None or f > floor:
+                    floor = f
+            if fb is not None:
+                f = fb + (Fraction(pa[0][0], e) if pa else fa)
+                if floor is None or f > floor:
+                    floor = f
+        pairs = kernel_dot(products)
         if floor is not None:
             pairs = _above(pairs, e, floor)
         return pairs, floor
 
-    def lat_neg(a):
-        return tuple([(k, -n) for k, n in a[0]]), a[1]
-
-    def lat_mul(a, b):
-        pa, fa = a
-        pb, fb = b
-        if not pa and fa is None or not pb and fb is None:
-            return zero
-        pairs = kernel_mul(pa, pb) if pa and pb else ()
-        if fa is None and fb is None:
-            return pairs, None
-        floors = []
-        if fa is not None:
-            floors.append(fa + (Fraction(pb[0][0], e) if pb else fb))
-        if fb is not None:
-            floors.append(fb + (Fraction(pa[0][0], e) if pa else fa))
-        floor = max(floors)
-        return _above(pairs, e, floor), floor
-
-    return zero, is_zero, lat_add, lat_neg, lat_mul
+    return zero, is_zero, lat_dot
 
 
 # --- valuation and order -------------------------------------------------------
@@ -713,4 +700,3 @@ def parse(text):
 
 ZERO = PuiseuxElem(1, 1, (), None)
 ONE = from_rational(1)
-T = monomial(1)

@@ -16,7 +16,7 @@ from lbldg.harness.generators import (
     trial_rng,
 )
 from lbldg.rootsys import type_A
-from lbldg.symspace import GroupElem, SPDPoint, act, distance, equivalent
+from lbldg.symspace import GroupElem, SPDPoint, act, distance, equivalent, retract
 from lbldg.valfield import series as fs
 from lbldg.valfield.lam import LambdaVal
 
@@ -164,13 +164,16 @@ class TestKernelRadius:
     whenever delta exceeds lam (n - 1)."""
 
     def test_staircase_attains_the_constant(self):
-        # consecutive gaps lam, entry negvals peak at lam (n-1)/2
+        # the point x_mu = diag(t^(2 mu_i)) of the staircase mu_i =
+        # lam (n - 1 - 2i)/2 has consecutive gaps lam and its largest
+        # diagonal negval is 2 max mu = lam (n - 1)
         lam = Q(1, 2)
         for n in (2, 3, 4):
-            mu = [lam * Q(n - 1 - 2 * i, 2) for i in range(n)]
-            assert sum(mu) == 0
-            assert all(mu[i] - mu[i + 1] == lam for i in range(n - 1))
-            assert max(mu) == lam * Q(n - 1, 2)
+            x = bd.x_mu([lam * Q(n - 1 - 2 * i, 2) for i in range(n)])
+            top = max(fs.negval(x.entries[i][i]) for i in range(n))
+            assert top == LambdaVal.of(lam * (n - 1))
+            mu = retract(x).to_mu()
+            assert [mu[i] - mu[i + 1] for i in range(n - 1)] == [lam] * (n - 1)
 
     def test_kernel_fixes_ball(self):
         for trial in range(25):

@@ -79,14 +79,42 @@ def test_the_check_sees_a_private_import():
 # --- reachability -------------------------------------------------------------
 
 
-def _names_in(node):
-    """Every bare name and attribute name read anywhere under node."""
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+def _module_key(modules, name):
+    """The key of module name in modules (a package is keyed by its
+    __init__), or None for a module from outside them."""
+    for key in (name, name + ".__init__"):
+        if key in modules:
+            return key
+    return None
+
+
+def _imports(mod, tree, modules):
+    """{bound name: (module, name)} for what mod imports from modules, with
+    name None where the bound name is a module itself."""
+    if mod.endswith(".__init__"):
+        package = mod[: -len(".__init__")]
+    else:
+        package = mod.rpartition(".")[0]
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name if alias.asname else alias.name.split(".")[0]
+                key = _module_key(modules, name)
+                if key:
+                    out[alias.asname or name] = (key, None)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[: len(parts) - node.level + 1] + ([base] if base else []))
+            source = _module_key(modules, base)
+            for alias in node.names:
+                key = _module_key(modules, f"{base}.{alias.name}")
+                if key:
+                    out[alias.asname or alias.name] = (key, None)
+                elif source:
+                    out[alias.asname or alias.name] = (source, alias.name)
     return out
 
 
@@ -100,9 +128,9 @@ def _targets(node):
 
 def _definitions(modules):
     """({(module, name): node} for every module-level def, class and
-    assigned name, the names read by every other module-level statement)."""
+    assigned name, {module: [every other module-level statement]})."""
     defs = {}
-    loose = set()
+    loose = {}
     for mod, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -111,8 +139,49 @@ def _definitions(modules):
                 for name in _targets(node):
                     defs[(mod, name)] = node
             elif not isinstance(node, (ast.Import, ast.ImportFrom, ast.Expr)):
-                loose |= _names_in(node)
+                loose.setdefault(mod, []).append(node)
     return defs, loose
+
+
+class _Resolver:
+    """The definitions a piece of code reads.  A bare name resolves to its
+    own module's definition or, through the module's imports and any
+    re-exports, to its source; an attribute of a module alias, such as
+    fs.mul, to that module's definition.  Only an attribute of some other
+    object resolves by name alone, to every definition so named."""
+
+    def __init__(self, defs, imports):
+        self.defs = defs
+        self.imports = imports
+        self.by_name = {}
+        for key in defs:
+            self.by_name.setdefault(key[1], []).append(key)
+
+    def follow(self, key):
+        """The definition key names, or None for a module or a name from
+        outside the package."""
+        for _ in range(len(self.imports) + 1):
+            if key in self.defs:
+                return key
+            key = self.imports.get(key[0], {}).get(key[1])
+            if key is None or key[1] is None:
+                return None
+        return None
+
+    def references(self, mod, node):
+        table = self.imports.get(mod, {})
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(self.follow((mod, sub.id)))
+            elif isinstance(sub, ast.Attribute):
+                base = table.get(sub.value.id) if isinstance(sub.value, ast.Name) else None
+                if base is not None and base[1] is None:
+                    out.add(self.follow((base[0], sub.attr)))
+                else:
+                    out.update(self.by_name.get(sub.attr, ()))
+        out.discard(None)
+        return out
 
 
 def _roots(defs):
@@ -123,30 +192,36 @@ def _roots(defs):
         if name in ("AXIOMS", "THEOREMS"):
             roots.add((mod, name))
         elif mod.endswith(".cli") and isinstance(node, ast.FunctionDef):
-            if any({"command", "group"} & _names_in(d) for d in node.decorator_list):
+            if any(
+                isinstance(sub, ast.Attribute) and sub.attr in ("command", "group")
+                for d in node.decorator_list
+                for sub in ast.walk(d)
+            ):
                 roots.add((mod, name))
     return roots
 
 
-def _unreachable(modules, names):
-    """Public definitions that neither a root nor a name in names reaches,
-    where a definition reaches every definition, in any module, named by a
-    name it reads.  Resolving by name alone may keep too much, never too
-    little."""
+def _unreachable(modules, entries):
+    """Public definitions of modules that neither a root nor the code of
+    entries, outside modules that run the package, reaches, where a
+    definition reaches every definition it reads (see _Resolver).
+    Resolving attributes of objects by name alone may keep too much, never
+    too little."""
     defs, loose = _definitions(modules)
-    roots = _roots(defs)
-    by_name = {}
-    for key in defs:
-        by_name.setdefault(key[1], []).append(key)
-    seen = set(roots)
-    todo = set(names) | loose
-    for key in roots:
-        todo |= _names_in(defs[key])
+    everything = {**modules, **entries}
+    imports = {mod: _imports(mod, tree, everything) for mod, tree in everything.items()}
+    resolver = _Resolver(defs, imports)
+    seen = _roots(defs)
+    todo = set(seen)
+    for mod, tree in entries.items():
+        todo |= resolver.references(mod, tree)
+    for mod, nodes in loose.items():
+        for node in nodes:
+            todo |= resolver.references(mod, node)
     while todo:
-        for key in by_name.get(todo.pop(), ()):
-            if key not in seen:
-                seen.add(key)
-                todo |= _names_in(defs[key])
+        key = todo.pop()
+        seen.add(key)
+        todo |= resolver.references(key[0], defs[key]) - seen
     return sorted(
         f"{mod}.{name}"
         for mod, name in defs
@@ -165,8 +240,8 @@ def _package_modules(src):
 
 def test_every_public_definition_is_reachable():
     modules = _package_modules(ROOT / "src")
-    names = _names_in(ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS)))
-    dead = _unreachable(modules, names)
+    entries = {"workloads": ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))}
+    dead = _unreachable(modules, entries)
     assert not dead, "reached by no suite, command or workload: " + ", ".join(dead)
 
 
@@ -178,9 +253,9 @@ def test_the_check_sees_an_unreachable_definition():
             "AXIOMS = {'X': _check}\n"
         ),
         "pkg.harness.cli": ast.parse(
-            "import click\n"
+            "import click\nfrom .. import geo\n"
             "@click.group()\ndef main():\n    pass\n"
-            "@main.command()\ndef show():\n    print(Shape().area())\n"
+            "@main.command()\ndef show():\n    print(geo.Shape().area())\n"
             "def helper():\n    pass\n"
         ),
         "pkg.geo": ast.parse(
@@ -193,6 +268,21 @@ def test_the_check_sees_an_unreachable_definition():
             "class Shape:\n    def area(self):\n        return measure()\n"
             "def measure():\n    return 1\n"
         ),
+        # dead twins of live names: resolved through imports, not by name
+        "pkg.spare": ast.parse(
+            "LIMIT = 5\n"
+            "def used(x):\n    return x\n"
+            "class Shape:\n    pass\n"
+        ),
+        "pkg.__init__": ast.parse("from .geo import from_bench\n"),
     }
-    dead = _unreachable(modules, {"from_bench"})
-    assert dead == ["pkg.geo.SPARE", "pkg.geo.planted", "pkg.harness.cli.helper"]
+    entries = {"bench": ast.parse("import pkg\n\ndef run():\n    return pkg.from_bench()\n")}
+    dead = _unreachable(modules, entries)
+    assert dead == [
+        "pkg.geo.SPARE",
+        "pkg.geo.planted",
+        "pkg.harness.cli.helper",
+        "pkg.spare.LIMIT",
+        "pkg.spare.Shape",
+        "pkg.spare.used",
+    ]

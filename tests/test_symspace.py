@@ -336,6 +336,15 @@ class TestDistance:
             x, y = gen_point(rng, n), gen_point(rng, n)
             assert sym.distance(sym.act(g, x), sym.act(g, y)) == sym.distance(x, y)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_pairwise_sum(self, n):
+        rng = trial_rng(5, "pairwise", n)
+        for _ in range(8):
+            x, y = gen_point(rng, n), gen_point(rng, n)
+            mu = [v.finite_value for v in sym.cartan_valuations(x, y)]
+            pairwise = sum(abs(a - b) for a in mu for b in mu)
+            assert sym.distance(x, y) == LambdaVal.of(pairwise)
+
     def test_pseudo_distance_axioms_sampled(self):
         rng = trial_rng(5, "axioms", 7)
         for _ in range(60):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -17,7 +18,11 @@ from lbldg.errors import (
     SeriesSyntaxError,
 )
 from lbldg.valfield import series as vf
+from lbldg.valfield._backend import kernel_add, kernel_dot, kernel_mul
 from lbldg.valfield.lam import BOTTOM, LambdaVal
+
+# the distinguished element t
+T = vf.monomial(1)
 
 
 def _rand_exact(rng, max_terms=4):
@@ -105,11 +110,11 @@ class TestParsePrint:
         assert z.terms == () and z.floor is None
 
     def test_grammar_variants(self):
-        assert vf.parse("t") == vf.T
+        assert vf.parse("t") == T
         assert vf.parse("t^3") == vf.monomial(3)
         assert vf.parse("t^-2") == vf.monomial(-2)
         assert vf.parse("  -5/3 * t ^ ( 7/2 ) ") == vf.monomial(Q(7, 2), Q(-5, 3))
-        assert vf.parse("2 - t") == vf.sub(vf.from_rational(2), vf.T)
+        assert vf.parse("2 - t") == vf.sub(vf.from_rational(2), T)
 
     def test_syntax_errors_carry_offsets(self):
         with pytest.raises(SeriesSyntaxError) as ei:
@@ -148,7 +153,7 @@ class TestParsePrint:
 
 class TestArithmetic:
     def test_trivial_products(self):
-        t = vf.T
+        t = T
         assert vf.mul(t + 1, t - 1) == vf.parse("t^2 - 1")
         assert vf.mul(vf.monomial(Q(1, 2)), vf.monomial(Q(1, 2))) == t
 
@@ -213,7 +218,7 @@ class TestValuation:
             vf.negval(vf.parse("0 + O(t^(0))"))
 
     def test_order_examples(self):
-        assert vf.cmp(vf.T, vf.from_rational(10**6)) == vf.GT
+        assert vf.cmp(T, vf.from_rational(10**6)) == vf.GT
         assert vf.cmp(vf.monomial(-1), vf.ZERO) == vf.GT
         with pytest.raises(PrecisionError):
             vf.cmp(vf.parse("1 + O(t^(0))"), vf.ONE)
@@ -241,7 +246,7 @@ class TestValuation:
 
     def test_ring_membership(self):
         assert vf.in_O(vf.parse("t^(-2) + 5"))
-        assert not vf.in_O(vf.T)
+        assert not vf.in_O(T)
         assert not vf.is_unit(vf.monomial(-1))
         assert vf.is_unit(vf.parse("2 + t^(-1)"))
         assert vf.in_O(vf.ZERO) and not vf.is_unit(vf.ZERO)
@@ -253,7 +258,7 @@ class TestValuation:
         assert vf.residue(vf.parse("3 + t^(-1)")) == 3
         assert vf.residue(vf.monomial(-5)) == 0
         with pytest.raises(NotInRing):
-            vf.residue(vf.T)
+            vf.residue(T)
         with pytest.raises(PrecisionError):
             vf.residue(vf.parse("1 + O(t^(0))"))
 
@@ -263,7 +268,7 @@ class TestValuation:
 
 class TestInvSqrt:
     def test_inv_examples(self):
-        assert vf.inv(vf.T, Q(-99)) == vf.monomial(-1)
+        assert vf.inv(T, Q(-99)) == vf.monomial(-1)
         got = vf.inv(vf.parse("1 - t^(-1)"), Q(-3))
         assert vf.to_str(got) == "1 + t^(-1) + t^(-2) + t^(-3) + O(t^(-4))"
         with pytest.raises(ZeroDivisionError):
@@ -286,7 +291,7 @@ class TestInvSqrt:
                 assert r.floor <= bound
 
     def test_sqrt_examples(self):
-        assert vf.sqrt_pos(vf.monomial(2)) == vf.T
+        assert vf.sqrt_pos(vf.monomial(2)) == T
         got = vf.sqrt_pos(vf.parse("1 + t^(-1)"), Q(-3))
         assert got.floor == Q(-7, 2)
         lead = dict(got.terms)
@@ -294,7 +299,7 @@ class TestInvSqrt:
         with pytest.raises(NotASquare):
             vf.sqrt_pos(vf.from_rational(2), Q(-3))
         with pytest.raises(NegativeInput):
-            vf.sqrt_pos(vf.neg(vf.T), Q(-3))
+            vf.sqrt_pos(vf.neg(T), Q(-3))
         with pytest.raises(NegativeInput):
             vf.sqrt_pos(vf.ZERO, Q(-3))
 
@@ -441,3 +446,61 @@ class TestFloorSoundness:
         else:
             assert got.floor <= target
             assert r.is_zero or vf.negval(r).finite_value <= got.floor + lead / 2
+
+
+# --- the signed sum-of-products kernel -------------------------------------------
+
+
+def _fold_dot(terms):
+    """kernel_dot's reference: each product by kernel_mul, negated where
+    asked, merged by kernel_add, in order."""
+    acc = ()
+    for a, b, negative in terms:
+        p = kernel_mul(a, b)
+        if negative:
+            p = tuple([(k, -n) for k, n in p])
+        acc = kernel_add(acc, p)
+    return acc
+
+
+# numerators past 2^64, exponents packed in a short span or spread out
+_NUMERATORS = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80)).filter(bool)
+_EXPONENTS = st.one_of(st.integers(-6, 6), st.integers(-(10**6), 10**6))
+_TERM_LISTS = st.dictionaries(_EXPONENTS, _NUMERATORS, max_size=5).map(
+    lambda acc: tuple(sorted(acc.items(), reverse=True))
+)
+
+
+@st.composite
+def _dot_terms(draw):
+    """Signed products, sometimes with a drawn one repeated under the other
+    sign so that its terms cancel."""
+    terms = draw(st.lists(st.tuples(_TERM_LISTS, _TERM_LISTS, st.booleans()), max_size=6))
+    if terms and draw(st.booleans()):
+        a, b, negative = draw(st.sampled_from(terms))
+        terms.insert(draw(st.integers(0, len(terms))), (b, a, not negative))
+    return terms
+
+
+_DENSE = ((2, 3), (1, -1), (0, 2**70))
+
+
+class TestKernelDot:
+    @given(_dot_terms())
+    @settings(max_examples=300, deadline=None)
+    @example([(_DENSE, _DENSE, False), (_DENSE, ((1, 1),), True)])
+    @example([(_DENSE, _DENSE, False), (_DENSE, _DENSE, True)])
+    def test_equals_the_fold_of_mul_and_add(self, terms):
+        assert kernel_dot(terms) == _fold_dot(terms)
+
+    def test_a_sparse_operand_allocates_no_dense_accumulator(self):
+        a = ((10**6, 1), (0, 1))
+        tracemalloc.start()
+        try:
+            got = kernel_dot([(a, a, False)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == ((2 * 10**6, 1), (10**6, 2), (0, 1))
+        # a list over the span would take about 16 MB
+        assert peak < 64 * 1024
