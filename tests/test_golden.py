@@ -7,6 +7,7 @@ the kernel or the geometry must reproduce them exactly.
 
 import hashlib
 import json
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -304,3 +305,53 @@ def test_suite_report(which, n):
 def test_every_suite_has_a_report_literal():
     assert {w for w, _ in SUITE_REPORTS} == AXIOMS.keys() | THEOREMS.keys()
     assert {n for _, n in SUITE_REPORTS} == {2, 3, 4, 5}
+
+
+def _power_calls():
+    """Seeded (function, operand, target) triples for inv and sqrt_pos.
+
+    Operands are zero, monomials, or a leading term with up to four lower
+    terms over exponent denominators 1-4, exact or cut by with_floor at a
+    floor that may mask the leading term.  Leading coefficients for sqrt_pos
+    are mostly rational squares, and otherwise signed and not squares.
+    Targets lie from 6 below to 1 above the leading exponent; sqrt_pos is
+    sometimes called without one."""
+    rng = random.Random(20261018)
+    for i in range(2000):
+        fn = fs.inv if i % 2 == 0 else fs.sqrt_pos
+        lead = Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        if fn is fs.sqrt_pos and rng.random() < 0.7:
+            coef = Q(rng.randint(1, 4), rng.randint(1, 3)) ** 2
+        else:
+            coef = Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        terms = [(lead, coef)]
+        x = lead
+        for _ in range(rng.choice([0, 0, 1, 2, 3, 4])):
+            x -= Q(rng.randint(1, 4), rng.choice([1, 2, 3, 4]))
+            terms.append((x, Q(rng.randint(-9, 9), rng.randint(1, 4))))
+        a = fs.ZERO if rng.random() < 0.03 else fs.PuiseuxElem.from_terms(terms)
+        if rng.random() < 0.5:
+            a = fs.with_floor(a, x - Q(rng.randint(-4, 8), rng.choice([1, 2])))
+        target = lead + Q(rng.randint(-12, 2), rng.choice([1, 2, 3, 4]))
+        if fn is fs.sqrt_pos and rng.random() < 0.2:
+            target = None
+        yield fn, a, target
+
+
+def _power_digest():
+    lines = []
+    for fn, a, target in _power_calls():
+        try:
+            lines.append(fs.to_str(fn(a, target)))
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the to_str of every _power_calls result, or "type: message" for
+# the calls that raise, one per line
+POWER_DIGEST = "89f1f51e06170a399aaebd500ac64c6bf695948662938be9139a00923c3ffe7c"
+
+
+def test_inv_and_sqrt_pos_outputs():
+    assert _power_digest() == POWER_DIGEST
