@@ -2,10 +2,10 @@
 
 The residue side reduces base-point stabilizer elements entrywise to their
 t^0 coefficients.  Over our representable subfield those coefficients are
-plain rationals, so the residue group is SL(n, Q) and germs of sectors based
-at the base point are classified by its upper-triangular subgroup: two
-sectors share a germ exactly when the residue of the transition element is
-upper triangular.
+plain rationals, so the residue group is SL(n, Q), held as the group elements
+with constant entries, and germs of sectors based at the base point are
+classified by its upper-triangular subgroup: two sectors share a germ
+exactly when the residue of the transition element is upper triangular.
 
 The side at infinity classifies sectors up to parallelism.  A chart and the
 standard sector point the same way exactly when the transition element is
@@ -20,7 +20,6 @@ characterizations with the geometry they claim to summarize.
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
 from .apartment import ApartmentVec
 from .building import chart_image, stab_o, trop
 from .errors import NotInRing
@@ -36,46 +35,6 @@ GERM_RADII = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 GERM_LADDER = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5), Fraction(1))
 
 
-class ResidueElem(NamedTuple):
-    """Element of SL(n, Q), the reduction of a base-point stabilizer."""
-
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, rows, validate=True):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if validate and linalg.det([list(r) for r in entries]) != 1:
-            raise ValueError("residue matrix must have determinant 1")
-        return cls(entries)
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_rows(linalg.identity(n), validate=False)
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def __matmul__(self, other):
-        rows = linalg.mat_mul([list(r) for r in self.entries], [list(r) for r in other.entries])
-        return ResidueElem.from_rows(rows, validate=False)
-
-    def inverse(self):
-        return ResidueElem.from_rows(linalg.mat_inv([list(r) for r in self.entries]), validate=False)
-
-    def is_upper(self):
-        return all(
-            self.entries[i][j] == 0 for i in range(self.n) for j in range(i)
-        )
-
-    def lift(self):
-        """The same matrix as a group element with constant entries."""
-        return GroupElem(
-            [[fs.from_rational(x) for x in row] for row in self.entries],
-            validate=False,
-        )
-
-
 class SectorGerm(NamedTuple):
     """Germ at the base point of g applied to the standard sector."""
 
@@ -89,12 +48,21 @@ class SectorAtInfinity(NamedTuple):
 
 
 def reduce(g):
-    """Entrywise t^0 coefficient of a base-point stabilizer element."""
+    """Entrywise t^0 coefficient of a base-point stabilizer element, as a
+    group element with constant entries: the constants Q in O are a section
+    of the residue map, so SL(n, Q) is the residue group inside SL(n)."""
     if not stab_o(g):
         raise NotInRing("reduction requires all entries in O")
-    return ResidueElem.from_rows(
-        [[fs.residue(e) for e in row] for row in g.entries], validate=False
+    return GroupElem(
+        [[fs.from_rational(fs.residue(e)) for e in row] for row in g.entries],
+        validate=False,
     )
+
+
+def _is_upper(g):
+    """Whether every entry of g below the diagonal is exactly zero;
+    PrecisionError when a floor hides that."""
+    return all(fs.provably_zero(g.entries[i][j]) for i in range(g.n) for j in range(i))
 
 
 def germ_equal(s1, s2):
@@ -105,7 +73,7 @@ def germ_equal(s1, s2):
     which is exactly the germ stabilizer of the standard sector.
     """
     b = s2.g.inverse() @ s1.g
-    return reduce(b).is_upper()
+    return _is_upper(reduce(b))
 
 
 def chamber_rays(n):
@@ -168,10 +136,7 @@ def infinity_equal(c1, c2):
     Operationally: the transition element is upper triangular over the
     series field, i.e. every entry below the diagonal is exactly zero.
     """
-    b = c2.g.inverse() @ c1.g
-    return all(
-        fs.provably_zero(b.entries[i][j]) for i in range(b.n) for j in range(i)
-    )
+    return _is_upper(c2.g.inverse() @ c1.g)
 
 
 def _deep_direction(n):
@@ -232,13 +197,14 @@ def sampled_infinity_equal(c1, c2):
 def transitivity_witness(s1, s2):
     """Residue-group element carrying the first germ to the second.
 
-    Solved in SL(n, Q) by Gaussian elimination: h = r2 r1^(-1) maps the
+    With r1, r2 the reductions of the two charts, h = r2 r1^(-1) maps the
     first sector's germ to the second's, since the transition residue it
-    induces is the identity, which is upper triangular.
+    induces is the identity, which is upper triangular.  Residues have
+    determinant 1, so the inverse is the adjugate.
     """
     r1 = reduce(s1.g)
     r2 = reduce(s2.g)
     h = r2 @ r1.inverse()
-    if not (r2.inverse() @ h @ r1).is_upper():
+    if not _is_upper(r2.inverse() @ h @ r1):
         raise AssertionError("witness failed the Borel check")
     return h

@@ -246,7 +246,7 @@ def _check_germ_borel(cfg):
         s1 = SectorGerm(gen_stab_elem(rng, cfg.n))
         s2 = SectorGerm(gen_stab_elem(rng, cfg.n))
         h = transitivity_witness(s1, s2)
-        if not germ_equal(SectorGerm(h.lift() @ s1.g), s2):
+        if not germ_equal(SectorGerm(h @ s1.g), s2):
             return {"g1": matrix_to_json(s1.g), "g2": matrix_to_json(s2.g)}
         return None
 

@@ -337,18 +337,9 @@ def _hull_value_at(hull, k):
     raise ValueError("k outside hull span")
 
 
-class CartanVals(tuple):
-    """Sorted (descending) eigen-negval halves, as LambdaVal entries."""
-
-    __slots__ = ()
-
-    @property
-    def mu(self):
-        return tuple(self)
-
-
 def cartan_valuations(x, y):
-    """Half the root negvals of det(lambda*x - y), sorted descending."""
+    """Half the root negvals of det(lambda*x - y), sorted descending, as a
+    tuple of LambdaVal."""
     q = char_pencil(x, y)
     n = x.n
     known = []
@@ -375,7 +366,7 @@ def cartan_valuations(x, y):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = (y2 - y1) / (x2 - x1)
         mu.extend([slope / 2] * int(x2 - x1))
-    return CartanVals(LambdaVal.of(v) for v in mu)
+    return tuple([LambdaVal.of(v) for v in mu])
 
 
 def distance(x, y):

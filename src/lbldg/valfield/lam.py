@@ -51,43 +51,6 @@ class LambdaVal:
             return BOTTOM
         return LambdaVal(self.payload + other.payload)
 
-    def __sub__(self, other):
-        if not isinstance(other, LambdaVal):
-            return NotImplemented
-        if other.payload is None:
-            raise ValueError("cannot subtract Bottom")
-        if self.payload is None:
-            return BOTTOM
-        return LambdaVal(self.payload - other.payload)
-
-    def __neg__(self):
-        if self.payload is None:
-            raise ValueError("cannot negate Bottom")
-        return LambdaVal(-self.payload)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if self.payload is None:
-            if k > 0:
-                return BOTTOM
-            raise ValueError("Bottom only scales by positive integers")
-        return LambdaVal(self.payload * k)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        if not isinstance(k, int) or k <= 0:
-            raise ValueError("division requires a positive integer")
-        if self.payload is None:
-            return BOTTOM
-        return LambdaVal(self.payload / k)
-
-    def __abs__(self):
-        if self.payload is None:
-            raise ValueError("Bottom has no absolute value")
-        return LambdaVal(abs(self.payload))
-
     def __eq__(self, other):
         if not isinstance(other, LambdaVal):
             return NotImplemented

@@ -456,27 +456,59 @@ def residue(a):
 # --- inverse and square root ---------------------------------------------------
 
 
-def _lattice_step(a, halved=False):
-    """Smallest exponent spacing the result can live on."""
-    return Fraction(1, 2 * a.e if halved else a.e)
+def _scale(a, q):
+    """a times the nonzero rational q; the floor is unchanged."""
+    pairs = tuple([(k, n * q.numerator) for k, n in a.pairs])
+    return _canon(a.e, a.d * q.denominator, pairs, a.floor)
 
 
-def _tail_floor(target_floor, step, dropped_ub):
-    """Floor for a series summed down to target_floor on a lattice of spacing
-    step: the dropped terms lie on the lattice strictly below target_floor
-    (one step below it when it is a lattice point), and the floors they carry
-    are at most dropped_ub."""
-    floor = (math.ceil(target_floor / step) - 1) * step
-    if dropped_ub is not None and dropped_ub > floor:
-        return dropped_ub
-    return floor
+def _sqrt_rational(q):
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise NotASquare(f"{q} is not the square of a rational")
+    return Fraction(rn, rd)
 
 
-def _split_lead(a):
-    """(leading exponent, leading coefficient, a without its leading term)."""
+def _power(a, p, target_floor):
+    """a^p for p = -1 or 1/2, a with a visible leading term, by the binomial
+    expansion: a = c t^e (1 + r) with negval(r) < 0, and
+
+        a^p = c^p t^(pe) sum_k binom(p, k) r^k,
+
+    summed while the terms reach target_floor.  The result lives on the
+    lattice of spacing 1/(e_a denominator(p)), so its floor is the lattice
+    point below target_floor (one step below it when target_floor is a
+    lattice point), or the floor the dropped terms carry when that is
+    higher.  An exact monomial needs no target."""
     k, n = a.pairs[0]
-    rest = _canon(a.e, a.d, a.pairs[1:], a.floor)
-    return Fraction(k, a.e), Fraction(n, a.d), rest
+    e, c = Fraction(k, a.e), Fraction(n, a.d)
+    lead = monomial(p * e, c**p if p.denominator == 1 else _sqrt_rational(c))
+    if len(a.pairs) == 1 and a.floor is None:
+        return lead
+    if target_floor is None:
+        raise TypeError("target_floor is required for non-monomial input")
+    target_floor = _q(target_floor)
+    if a.floor is not None and a.floor - (1 - p) * e > target_floor:
+        raise PrecisionError("floor of operand too coarse for requested precision")
+    r = mul(monomial(-e, 1 / c), _canon(a.e, a.d, a.pairs[1:], a.floor))
+    cutoff = target_floor - p * e
+    s = term = ONE
+    i = 0
+    while True:
+        # term is binom(p, i) r^i; the next one is term * r * (p - i)/(i + 1)
+        term = mul(term, r)
+        ub = _negval_ub(term)
+        if ub is None or ub < cutoff:
+            break
+        term = _scale(term, Fraction(p.numerator - i * p.denominator, p.denominator * (i + 1)))
+        i += 1
+        s = add(s, term)
+    step = Fraction(1, a.e * p.denominator)
+    floor = (math.ceil(target_floor / step) - 1) * step
+    if ub is not None and ub + p * e > floor:
+        floor = ub + p * e
+    return with_floor(mul(lead, s), floor)
 
 
 def inv(a, target_floor):
@@ -489,33 +521,7 @@ def inv(a, target_floor):
         if a.floor is None:
             raise ZeroDivisionError("inverse of zero")
         raise PrecisionError(f"leading term masked by floor {a.floor}")
-    e, c, rest = _split_lead(a)
-    lead_inv = monomial(-e, Fraction(1, 1) / c)
-    if rest.is_zero:
-        return lead_inv
-    if a.floor is not None and a.floor - 2 * e > target_floor:
-        raise PrecisionError("floor of operand too coarse for requested precision")
-    # a = c t^e (1 + r); 1/a = lead_inv * sum (-r)^k, negval(r) < 0.
-    neg_r = neg(mul(lead_inv, rest))
-    cutoff = target_floor + e
-    s = ONE
-    p = ONE
-    while True:
-        p = mul(p, neg_r)
-        ub = _negval_ub(p)
-        if ub is None or ub < cutoff:
-            break
-        s = add(s, p)
-    dropped = None if ub is None else ub - e
-    return with_floor(mul(lead_inv, s), _tail_floor(target_floor, _lattice_step(a), dropped))
-
-
-def _sqrt_rational(q):
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise NotASquare(f"{q} is not the square of a rational")
-    return Fraction(rn, rd)
+    return _power(a, Fraction(-1), target_floor)
 
 
 def sqrt_pos(a, target_floor=None):
@@ -523,34 +529,7 @@ def sqrt_pos(a, target_floor=None):
     target_floor may be omitted only when a is an exact monomial."""
     if cmp(a, ZERO) != GT:
         raise NegativeInput("sqrt_pos requires a positive element")
-    e, c, rest = _split_lead(a)
-    s0 = _sqrt_rational(c)
-    lead = monomial(e / 2, s0)
-    if rest.is_zero:
-        return lead
-    if target_floor is None:
-        raise TypeError("target_floor is required for non-monomial input")
-    target_floor = _q(target_floor)
-    if a.floor is not None and a.floor - e / 2 > target_floor:
-        raise PrecisionError("floor of operand too coarse for requested precision")
-    # a = c t^e (1 + r); sqrt = lead * sum binom(1/2, k) r^k.
-    r = mul(monomial(-e, Fraction(1, 1) / c), rest)
-    cutoff = target_floor - e / 2
-    s = ONE
-    p = ONE
-    coef = Fraction(1)
-    k = 0
-    while True:
-        coef = coef * (Fraction(1, 2) - k) / (k + 1)
-        k += 1
-        p = mul(p, r)
-        ub = _negval_ub(p)
-        if ub is None or ub < cutoff:
-            break
-        s = add(s, mul(from_rational(coef), p))
-    dropped = None if ub is None else ub + e / 2
-    step = _lattice_step(a, halved=True)
-    return with_floor(mul(lead, s), _tail_floor(target_floor, step, dropped))
+    return _power(a, Fraction(1, 2), target_floor)
 
 
 # --- canonical text form ---------------------------------------------------

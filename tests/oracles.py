@@ -66,7 +66,7 @@ def solve_combo(basis, v):
         return None
     m = len(basis)
     aug = [[b[r] for b in basis] + [v[r]] for r in range(len(v))]
-    pivots, _ = row_reduce(aug, m)
+    pivots = row_reduce(aug, m)
     if any(row[m] for row in aug[len(pivots):]):
         return None
     lam = [Fraction(0)] * m

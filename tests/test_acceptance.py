@@ -221,7 +221,7 @@ def test_criterion_09_germ_predicate_and_witness():
         s1 = SectorGerm(gen_stab_elem(rng, 3))
         s2 = SectorGerm(gen_stab_elem(rng, 3))
         h = transitivity_witness(s1, s2)
-        assert germ_equal(SectorGerm(h.lift() @ s1.g), s2)
+        assert germ_equal(SectorGerm(h @ s1.g), s2)
         witnesses += 1
     assert witnesses == 100
     print("criterion 9: germ predicate matches sampling (n=2,3), witness 100/100")

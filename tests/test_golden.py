@@ -313,8 +313,8 @@ def _power_calls():
     Operands are zero, monomials, or a leading term with up to four lower
     terms over exponent denominators 1-4, exact or cut by with_floor at a
     floor that may mask the leading term.  Leading coefficients for sqrt_pos
-    are mostly rational squares, and otherwise signed and not squares.
-    Targets lie from 6 below to 1 above the leading exponent; sqrt_pos is
+    are mostly rational squares, and otherwise signed and mostly not squares.
+    Targets lie from 12 below to 2 above the leading exponent; sqrt_pos is
     sometimes called without one."""
     rng = random.Random(20261018)
     for i in range(2000):
