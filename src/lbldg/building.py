@@ -6,7 +6,9 @@ A chart is a group element g read as the map mu -> g . x_mu, where
 x_mu = diag(t^(2 mu_1), ..., t^(2 mu_n)) and mu has exact sum zero.  The
 standard apartment is the chart of the identity.  Everything here is exact:
 the only series operations used are negval, products by monomials, and the
-ring-membership tests.
+ring-membership tests.  chart_image reads negvals as the series layer's
+lattice ints (the leading pair's k over e) and x_mu builds each monomial
+t^(k/e) from ints, so neither makes a Fraction or LambdaVal per entry.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from .errors import AmbiguousWeyl, ConfigError, EnumerationBound, IdentityElemen
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
-from .valfield.lam import BOTTOM, LambdaVal
+from .valfield.lam import LambdaVal
 
 # Permutation enumeration stays exhaustive up to this matrix size.
 PERM_BOUND = 5
@@ -39,17 +41,17 @@ INV_TAIL = 6
 
 
 def x_mu(mu):
-    """The apartment point diag(t^(2 mu_i)) as a symmetric-space point."""
-    if isinstance(mu, ApartmentVec):
-        mu = mu.to_mu()
-    mu = [Fraction(m) for m in mu]
-    if sum(mu) != 0:
-        raise ValueError("mu coordinates must sum to zero")
-    n = len(mu)
-    rows = [
-        [fs.monomial(2 * mu[i]) if i == j else fs.ZERO for j in range(n)]
-        for i in range(n)
-    ]
+    """The apartment point diag(t^(2 mu_i)) as a symmetric-space point; mu
+    is an ApartmentVec or a list read by ApartmentVec.from_mu."""
+    if not isinstance(mu, ApartmentVec):
+        mu = ApartmentVec.from_mu(type_A(len(mu) - 1), mu)
+    n = mu.rs.rank + 1
+    rows = [[fs.ZERO] * n for _ in range(n)]
+    for i, m in enumerate(mu.to_mu()):
+        # t^(2 m) = t^(k/e) in lowest terms, for m = p/q in lowest terms
+        p, q = m.numerator, m.denominator
+        e, k = (q // 2, p) if q % 2 == 0 else (q, 2 * p)
+        rows[i][i] = fs.PuiseuxElem(e, 1, ((k, 1),), None)
     return SPDPoint(rows, validate=False)
 
 
@@ -66,27 +68,35 @@ def chart_image(g, mu):
     r_i is the least exponent a diagonal monomial witness can carry in row
     i, and det g = 1 forces sum_i r_i >= 0; see apartment_overlap for the
     full membership argument.
+
+    r is computed on one int lattice 1/L, L the lcm of the entries' e and
+    of mu's denominators: T_ij is the leading lattice int of entry (i, j),
+    read off its pairs, and an exact zero (Bottom) enters no maximum.  A
+    masked entry raises the PrecisionError trop raises, for the first one
+    in row-major order, and a row of exact zeros makes r_i Bottom, so the
+    point lies outside.
     """
     rs = mu.rs
     n = rs.rank + 1
     if g.n != n:
         raise ValueError("chart size and apartment rank disagree")
-    T = trop(g)
-    mv = [LambdaVal.of(m) for m in mu.to_mu()]
+    mv = mu.to_mu()
+    scale = lcm(*[a.e for row in g.entries for a in row], *[m.denominator for m in mv])
+    m_int = [m.numerator * (scale // m.denominator) for m in mv]
     r = []
-    for i in range(n):
-        best = BOTTOM
-        for j in range(n):
-            cand = T[i][j] + mv[j]
-            if best < cand:
-                best = cand
+    for row in g.entries:
+        best = None
+        for a, m in zip(row, m_int):
+            if a.pairs:
+                cand = a.pairs[0][0] * (scale // a.e) + m
+                if best is None or cand > best:
+                    best = cand
+            elif a.floor is not None:
+                fs.negval(a)  # raises the PrecisionError of a masked entry
         r.append(best)
-    total = r[0]
-    for v in r[1:]:
-        total = total + v
-    if total != LambdaVal.of(0):
+    if None in r or sum(r) != 0:
         return None
-    return ApartmentVec.from_mu(rs, [v.finite_value for v in r])
+    return ApartmentVec.from_mu(rs, [Fraction(v, scale) for v in r])
 
 
 def _region(rs, T, sigma):

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import floor, gcd
 
 from ..apartment import ApartmentVec, difference_form, wconvex_witness
-from ..linalg import identity, mat_inv, mat_mul
+from ..linalg import mat_inv
 from ..symspace import GroupElem, SPDPoint, act
 from ..valfield import series as fs
 
@@ -70,11 +70,13 @@ def gen_orthogonal(rng, n):
         for j in range(i + 1, n):
             v = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
             s[i][j], s[j][i] = v, -v
-    eye = identity(n)
-    num = [[eye[i][j] - s[i][j] for j in range(n)] for i in range(n)]
-    den = [[eye[i][j] + s[i][j] for j in range(n)] for i in range(n)]
-    k = mat_mul(num, mat_inv(den))
-    return GroupElem([[fs.from_rational(v) for v in row] for row in k], validate=False)
+    # (I - S)(I + S)^-1 = (2I - (I + S))(I + S)^-1 = 2(I + S)^-1 - I
+    inv = mat_inv([[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(s)])
+    rows = [
+        [fs.from_rational(2 * v - (i == j)) for j, v in enumerate(row)]
+        for i, row in enumerate(inv)
+    ]
+    return GroupElem(rows, validate=False)
 
 
 def gen_group_elem(rng, n, span=4, denom=2, factors=3):

@@ -1,49 +1,46 @@
-"""Exact linear algebra over Fraction, for the generators."""
+"""Exact matrix inverse over the rationals, for the generators.
+
+mat_inv runs fraction-free Gauss-Jordan elimination on ints (Bareiss 1968,
+Math. Comp. 22): each row is scaled to ints once, and every elimination step
+divides exactly by the previous pivot, so no Fraction appears until the
+inverse is read off at the end.
+"""
 
 from fractions import Fraction
-
-
-def identity(n):
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][p] * b[p][j] for p in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def row_reduce(a, ncols):
-    """Gauss-Jordan elimination in place on the rows of a (lists of
-    Fraction) over its first ncols columns, leaving them in reduced row
-    echelon form; later columns ride along as augmented columns.
-
-    Returns the pivot columns in order."""
-    nrows = len(a)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv_p = 1 / a[row][col]
-        a[row] = [x * inv_p for x in a[row]]
-        for r in range(nrows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    return pivots
+from math import lcm
 
 
 def mat_inv(m):
-    """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
+    """The inverse of a square matrix of ints or Fractions, as rows of
+    Fraction; raises ValueError on a singular matrix.
+
+    Row i of m is scaled by the lcm s_i of its denominators, and the int
+    system [S m | S] is reduced.  After step k every entry is a minor of
+    order k + 1 of that system, so the division by the previous pivot is
+    exact, and the pivot columns hold p_k times the identity.  At the end
+    the left block is p I with p = +-det(S m) and the right block is
+    p m^-1.  A zero column below the pivot row means the column lies in the
+    span of the earlier ones: the matrix is singular.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + ident_row for row, ident_row in zip(m, identity(n))]
-    if len(row_reduce(a, n)) < n:
-        raise ValueError("singular matrix")
-    return [row[n:] for row in a]
+    a = []
+    for i, row in enumerate(m):
+        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+        s = lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (s // x.denominator) for x in row] + [0] * n)
+        a[i][n + i] = s
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return [[Fraction(x, prev) for x in row[n:]] for row in a]

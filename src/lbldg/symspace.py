@@ -19,7 +19,7 @@ end (series.from_lattice), with the product of its rows' scales.
 """
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .apartment import ApartmentVec
 from .errors import PrecisionError
@@ -56,18 +56,29 @@ def mat_identity(n):
     )
 
 
+def _nonzero(row):
+    """(p, entry) for the entries of row that are not exactly zero."""
+    return [(p, v) for p, v in enumerate(row) if v.pairs or v.floor is not None]
+
+
+def _row_dot(nz, col):
+    """sum_p v * col[p] over nz = _nonzero(row), left to right, skipping
+    exact zeros of col.  An exactly-zero product adds nothing (add returns
+    its other operand unchanged), so the sum is the full one byte for byte."""
+    acc = fs.ZERO
+    for p, v in nz:
+        w = col[p]
+        if w.pairs or w.floor is not None:
+            acc = fs.add(acc, fs.mul(v, w))
+    return acc
+
+
 def mat_mul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
+    cols = list(zip(*b))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = fs.ZERO
-            for p in range(k):
-                acc = fs.add(acc, fs.mul(a[i][p], b[p][j]))
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        nz = _nonzero(row)
+        out.append(tuple([_row_dot(nz, col) for col in cols]))
     return tuple(out)
 
 
@@ -266,9 +277,19 @@ class SPDPoint:
 
 
 def act(g, x):
-    """g.x = g x g^T; preserves all point invariants exactly."""
-    gx = mat_mul(g.entries, x.entries)
-    return SPDPoint(mat_mul(gx, mat_transpose(g.entries)), validate=False)
+    """g.x = g x g^T; preserves all point invariants exactly.  Entry (i, j)
+    for i <= j is sum_p (g x)_ip g_jp, summed as mat_mul sums it, and entry
+    (j, i) is the same series."""
+    n = g.n
+    if x.n != n:
+        raise ValueError(f"cannot act by a {n} x {n} element on a {x.n} x {x.n} point")
+    g_rows = g.entries
+    rows = [[None] * n for _ in range(n)]
+    for i, left in enumerate(mat_mul(g_rows, x.entries)):
+        nz = _nonzero(left)
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = _row_dot(nz, g_rows[j])
+    return SPDPoint(rows, validate=False)
 
 
 # --- Cartan valuations via Newton polygon ------------------------------------
@@ -304,6 +325,8 @@ def char_pencil(x, y):
     i of y and row i of x share one lattice scale, the scale of row i of the
     pencil."""
     n = x.n
+    if y.n != n:
+        raise ValueError(f"the pencil needs points of one size, got {n} x {n} and {y.n} x {y.n}")
     e, scales, rows = fs.to_lattice([y.entries[i] + x.entries[i] for i in range(n)])
     # entry (i, j) of the pencil is the polynomial (-y_ij, x_ij)
     m = tuple(
@@ -330,43 +353,51 @@ def _upper_concave_hull(points):
     return hull
 
 
-def _hull_value_at(hull, k):
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= k <= x2:
-            return y1 + (y2 - y1) * (k - x1) / (x2 - x1)
-    raise ValueError("k outside hull span")
-
-
 def cartan_valuations(x, y):
     """Half the root negvals of det(lambda*x - y), sorted descending, as a
     tuple of LambdaVal."""
-    q = char_pencil(x, y)
-    n = x.n
+    return _pencil_valuations(char_pencil(x, y))
+
+
+def _pencil_valuations(q):
+    """Half the slopes of the upper Newton polygon of the pencil whose
+    coefficients q holds low degree first, descending.  The polygon's points (k, lead exponent of q[n - k]) lie
+    on one int lattice: E is the lcm of the visible coefficients' e, and
+    each leading exponent is an int over E, so the hull compares ints and
+    each slope makes one Fraction.  A masked coefficient is checked
+    against the polygon as a Fraction."""
+    n = len(q) - 1
+    e = lcm(*[c.e for c in q if c.pairs])
     known = []
     masked = []
     for k in range(n + 1):
         c = q[n - k]
-        lead = fs.lead_exp(c)
-        if lead is not None:
-            known.append((Fraction(k), lead))
+        if c.pairs:
+            known.append((k, c.pairs[0][0] * (e // c.e)))
         elif c.floor is not None:
-            masked.append((Fraction(k), c.floor))
+            masked.append((k, c.floor))
         # exactly-zero coefficients contribute no Newton-polygon point
     hull = _upper_concave_hull(known)
     if not hull:
         raise PrecisionError("no coefficient of the pencil has a visible term")
     for k, bound in masked:
-        if k > hull[-1][0] or k < hull[0][0] or bound > _hull_value_at(hull, k):
-            raise PrecisionError(
-                f"coefficient of degree {n - int(k)} masked above the Newton polygon"
-            )
+        if k < hull[0][0] or k > hull[-1][0] or bound > _hull_value_at(hull, k, e):
+            raise PrecisionError(f"coefficient of degree {n - k} masked above the Newton polygon")
     if hull[0][0] != 0 or hull[-1][0] != n:
         raise PrecisionError("endpoint coefficient of the pencil is masked")
     mu = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        mu.extend([slope / 2] * int(x2 - x1))
-    return tuple([LambdaVal.of(v) for v in mu])
+        v = LambdaVal.of(Fraction(y2 - y1, 2 * e * (x2 - x1)))
+        mu.extend([v] * (x2 - x1))
+    return tuple(mu)
+
+
+def _hull_value_at(hull, k, e):
+    """The height of the int hull at x = k, over E = e, as a Fraction; k
+    lies strictly between the first and the last hull point."""
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        if k <= x2:
+            return Fraction(y1 * (x2 - x1) + (y2 - y1) * (k - x1), e * (x2 - x1))
 
 
 def distance(x, y):

@@ -1,5 +1,7 @@
-"""Reference oracles for the tests: a brute-force membership search and a
-greedy Iwasawa witness search, each independent of the algorithm it checks.
+"""Reference oracles for the tests: a brute-force membership search, a
+greedy Iwasawa witness search, Fraction Gauss-Jordan elimination, and the
+direct forms of act, the Newton polygon and chart_image that the package
+computes on lattice ints, each independent of the algorithm it checks.
 
 The witness search factors g = u . n . k with u upper unipotent, n a diagonal
 monomial matrix of determinant one, and k a matrix over O.  It runs a greedy
@@ -15,12 +17,157 @@ making diag(t^peak) special and leaving the scaled rows over O.
 from fractions import Fraction
 from itertools import product
 
+from lbldg.apartment import ApartmentVec
 from lbldg.building import trop
-from lbldg.linalg import row_reduce
-from lbldg.symspace import GroupElem
+from lbldg.errors import PrecisionError
+from lbldg.symspace import GroupElem, SPDPoint
 from lbldg.valfield import series as fs
+from lbldg.valfield.lam import BOTTOM, LambdaVal
 
 MAX_STEPS = 500
+
+
+# --- Fraction linear algebra ----------------------------------------------------
+
+
+def identity(n):
+    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    return [
+        [sum((a[i][p] * b[p][j] for p in range(k)), Fraction(0)) for j in range(m)]
+        for i in range(n)
+    ]
+
+
+def row_reduce(a, ncols):
+    """Gauss-Jordan elimination in place on the rows of a (lists of
+    Fraction) over its first ncols columns, leaving them in reduced row
+    echelon form; later columns ride along as augmented columns.
+
+    Returns the pivot columns in order."""
+    nrows = len(a)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv_p = 1 / a[row][col]
+        a[row] = [x * inv_p for x in a[row]]
+        for r in range(nrows):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def mat_inv(m):
+    """Gauss-Jordan inverse over Fraction; ValueError on a singular matrix."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + ident_row for row, ident_row in zip(m, identity(n))]
+    if len(row_reduce(a, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a]
+
+
+# --- act, the Newton polygon and chart_image in their direct forms ------------
+
+
+def act(g, x):
+    """g x g^T as two full matrix products, every product summed left to
+    right, exact zeros included."""
+
+    def product(a, b):
+        out = []
+        for row in a:
+            out_row = []
+            for col in zip(*b):
+                acc = fs.ZERO
+                for v, w in zip(row, col):
+                    acc = fs.add(acc, fs.mul(v, w))
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return tuple(out)
+
+    gx = product(g.entries, x.entries)
+    return SPDPoint(product(gx, tuple(zip(*g.entries))), validate=False)
+
+
+def pencil_valuations(q):
+    """Half the slopes of the upper Newton polygon of the pencil q (low
+    degree first), with every point, height and slope a Fraction."""
+    n = len(q) - 1
+    known = []
+    masked = []
+    for k in range(n + 1):
+        c = q[n - k]
+        lead = fs.lead_exp(c)
+        if lead is not None:
+            known.append((Fraction(k), lead))
+        elif c.floor is not None:
+            masked.append((Fraction(k), c.floor))
+    hull = []
+    for p in known:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) <= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    if not hull:
+        raise PrecisionError("no coefficient of the pencil has a visible term")
+
+    def height(k):
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x1 <= k <= x2:
+                return y1 + (y2 - y1) * (k - x1) / (x2 - x1)
+        raise ValueError("k outside hull span")
+
+    for k, bound in masked:
+        if k > hull[-1][0] or k < hull[0][0] or bound > height(k):
+            raise PrecisionError(
+                f"coefficient of degree {n - int(k)} masked above the Newton polygon"
+            )
+    if hull[0][0] != 0 or hull[-1][0] != n:
+        raise PrecisionError("endpoint coefficient of the pencil is masked")
+    mu = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slope = (y2 - y1) / (x2 - x1)
+        mu.extend([slope / 2] * int(x2 - x1))
+    return tuple(LambdaVal.of(v) for v in mu)
+
+
+def chart_image(g, mu):
+    """r_i = max_j (trop(g)_ij + mu_j) in LambdaVal; the point when the r_i
+    sum to zero, else None."""
+    rs = mu.rs
+    if g.n != rs.rank + 1:
+        raise ValueError("chart size and apartment rank disagree")
+    T = trop(g)
+    mv = [LambdaVal.of(m) for m in mu.to_mu()]
+    r = []
+    for row in T:
+        best = BOTTOM
+        for t, m in zip(row, mv):
+            if best < t + m:
+                best = t + m
+        r.append(best)
+    total = r[0]
+    for v in r[1:]:
+        total = total + v
+    if total != LambdaVal.of(0):
+        return None
+    return ApartmentVec.from_mu(rs, [v.finite_value for v in r])
+
+
+# --- membership and Iwasawa witnesses -------------------------------------------
 
 
 def brute_membership(g, mu, denom=2):

@@ -873,6 +873,13 @@ class TestRealizations:
         with pytest.raises(ValueError):
             bd.x_mu([1, 1])
 
+    @pytest.mark.parametrize("mu", [[1, -1.0], [0.5, -0.5], ["1", "-1"]])
+    def test_x_mu_reads_lists_as_apartment_input(self, mu):
+        with pytest.raises(TypeError, match="unsupported Lambda payload"):
+            bd.x_mu(mu)
+        with pytest.raises(TypeError, match="unsupported Lambda payload"):
+            ApartmentVec.from_mu(type_A(1), mu)
+
     def test_normalizer_action_matches_weyl(self):
         for trial in range(30):
             rng = trial_rng(3, "norm-act", trial)

@@ -221,6 +221,17 @@ class TestCli:
         res = CliRunner().invoke(main, ["dist", str(px), str(py)])
         assert res.exit_code == 0 and res.output.strip() == "4"
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_dist_of_points_of_different_sizes(self, files, tmp_path, swap):
+        px, _, _ = files
+        p3 = tmp_path / "x3.json"
+        p3.write_text(json.dumps(matrix_to_json(x_mu([1, 0, -1]).entries)))
+        args = [str(p3), str(px)] if swap else [str(px), str(p3)]
+        sizes = ("3 x 3", "2 x 2") if swap else ("2 x 2", "3 x 3")
+        res = CliRunner().invoke(main, ["dist", *args])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert f"got {sizes[0]} and {sizes[1]}" in res.stderr
+
     def test_retract(self, files):
         px, _, _ = files
         res = CliRunner().invoke(main, ["retract", str(px)])

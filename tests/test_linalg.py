@@ -1,4 +1,6 @@
-"""Exact linear algebra: the one Gauss-Jordan routine and its wrappers."""
+"""Exact linear algebra: the fraction-free Gauss-Jordan inverse (int rows,
+exact division by the previous pivot) against the Fraction Gauss-Jordan
+oracle, and the oracle's own solver."""
 
 from fractions import Fraction as Q
 from itertools import permutations
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbldg.linalg import identity, mat_inv, mat_mul
-from oracles import solve_combo
+import oracles
+from lbldg.linalg import mat_inv
+from oracles import identity, mat_mul, solve_combo
 
 _ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -44,6 +47,40 @@ def test_inverse_or_singular(m):
             mat_inv(m)
     else:
         assert mat_mul(mat_inv(m), m) == identity(len(m))
+
+
+@st.composite
+def _sixths(draw):
+    """Square matrices up to 5x5 with denominators up to 6; about a third
+    get a last row that is a combination of two earlier ones."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 2 and draw(st.integers(0, 2)) == 0:
+        a, b = draw(entry), draw(entry)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@given(_sixths())
+def test_inverse_matches_the_fraction_oracle(m):
+    try:
+        want = oracles.mat_inv(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            mat_inv(m)
+    else:
+        got = mat_inv(m)
+        assert got == want
+        assert all(type(v) is Q for row in got for v in row)
+
+
+def test_rows_with_denominators():
+    # rows scaled to ints by 6 and 12: the second is twice the first
+    with pytest.raises(ValueError, match="singular matrix"):
+        mat_inv([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 6)]])
+    assert mat_inv([[2, 3], [4, 5]]) == [[Q(-5, 2), Q(3, 2)], [2, -1]]
+    assert mat_inv([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]]) == [[12, -20], [-15, 30]]
 
 
 def test_inverse_needs_row_swaps():

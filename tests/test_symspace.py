@@ -117,6 +117,12 @@ class TestAct:
         u = _g([["1", "t"], ["0", "1"]])
         assert sym.act(u, ident) == x
 
+    @pytest.mark.parametrize("gn, xn", [(2, 3), (3, 2)])
+    def test_sizes_must_agree(self, gn, xn):
+        g, x = sym.GroupElem.identity(gn), sym.SPDPoint.basepoint(xn)
+        with pytest.raises(ValueError, match=f"{gn} x {gn} element on a {xn} x {xn} point"):
+            sym.act(g, x)
+
     def test_action_law(self):
         rng = trial_rng(5, "actlaw", 1)
         for _ in range(10):
@@ -327,6 +333,14 @@ class TestDistance:
         assert sym.distance(ident, ident) == LambdaVal.of(0)
         y = _x([["1 + t^2", "t"], ["t", "1"]])
         assert sym.distance(ident, y) == LambdaVal.of(4)
+
+    @pytest.mark.parametrize("xn, yn", [(2, 3), (3, 2)])
+    def test_sizes_must_agree(self, xn, yn):
+        x, y = sym.SPDPoint.basepoint(xn), sym.SPDPoint.basepoint(yn)
+        msg = f"one size, got {xn} x {xn} and {yn} x {yn}"
+        for fn in (sym.distance, sym.cartan_valuations, sym.char_pencil):
+            with pytest.raises(ValueError, match=msg):
+                fn(x, y)
 
     def test_g_invariance_100(self):
         rng = trial_rng(5, "ginv", 6)
