@@ -2,8 +2,9 @@
 half-apartments, the affine Weyl action, and feasibility of finite
 half-space intersections.
 
-Coordinates are Fraction payloads of LambdaVal.  The root alpha_ij = (i, j)
-of rootsys evaluates to mu_i - mu_j, and the affine Weyl group is
+Coordinates, pairings and half-apartment thresholds are plain Fractions:
+Lambda = Q, and nothing here is Bottom.  The root alpha_ij = (i, j) of
+rootsys evaluates to mu_i - mu_j, and the affine Weyl group is
 S_n acting on sum-zero translations: the element (c, sigma) maps mu to
 nu_i = c_i + mu_{sigma(i)}, with sigma a permutation of 1..n.
 """
@@ -11,11 +12,13 @@ nu_i = c_i + mu_{sigma(i)}, with sigma a permutation of 1..n.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .valfield.lam import LambdaVal
-
 
 def _pay(x):
-    return x.finite_value if isinstance(x, LambdaVal) else LambdaVal.of(x).finite_value
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"unsupported Lambda payload: {type(x).__name__}")
 
 
 class ApartmentVec:
@@ -59,11 +62,10 @@ class ApartmentVec:
 
 
 class HalfApartment(NamedTuple):
-    """{mu : mu_i - mu_j >= threshold} for root = (i, j); all of the
-    apartment when the threshold is Bottom."""
+    """{mu : mu_i - mu_j >= threshold} for root = (i, j)."""
 
     root: tuple
-    threshold: LambdaVal
+    threshold: Fraction
 
 
 class WConvexSet(NamedTuple):
@@ -80,14 +82,13 @@ class AffineWeylElem(NamedTuple):
 
 def b_ext(x, alpha):
     """Pairing of an apartment point against the root alpha = (i, j):
-    mu_i - mu_j, valued in Lambda."""
+    mu_i - mu_j, a Fraction."""
     i, j = x.rs.alpha(*alpha)
-    return LambdaVal(x.mu[i - 1] - x.mu[j - 1])
+    return x.mu[i - 1] - x.mu[j - 1]
 
 
 def in_half(h, x):
-    b = b_ext(x, h.root)
-    return h.threshold.is_bottom or b >= h.threshold
+    return b_ext(x, h.root) >= h.threshold
 
 
 def in_wconvex(s, x):
@@ -127,14 +128,8 @@ def apply_weyl(w, x):
 
 
 def difference_form(s):
-    """Constraints as (i, j, ell payload): mu_i - mu_j >= ell; Bottom
-    thresholds bind nothing and are dropped."""
-    out = []
-    for h in s.constraints:
-        i, j = s.rs.alpha(*h.root)
-        if not h.threshold.is_bottom:
-            out.append((i, j, h.threshold.finite_value))
-    return out
+    """Constraints as (i, j, ell): mu_i - mu_j >= ell."""
+    return [s.rs.alpha(*h.root) + (h.threshold,) for h in s.constraints]
 
 
 def difference_potentials(m, cons):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .apartment import ApartmentVec
-from .building import chart_image, stab_o, trop
+from .building import chart_image, stab_o, trop_radius
 from .errors import NotInRing
 from .rootsys import type_A
 from .symspace import GroupElem
@@ -171,13 +171,7 @@ def sampled_infinity_equal(c1, c2):
     translates deep points by its diagonal negvals.
     """
     b = c2.g.inverse() @ c1.g
-    T = trop(b)
-    bound = Fraction(0)
-    for row in T:
-        for v in row:
-            if not v.is_bottom and abs(v.payload) > bound:
-                bound = abs(v.payload)
-    r0 = 2 * b.n * (1 + bound)
+    r0 = 2 * b.n * (1 + trop_radius(b))
     rs = type_A(b.n - 1)
     rho = _deep_direction(b.n)
     shift = None

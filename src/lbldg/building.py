@@ -6,9 +6,10 @@ A chart is a group element g read as the map mu -> g . x_mu, where
 x_mu = diag(t^(2 mu_1), ..., t^(2 mu_n)) and mu has exact sum zero.  The
 standard apartment is the chart of the identity.  Everything here is exact:
 the only series operations used are negval, products by monomials, and the
-ring-membership tests.  chart_image reads negvals as the series layer's
-lattice ints (the leading pair's k over e) and x_mu builds each monomial
-t^(k/e) from ints, so neither makes a Fraction or LambdaVal per entry.
+ring-membership tests.  trop reads a chart's negvals once, as ints on one
+lattice, for chart_image, apartment_overlap and trop_radius, and x_mu builds
+each monomial t^(k/e) from ints.  Apartment coordinates and thresholds are
+plain Fractions; LambdaVal is kept for the values that may be Bottom.
 """
 
 from fractions import Fraction
@@ -56,8 +57,27 @@ def x_mu(mu):
 
 
 def trop(g):
-    """Entrywise negval matrix of a group element; Bottom marks exact zeros."""
-    return tuple(tuple(fs.negval(e) for e in row) for row in g.entries)
+    """The tropical matrix of a group element on one lattice, as (L, S).
+
+    L is the lcm of the entries' exponent denominators e, and S[i][j] is the
+    int k with negval(g_ij) = k / L, or None for an exact zero (Bottom).  A
+    masked entry raises negval's PrecisionError, for the first one in
+    row-major order.
+    """
+    L = lcm(*(a.e for row in g.entries for a in row))
+    # an entry with no visible term is an exact zero, whose negval is Bottom
+    # (payload None), or masked, and then negval raises
+    return L, [
+        [a.pairs[0][0] * (L // a.e) if a.pairs else fs.negval(a).payload for a in row]
+        for row in g.entries
+    ]
+
+
+def trop_radius(g):
+    """The largest |negval| over the finite entries of g, 0 when there is
+    none; masked entries raise as in trop."""
+    L, S = trop(g)
+    return Fraction(max((abs(v) for row in S for v in row if v is not None), default=0), L)
 
 
 def chart_image(g, mu):
@@ -69,52 +89,32 @@ def chart_image(g, mu):
     i, and det g = 1 forces sum_i r_i >= 0; see apartment_overlap for the
     full membership argument.
 
-    r is computed on one int lattice 1/L, L the lcm of the entries' e and
-    of mu's denominators: T_ij is the leading lattice int of entry (i, j),
-    read off its pairs, and an exact zero (Bottom) enters no maximum.  A
-    masked entry raises the PrecisionError trop raises, for the first one
-    in row-major order, and a row of exact zeros makes r_i Bottom, so the
-    point lies outside.
+    r is computed on the lattice 1/scale, scale the lcm of trop's L and of
+    mu's denominators.  An exact zero (Bottom) enters no maximum, a masked
+    entry raises trop's PrecisionError, and a row of exact zeros makes r_i
+    Bottom, so the point lies outside.
     """
     rs = mu.rs
     n = rs.rank + 1
     if g.n != n:
         raise ValueError("chart size and apartment rank disagree")
+    L, S = trop(g)
     mv = mu.to_mu()
-    scale = lcm(*[a.e for row in g.entries for a in row], *[m.denominator for m in mv])
+    scale = lcm(L, *[m.denominator for m in mv])
     m_int = [m.numerator * (scale // m.denominator) for m in mv]
+    up = scale // L
     r = []
-    for row in g.entries:
+    for row in S:
         best = None
-        for a, m in zip(row, m_int):
-            if a.pairs:
-                cand = a.pairs[0][0] * (scale // a.e) + m
+        for s, m in zip(row, m_int):
+            if s is not None:
+                cand = s * up + m
                 if best is None or cand > best:
                     best = cand
-            elif a.floor is not None:
-                fs.negval(a)  # raises the PrecisionError of a masked entry
         r.append(best)
     if None in r or sum(r) != 0:
         return None
     return ApartmentVec.from_mu(rs, [Fraction(v, scale) for v in r])
-
-
-def _region(rs, T, sigma):
-    """Half-apartment system {mu_{sigma(i)} - mu_j >= T_ij - T_{i sigma(i)}}."""
-    n = rs.rank + 1
-    cons = []
-    for i in range(1, n + 1):
-        a = sigma[i - 1]
-        base = T[i - 1][a - 1].finite_value
-        for j in range(1, n + 1):
-            if j == a:
-                continue
-            tij = T[i - 1][j - 1]
-            if tij.is_bottom:
-                continue
-            thr = LambdaVal.of(tij.finite_value - base)
-            cons.append(HalfApartment(rs.alpha(a, j), thr))
-    return WConvexSet(rs, tuple(cons))
 
 
 def apartment_overlap(g):
@@ -147,25 +147,22 @@ def apartment_overlap(g):
     AmbiguousWeyl on any counterexample.  The returned weyl element uses
     the lexicographically smallest optimal permutation.
 
-    The search runs on an integer image of T: with L the lcm of the
-    denominators of its finite entries, S = L T holds ints (None for
-    Bottom).  Scaling by L > 0 keeps every sum, difference and comparison,
-    so S has the same optimal permutations, and region(sigma) becomes the
-    int difference system d_{sigma(i)} - d_j >= S_ij - S_{i sigma(i)}, whose
-    Bellman-Ford potentials are exactly L times the rational ones.  The
-    coverage check asks, for each optimal sigma in lex order, whether every
-    witness satisfies that system; this is the test in_wconvex(region(sigma),
-    w) on the rational witnesses, since shifting a witness to sum zero
-    cancels in every difference.  Only the returned permutation's region
-    and affine map are built as apartment objects.
+    The search runs on trop's int matrix S = L T (None for Bottom).  Scaling
+    by L > 0 keeps every sum, difference and comparison, so S has the same
+    optimal permutations, and region(sigma) becomes the int difference
+    system d_{sigma(i)} - d_j >= S_ij - S_{i sigma(i)}, whose Bellman-Ford
+    potentials are exactly L times the rational ones.  The coverage check
+    asks, for each optimal sigma in lex order, whether every witness
+    satisfies that system; this is the test in_wconvex(region(sigma), w) on
+    the rational witnesses, since shifting a witness to sum zero cancels in
+    every difference.  Only the returned permutation's system, divided by
+    L, and its affine map are built as apartment objects.
     """
     n = g.n
     if n > PERM_BOUND:
         raise EnumerationBound(f"permutation enumeration capped at n = {PERM_BOUND}")
     rs = type_A(n - 1)
-    T = trop(g)
-    scale = lcm(*(v.finite_value.denominator for row in T for v in row if not v.is_bottom))
-    S = [[None if v.is_bottom else int(v.finite_value * scale) for v in row] for row in T]
+    L, S = trop(g)
     best = None
     opt = []
     for sigma in permutations(range(n)):
@@ -201,9 +198,11 @@ def apartment_overlap(g):
         raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
     for sigma, cons in zip(opt, systems):
         if all(d[i - 1] - d[j - 1] >= ell for d in points for i, j, ell in cons):
-            sigma = tuple(a + 1 for a in sigma)
-            c = [T[i][sigma[i] - 1].finite_value for i in range(n)]
-            return _region(rs, T, sigma), affine_from_mu(rs, sigma, c)
+            region = WConvexSet(
+                rs, tuple(HalfApartment(rs.alpha(i, j), Fraction(ell, L)) for i, j, ell in cons)
+            )
+            c = [Fraction(row[a], L) for row, a in zip(S, sigma)]
+            return region, affine_from_mu(rs, [a + 1 for a in sigma], c)
     raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
 
 
@@ -256,7 +255,7 @@ def stab_predicates(g, target):
         return _stab_shape(g, lambda i, j, e: fs.provably_zero(e) if i > j else fs.in_O(e))
     if isinstance(target, HalfApartment):
         i, j = type_A(g.n - 1).alpha(*target.root)
-        ell = target.threshold
+        ell = LambdaVal.of(target.threshold)
         wall = (i - 1, j - 1)
         return _stab_shape(
             g, lambda i, j, e: fs.negval(e) <= ell if (i, j) == wall else fs.provably_zero(e)
@@ -297,39 +296,40 @@ def fixed_set_root(u):
     if ell.is_bottom:
         raise IdentityElement("the identity fixes every point")
     rs = type_A(u.n - 1)
-    return HalfApartment(rs.alpha(u.i, u.j), ell)
+    return HalfApartment(rs.alpha(u.i, u.j), ell.finite_value)
 
 
 def m_of(u):
     """Rank-one reflection representative: embeds [[0, s], [-1/s, 0]] into
     rows and columns (i, j) of the identity.
 
-    Returns (element, root, level).  The element is exact when s is a
-    monomial; otherwise the inverse is truncated INV_TAIL lattice steps past
-    what the level requires.  Its apartment action is the affine reflection
-    in the wall {mu_i - mu_j = level}: it fixes the wall pointwise and swaps
-    the two half-apartments.
+    Returns (element, root, level), the level a Fraction.  The element is
+    exact when s is a monomial; otherwise the inverse is truncated INV_TAIL
+    lattice steps past what the level requires.  Its apartment action is
+    the affine reflection in the wall {mu_i - mu_j = level}: it fixes the
+    wall pointwise and swaps the two half-apartments.  A pair (i, j) that
+    names no root raises NotARoot before s is read.
     """
+    n = u.n
+    root = type_A(n - 1).alpha(u.i, u.j)
     ell = phi(u)
     if ell.is_bottom:
         raise IdentityElement("no reflection datum for the identity")
+    level = ell.finite_value
     s = u.s
     if len(s.pairs) == 1 and s.floor is None:
         e = fs.lead_exp(s)
         c = fs.coef_at(s, e)
         minus_sinv = fs.monomial(-e, Fraction(-1, 1) / c)
     else:
-        lead = ell.finite_value
-        minus_sinv = fs.neg(fs.inv(s, -lead - INV_TAIL))
-    n = u.n
+        minus_sinv = fs.neg(fs.inv(s, -level - INV_TAIL))
     rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]
     i, j = u.i - 1, u.j - 1
     rows[i][i] = fs.ZERO
     rows[j][j] = fs.ZERO
     rows[i][j] = s
     rows[j][i] = minus_sinv
-    rs = type_A(n - 1)
-    return GroupElem(rows), rs.alpha(u.i, u.j), ell
+    return GroupElem(rows), root, level
 
 
 # --- normalizer realizations ------------------------------------------------------

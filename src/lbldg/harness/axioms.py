@@ -42,7 +42,7 @@ from ..building import (
     fixed_set_root,
     m_of,
     normalizer_of,
-    trop,
+    trop_radius,
     x_mu,
 )
 from ..errors import AmbiguousWeyl
@@ -187,13 +187,6 @@ def _staircase(n):
     return [v - shift for v in mu]
 
 
-def _trop_bound(g):
-    vals = [
-        abs(v.finite_value) for row in trop(g) for v in row if not v.is_bottom
-    ]
-    return max(vals, default=Fraction(0))
-
-
 def _check_a4(cfg):
     rs = type_A(cfg.n - 1)
     stair = _staircase(cfg.n)
@@ -213,7 +206,7 @@ def _check_a4(cfg):
         g = b1 @ nw @ u2 @ a2
         # a chart containing deep subsectors of both sectors: the left
         # factor's chart; depth clears every exponent in play
-        bound = sum(_trop_bound(f) for f in (u1, a1, nw, u2, a2))
+        bound = sum(trop_radius(f) for f in (u1, a1, nw, u2, a2))
         depth = 2 * cfg.n * (1 + bound)
         into_chart = b1.inverse()
         transition = into_chart @ g

@@ -44,7 +44,7 @@ from ..symspace import (
     retract,
 )
 from ..valfield import series as fs
-from ..valfield.lam import ZERO, LambdaVal
+from ..valfield.lam import ZERO
 from .generators import (
     draw_group,
     draw_point,
@@ -183,7 +183,7 @@ def _check_half_apt(cfg):
         rng = trial_rng(cfg.seed, "HalfAptStab", trial)
         i, j = rng.sample(range(1, cfg.n + 1), 2)
         ell = Fraction(rng.randint(-span, span), denom)
-        target = HalfApartment(rs.alpha(i, j), LambdaVal.of(ell))
+        target = HalfApartment(rs.alpha(i, j), ell)
         depth = Fraction(rng.randint(0, 2 * denom), denom)
         deep = RootElem(cfg.n, i, j, fs.monomial(ell - depth, Fraction(1)))
         g = gen_diag_units(rng, cfg.n) @ deep.as_group()

@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import product
 
 from lbldg.apartment import ApartmentVec
-from lbldg.building import trop
 from lbldg.errors import PrecisionError
 from lbldg.symspace import GroupElem, SPDPoint
 from lbldg.valfield import series as fs
@@ -145,12 +144,13 @@ def pencil_valuations(q):
 
 
 def chart_image(g, mu):
-    """r_i = max_j (trop(g)_ij + mu_j) in LambdaVal; the point when the r_i
-    sum to zero, else None."""
+    """r_i = max_j (negval(g_ij) + mu_j) in LambdaVal, with negval read
+    entry by entry in row-major order; the point when the r_i sum to zero,
+    else None."""
     rs = mu.rs
     if g.n != rs.rank + 1:
         raise ValueError("chart size and apartment rank disagree")
-    T = trop(g)
+    T = [[fs.negval(e) for e in row] for row in g.entries]
     mv = [LambdaVal.of(m) for m in mu.to_mu()]
     r = []
     for row in T:
@@ -173,11 +173,11 @@ def chart_image(g, mu):
 def brute_membership(g, mu, denom=2):
     """Independent membership oracle: search for a diagonal monomial witness
     c with c^(-1) . g . diag(t^mu) entrywise in O, scanning candidate
-    exponent tuples on the (1/denom)-integer grid inside a trop-derived box.
+    exponent tuples on the (1/denom)-integer grid inside a negval-derived box.
 
-    Any witness exponent is at least -B with B = max|trop| + max|mu| (rows
-    are not identically zero), and the sum-zero condition then caps it by
-    (n-1)B, so the box [-B-1, (n-1)B+1]^n holds every witness."""
+    Any witness exponent is at least -B with B = max|negval(g_ij)| + max|mu|
+    (rows are not identically zero), and the sum-zero condition then caps it
+    by (n-1)B, so the box [-B-1, (n-1)B+1]^n holds every witness."""
     n = g.n
     mv = mu.to_mu()
     a = GroupElem(
@@ -188,9 +188,8 @@ def brute_membership(g, mu, denom=2):
         validate=False,
     )
     m = g @ a
-    finite = [
-        abs(v.finite_value) for row in trop(g) for v in row if not v.is_bottom
-    ]
+    vals = (fs.negval(e) for row in g.entries for e in row)
+    finite = [abs(v.finite_value) for v in vals if not v.is_bottom]
     b = max(finite) + max(abs(x) for x in mv)
     lo, hi = -b - 1, (n - 1) * b + 1
     axis = [Fraction(k, denom) for k in range(int(denom * lo), int(denom * hi) + 1)]

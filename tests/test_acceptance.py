@@ -172,8 +172,7 @@ def test_criterion_07_affine_reflections():
     for trial in range(20):
         rng = trial_rng(SEED, "c7", trial)
         g, i, j, s = gen_root_elem(rng, 3)
-        m, root, level = m_of(RootElem(3, i, j, s))
-        ell = level.finite_value
+        m, root, ell = m_of(RootElem(3, i, j, s))
         for k in range(5):
             others = [Q(rng.randint(-4, 4), 2)]
             wall = _gap_point(A2, 3, i, j, ell, others)

@@ -238,7 +238,7 @@ class TestInfinity:
         assert bn.sampled_infinity_equal(c, c0) is True
         # witness subsector: mu1 - mu2 >= 1 is fixed pointwise
         half = bd.fixed_set_root(bd.RootElem(2, 1, 2, fs.monomial(Q(1))))
-        assert half.threshold == LambdaVal.of(1)
+        assert half.threshold == Q(1)
         for a in (1, 2, 5):
             pt = _mu(A1, a, -a)
             assert in_half(half, pt)

@@ -59,7 +59,7 @@ def _mu(rs, *vals):
 
 
 def _half(root, ell):
-    return HalfApartment(root, LambdaVal.of(ell))
+    return HalfApartment(root, Q(ell))
 
 
 def _half_grid(span):
@@ -82,6 +82,12 @@ def _sl3_grid(span):
 # --- tropical matrices ---------------------------------------------------------
 
 
+def _trop_lam(g):
+    """trop(g) read back in Lambda: S_ij / L, Bottom for None."""
+    L, S = bd.trop(g)
+    return [[BOTTOM if v is None else LambdaVal.of(Q(v, L)) for v in row] for row in S]
+
+
 def _max_plus(a, b):
     """Max-plus product of two tropical matrices."""
     n = len(a)
@@ -90,20 +96,21 @@ def _max_plus(a, b):
 
 class TestTrop:
     def test_identity(self):
-        T = bd.trop(GroupElem.identity(3))
+        L, S = bd.trop(GroupElem.identity(3))
+        assert L == 1
         for i in range(3):
             for j in range(3):
-                assert T[i][j] == (LambdaVal.of(0) if i == j else BOTTOM)
+                assert S[i][j] == (0 if i == j else None)
 
     def test_single_root_element(self):
-        T = bd.trop(_g([["1", "t"], ["0", "1"]]))
-        assert T == ((LambdaVal.of(0), LambdaVal.of(1)), (BOTTOM, LambdaVal.of(0)))
+        assert bd.trop(_g([["1", "t"], ["0", "1"]])) == (1, [[0, 1], [None, 0]])
+        assert bd.trop(_g([["1", "t^(1/2)"], ["0", "1"]])) == (2, [[0, 1], [None, 0]])
 
     def test_orthogonal_rows_peak_at_zero(self):
         for trial in range(20):
             rng = trial_rng(3, "trop-orth", trial)
             k = gen_orthogonal(rng, 3)
-            T = bd.trop(k)
+            T = _trop_lam(k)
             assert max(v for row in T for v in row) == LambdaVal.of(0)
 
     def test_submultiplicative_under_max_plus(self):
@@ -111,8 +118,8 @@ class TestTrop:
             rng = trial_rng(3, "trop-mul", trial)
             a = gen_group_elem(rng, 3)
             b = gen_group_elem(rng, 3)
-            lhs = bd.trop(a @ b)
-            rhs = _max_plus(bd.trop(a), bd.trop(b))
+            lhs = _trop_lam(a @ b)
+            rhs = _max_plus(_trop_lam(a), _trop_lam(b))
             for i in range(3):
                 for j in range(3):
                     assert lhs[i][j] <= rhs[i][j]
@@ -185,7 +192,7 @@ class TestApartmentOverlap:
         assert len(reg.constraints) == 1
         h = reg.constraints[0]
         assert h.root == (1, 2)
-        assert h.threshold == LambdaVal.of(1)
+        assert h.threshold == Q(1)
 
     def test_monomial_reflection_element(self):
         reg, w = bd.apartment_overlap(_g([["0", "t"], ["-t^(-1)", "0"]]))
@@ -274,13 +281,27 @@ class TestApartmentOverlap:
 # --- the overlap against an exhaustive oracle ------------------------------------
 
 
+def _oracle_region(rs, T, sigma):
+    """Half-apartment system {mu_{sigma(i)} - mu_j >= T_ij - T_{i sigma(i)}}."""
+    n = rs.rank + 1
+    cons = []
+    for i in range(1, n + 1):
+        a = sigma[i - 1]
+        base = T[i - 1][a - 1].finite_value
+        for j in range(1, n + 1):
+            tij = T[i - 1][j - 1]
+            if j != a and not tij.is_bottom:
+                cons.append(HalfApartment(rs.alpha(a, j), tij.finite_value - base))
+    return WConvexSet(rs, tuple(cons))
+
+
 def _oracle_overlap(g):
-    """The overlap by exhaustive search in Lambda: every optimal
-    permutation's region, a Bellman-Ford witness for each, and the first
-    region in lex order that contains every witness."""
+    """The overlap by exhaustive search in Lambda, on negval read entry by
+    entry: every optimal permutation's region, a Bellman-Ford witness for
+    each, and the first region in lex order that contains every witness."""
     n = g.n
     rs = type_A(n - 1)
-    T = bd.trop(g)
+    T = [[fs.negval(e) for e in row] for row in g.entries]
     best, opt = BOTTOM, []
     for sigma in permutations(range(1, n + 1)):
         tot = LambdaVal.of(0)
@@ -296,7 +317,7 @@ def _oracle_overlap(g):
         return None
     if not best.is_bottom and best < LambdaVal.of(0):
         raise ValueError("the tropical permanent is negative, so g is not in SL(n)")
-    regions = [(sigma, bd._region(rs, T, sigma)) for sigma in opt]
+    regions = [(sigma, _oracle_region(rs, T, sigma)) for sigma in opt]
     witnesses = [wconvex_witness(reg) for _, reg in regions]
     points = [ApartmentVec.from_mu(rs, w) for w in witnesses if w is not None]
     if not points:
@@ -389,8 +410,8 @@ def _unvalidated(n, count):
 
 def _all_bottom(g):
     """Every permutation meets an exact zero."""
-    T = bd.trop(g)
-    return all(any(T[i][s[i]].is_bottom for i in range(g.n)) for s in permutations(range(g.n)))
+    _, S = bd.trop(g)
+    return all(any(S[i][s[i]] is None for i in range(g.n)) for s in permutations(range(g.n)))
 
 
 class TestOverlapOracle:
@@ -407,10 +428,11 @@ class TestOverlapOracle:
 
     def test_mixed_denominators(self):
         g = TIED["units_mixed"]
-        dens = {v.finite_value.denominator for row in bd.trop(g) for v in row}
+        L, S = bd.trop(g)
+        dens = {Q(v, L).denominator for row in S for v in row}
         assert dens == {1, 2, 3, 6}
         reg, _ = bd.apartment_overlap(g)
-        assert {h.threshold.finite_value.denominator for h in reg.constraints} == {1, 2, 3, 6}
+        assert {h.threshold.denominator for h in reg.constraints} == {1, 2, 3, 6}
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exact_zeros(self, n):
@@ -441,7 +463,7 @@ class TestOverlapWorkCounts:
 
     def test_all_tied_element(self, monkeypatch):
         counts = {"perms": 0, "regions": 0}
-        drawn, region = bd.permutations, bd._region
+        drawn, region = bd.permutations, bd.WConvexSet
 
         def counting_permutations(*args):
             for p in drawn(*args):
@@ -456,7 +478,7 @@ class TestOverlapWorkCounts:
             raise AssertionError("in_wconvex called")
 
         monkeypatch.setattr(bd, "permutations", counting_permutations)
-        monkeypatch.setattr(bd, "_region", counting_region)
+        monkeypatch.setattr(bd, "WConvexSet", counting_region)
         monkeypatch.setattr(apt, "in_wconvex", forbidden)
         monkeypatch.setattr(bd, "in_wconvex", forbidden, raising=False)
         reg, w = bd.apartment_overlap(TIED["units"])
@@ -471,7 +493,7 @@ def _region(n, cons):
     """The region mu_i - mu_j >= ell over every (i, j, ell) in cons."""
     rs = type_A(n - 1)
     return WConvexSet(
-        rs, tuple(HalfApartment(rs.alpha(i, j), LambdaVal.of(Q(ell))) for i, j, ell in cons)
+        rs, tuple(HalfApartment(rs.alpha(i, j), Q(ell)) for i, j, ell in cons)
     )
 
 
@@ -560,7 +582,7 @@ class TestSampleInRegion:
         reg = _region(4, [(1, 2, "1/2"), (2, 1, "-1/2")])
         pts = sample_in_region(trial_rng(1, "thin", 0), reg, 20)
         assert len(pts) == 20 and len(set(pts)) > 1
-        assert all(b_ext(p, reg.rs.alpha(1, 2)) == LambdaVal.of(Q(1, 2)) for p in pts)
+        assert all(b_ext(p, reg.rs.alpha(1, 2)) == Q(1, 2) for p in pts)
 
     def test_single_point_region_returns_the_witness(self):
         reg = _region(3, [(1, 2, "1/2"), (2, 1, "-1/2"), (2, 3, 1), (3, 2, -1)])
@@ -658,12 +680,12 @@ class TestFixedSets:
     def test_root_element_upper(self):
         h = bd.fixed_set_root(bd.RootElem(2, 1, 2, fs.parse("t")))
         assert h.root == (1, 2)
-        assert h.threshold == LambdaVal.of(1)
+        assert type(h.threshold) is Q and h.threshold == 1
 
     def test_root_element_lower(self):
         h = bd.fixed_set_root(bd.RootElem(2, 2, 1, fs.parse("t^(-1)")))
         assert h.root == (2, 1)
-        assert h.threshold == LambdaVal.of(-1)
+        assert h.threshold == Q(-1)
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityElement):
@@ -687,7 +709,7 @@ class TestFixedSets:
             conj = a @ bd.RootElem(3, i, j, s).as_group() @ a.inverse()
             moved = bd.RootElem(3, i, j, conj.entries[i - 1][j - 1])
             got = bd.fixed_set_root(moved)
-            want = bd.phi(bd.RootElem(3, i, j, s)) + LambdaVal.of(exps[i - 1] - exps[j - 1])
+            want = bd.phi(bd.RootElem(3, i, j, s)).finite_value + exps[i - 1] - exps[j - 1]
             assert got.threshold == want
 
     def test_unipotent_identity_fixes_everything(self):
@@ -700,7 +722,7 @@ class TestFixedSets:
         u = _g([["1", "t", "t^3"], ["0", "1", "0"], ["0", "0", "1"]])
         s = _root_fixed_sets(u)
         labels = {h.root: h.threshold for h in s.constraints}
-        assert labels == {(1, 2): LambdaVal.of(1), (1, 3): LambdaVal.of(3)}
+        assert labels == {(1, 2): Q(1), (1, 3): Q(3)}
         for mu in _sl3_grid(2):
             assert in_wconvex(s, mu) == (bd.chart_image(u, mu) is not None)
 
@@ -754,11 +776,17 @@ class TestMOf:
         m, root, ell = bd.m_of(u)
         assert m == _g([["0", "t"], ["-t^(-1)", "0"]])
         assert root == (1, 2)
-        assert ell == LambdaVal.of(1)
+        assert type(ell) is Q and ell == 1
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityElement):
             bd.m_of(bd.RootElem(2, 1, 2, fs.ZERO))
+
+    @pytest.mark.parametrize("i, j", [(1, 5), (1, 1), (0, 2), (4, 1)])
+    def test_pair_that_names_no_root(self, i, j):
+        # checked before the matrix is indexed, as in fixed_set_root
+        with pytest.raises(NotARoot, match=rf"no root labelled \({i}, {j}\)"):
+            bd.m_of(bd.RootElem(3, i, j, fs.parse("t")))
 
     def test_wall_fixed_and_halves_swapped(self):
         for trial in range(20):
@@ -766,12 +794,11 @@ class TestMOf:
             _, i, j, s = gen_root_elem(rng, 3)
             m, root, ell = bd.m_of(bd.RootElem(3, i, j, s))
             _, w = bd.apartment_overlap(m)
-            lv = ell.finite_value
             for k in range(5):
                 mu = list(gen_apartment_mu(rng, 3))
                 # project onto the wall: shift the i and j slots so the root
                 # value is exactly the level
-                gap = (lv - (mu[i - 1] - mu[j - 1])) / 2
+                gap = (ell - (mu[i - 1] - mu[j - 1])) / 2
                 mu[i - 1] += gap
                 mu[j - 1] -= gap
                 pt = _mu(A2, *mu)
@@ -814,7 +841,7 @@ class TestMOf:
     def test_truncated_parameter(self):
         s = fs.parse("t + 1")
         m, root, ell = bd.m_of(bd.RootElem(2, 1, 2, s))
-        assert ell == LambdaVal.of(1)
+        assert ell == Q(1)
         prod = fs.mul(m.entries[0][1], m.entries[1][0])
         # s * (-1/s) = -1 up to the kept precision: no visible terms remain
         assert fs.add(prod, fs.ONE).terms == ()

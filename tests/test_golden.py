@@ -12,12 +12,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from lbldg.building import apartment_overlap, overlap_to_json, x_mu
+from lbldg.apartment import ApartmentVec, wconvex_witness
+from lbldg.building import apartment_overlap, chart_image, overlap_to_json, x_mu
 from lbldg.harness.axioms import AXIOMS, check_axiom
 from lbldg.harness.config import TrialConfig
-from lbldg.harness.generators import gen_group_elem, gen_point, trial_rng
+from lbldg.harness.generators import gen_apartment_mu, gen_group_elem, gen_point, trial_rng
 from lbldg.harness.report import report_to_dict
 from lbldg.harness.theorems import THEOREMS, check_theorem
+from lbldg.rootsys import type_A
 from lbldg.symspace import GroupElem, distance, matrix_to_json, retract
 from lbldg.valfield import series as fs
 
@@ -355,3 +357,67 @@ POWER_DIGEST = "89f1f51e06170a399aaebd500ac64c6bf695948662938be9139a00923c3ffe7c
 
 def test_inv_and_sqrt_pos_outputs():
     assert _power_digest() == POWER_DIGEST
+
+
+def _chart_inputs():
+    """Seeded (g, mu) pairs for apartment_overlap and chart_image at n = 2..5.
+
+    Each g is a gen_group_elem chart, built without validation and, by
+    turns, left as drawn; with one entry cut by with_floor at a floor from
+    two below to two above its leading exponent, so that some are masked and
+    some are not; with one entry set to zero; or made singular or not in
+    SL(n): a zero row, a repeated row, a row times t^k, or a row times a
+    rational constant."""
+    rng = random.Random(20261019)
+    for i in range(2000):
+        n = 2 + i % 4
+        rows = [list(row) for row in gen_group_elem(rng, n).entries]
+        a, b = rng.randrange(n), rng.randrange(n)
+        kind = i // 4 % 4
+        if kind == 1:
+            e = rows[a][b]
+            lead = fs.lead_exp(e) if e.pairs else Q(0)
+            rows[a][b] = fs.with_floor(e, lead + Q(rng.randint(-4, 4), 2))
+        elif kind == 2:
+            rows[a][b] = fs.ZERO
+        elif kind == 3:
+            how = rng.randrange(4)
+            if how == 0:
+                rows[a] = [fs.ZERO] * n
+            elif how == 1:
+                rows[a] = list(rows[(a + 1) % n])
+            else:
+                if how == 2:
+                    m = fs.monomial(Q(rng.randint(-4, 4), rng.choice([1, 2, 3])))
+                else:
+                    m = fs.from_rational(Q(rng.randint(2, 5), rng.randint(1, 3)))
+                rows[a] = [fs.mul(m, e) for e in rows[a]]
+        mu = ApartmentVec.from_mu(type_A(n - 1), gen_apartment_mu(rng, n))
+        yield GroupElem(rows, validate=False), mu
+
+
+def _chart_digest():
+    lines = []
+    for g, mu in _chart_inputs():
+        try:
+            res = apartment_overlap(g)
+            lines.append(json.dumps(overlap_to_json(res), sort_keys=True))
+            if res is not None:
+                mu = ApartmentVec.from_mu(mu.rs, wconvex_witness(res[0]))
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+        try:
+            img = chart_image(g, mu)
+            lines.append("none" if img is None else ",".join(str(v) for v in img.to_mu()))
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the overlap JSON and the chart image of every _chart_inputs pair,
+# or "type: message" for the calls that raise, one per line
+CHART_DIGEST = "06290f262ecd2e98c2cddd36c4344ac2efcd7d6c22ac9a38aba87a2670f1d267"
+
+
+def test_overlap_and_chart_image_outputs():
+    assert _chart_digest() == CHART_DIGEST

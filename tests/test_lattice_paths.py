@@ -1,7 +1,8 @@
 """The per-trial path on lattice ints against its direct forms in oracles:
 act (upper triangle mirrored, exact zeros skipped) against two full matrix
-products, the int Newton polygon against the Fraction one, and chart_image
-on one int lattice against the trop-based maximum.  Inputs are drawn at
+products, the int Newton polygon against the Fraction one, trop and
+trop_radius against negval entry by entry, and chart_image on one int
+lattice against the maximum over those negvals.  Inputs are drawn at
 n = 2..5, exact and floored, with rows of exact zeros and masked entries."""
 
 from fractions import Fraction as Q
@@ -55,7 +56,7 @@ def _matrix(draw, n, floored, symmetric=False):
             rows[i][j] = draw(_series(floored))
             if symmetric:
                 rows[j][i] = rows[i][j]
-    # a row of exact zeros: Bottom in every column of trop
+    # a row of exact zeros: Bottom in every column
     if draw(st.integers(0, 4)) == 0:
         i = draw(st.integers(0, n - 1))
         rows[i] = [fs.ZERO] * n
@@ -156,6 +157,27 @@ def _charts(draw):
     mu = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=6)) for _ in range(n - 1)]
     vec = ApartmentVec.from_mu(type_A(n - 1), mu + [-sum(mu)])
     return sym.GroupElem(rows, validate=False), vec
+
+
+class TestTrop:
+    @given(_charts())
+    @settings(max_examples=400, deadline=None)
+    def test_entrywise_negval_on_one_lattice(self, chart):
+        g, _ = chart
+        # negval in row-major order: the first masked entry raises
+        want = _outcome(lambda: [[fs.negval(e) for e in row] for row in g.entries])
+        got = _outcome(bd.trop, g)
+        if want[0] != "ok":
+            assert got == want
+            assert _outcome(bd.trop_radius, g) == want
+            return
+        assert got[0] == "ok"
+        L, S = got[1]
+        assert type(L) is int and L > 0
+        assert all(v is None or type(v) is int for row in S for v in row)
+        assert S == [[None if v.is_bottom else v.finite_value * L for v in row] for row in want[1]]
+        finite = [abs(v.finite_value) for row in want[1] for v in row if not v.is_bottom]
+        assert bd.trop_radius(g) == max(finite, default=0)
 
 
 class TestChartImage:
