@@ -43,12 +43,6 @@ class ApartmentVec:
     def to_mu(self):
         return self.mu
 
-    def __add__(self, other):
-        return ApartmentVec(self.rs, [a + b for a, b in zip(self.mu, other.mu)])
-
-    def __sub__(self, other):
-        return ApartmentVec(self.rs, [a - b for a, b in zip(self.mu, other.mu)])
-
     def __eq__(self, other):
         if not isinstance(other, ApartmentVec):
             return NotImplemented

@@ -8,8 +8,8 @@ standard apartment is the chart of the identity.  Everything here is exact:
 the only series operations used are negval, products by monomials, and the
 ring-membership tests.  trop reads a chart's negvals once, as ints on one
 lattice, for chart_image, apartment_overlap and trop_radius, and x_mu builds
-each monomial t^(k/e) from ints.  Apartment coordinates and thresholds are
-plain Fractions; LambdaVal is kept for the values that may be Bottom.
+each monomial t^(k/e) from ints.  Apartment coordinates, thresholds and
+valuations are plain Fractions, and the valuation of 0 (Bottom) is None.
 """
 
 from fractions import Fraction
@@ -29,7 +29,6 @@ from .errors import AmbiguousWeyl, ConfigError, EnumerationBound, IdentityElemen
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
-from .valfield.lam import LambdaVal
 
 # Permutation enumeration stays exhaustive up to this matrix size.
 PERM_BOUND = 5
@@ -65,10 +64,10 @@ def trop(g):
     row-major order.
     """
     L = lcm(*(a.e for row in g.entries for a in row))
-    # an entry with no visible term is an exact zero, whose negval is Bottom
-    # (payload None), or masked, and then negval raises
+    # an entry with no visible term is an exact zero, whose negval is None
+    # (Bottom), or masked, and then negval raises
     return L, [
-        [a.pairs[0][0] * (L // a.e) if a.pairs else fs.negval(a).payload for a in row]
+        [a.pairs[0][0] * (L // a.e) if a.pairs else fs.negval(a) for a in row]
         for row in g.entries
     ]
 
@@ -255,11 +254,16 @@ def stab_predicates(g, target):
         return _stab_shape(g, lambda i, j, e: fs.provably_zero(e) if i > j else fs.in_O(e))
     if isinstance(target, HalfApartment):
         i, j = type_A(g.n - 1).alpha(*target.root)
-        ell = LambdaVal.of(target.threshold)
+        ell = target.threshold
         wall = (i - 1, j - 1)
-        return _stab_shape(
-            g, lambda i, j, e: fs.negval(e) <= ell if (i, j) == wall else fs.provably_zero(e)
-        )
+
+        def off_diagonal(i, j, e):
+            if (i, j) != wall:
+                return fs.provably_zero(e)
+            v = fs.negval(e)
+            return v is None or v <= ell  # Bottom lies below every threshold
+
+        return _stab_shape(g, off_diagonal)
     raise ConfigError(f"unknown stabilizer target: {target!r}")
 
 
@@ -275,8 +279,7 @@ class RootElem(NamedTuple):
     s: object
 
     def as_group(self):
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n and self.i != self.j):
-            raise ValueError("root element indices out of range")
+        type_A(self.n - 1).alpha(self.i, self.j)  # NotARoot for any other pair
         rows = [
             [fs.ONE if a == b else fs.ZERO for b in range(self.n)]
             for a in range(self.n)
@@ -286,17 +289,18 @@ class RootElem(NamedTuple):
 
 
 def phi(u):
-    """Root group valuation: negval of the parameter; Bottom iff u is Id."""
+    """Root group valuation: negval of the parameter, None (Bottom) iff u is
+    Id.  A pair (i, j) that names no root raises NotARoot before s is read."""
+    type_A(u.n - 1).alpha(u.i, u.j)
     return fs.negval(u.s)
 
 
 def fixed_set_root(u):
     """Half-apartment fixed by u: {mu_i - mu_j >= phi(u)}."""
     ell = phi(u)
-    if ell.is_bottom:
+    if ell is None:
         raise IdentityElement("the identity fixes every point")
-    rs = type_A(u.n - 1)
-    return HalfApartment(rs.alpha(u.i, u.j), ell.finite_value)
+    return HalfApartment((u.i, u.j), ell)  # phi checked that (i, j) is a root
 
 
 def m_of(u):
@@ -311,11 +315,10 @@ def m_of(u):
     names no root raises NotARoot before s is read.
     """
     n = u.n
-    root = type_A(n - 1).alpha(u.i, u.j)
-    ell = phi(u)
-    if ell.is_bottom:
+    level = phi(u)
+    if level is None:
         raise IdentityElement("no reflection datum for the identity")
-    level = ell.finite_value
+    root = (u.i, u.j)  # phi checked that it is a root
     s = u.s
     if len(s.pairs) == 1 and s.floor is None:
         e = fs.lead_exp(s)

@@ -9,7 +9,9 @@ The constructions are pinned so every trial is decidable:
 
 - A1 realizes an affine Weyl element as a monomial normalizer matrix and
   checks that precomposing any chart with it is again a chart, acting the
-  same way on sampled apartment points.
+  same way on sampled apartment points.  normalizer_of realises apply_weyl
+  exactly, so the two images are compared as equal matrices, which implies
+  that they are equivalent points.
 - A2 computes the apartment overlap of a random chart whose overlap holds
   at least two sampled points and confirms a single Weyl element transports
   them, with the constraint count within the root bound.
@@ -47,7 +49,7 @@ from ..building import (
 )
 from ..errors import AmbiguousWeyl
 from ..rootsys import type_A
-from ..symspace import act, distance, equivalent, matrix_to_json
+from ..symspace import act, distance, matrix_to_json
 from ..valfield import series as fs
 from ..valfield.lam import ZERO
 from .generators import (
@@ -84,7 +86,7 @@ def _check_a1(cfg):
             mu = _vec(rs, gen_apartment_mu(rng, cfg.n))
             left = act(g @ nw, x_mu(mu))
             right = act(g, x_mu(apply_weyl(w, mu)))
-            if not equivalent(left, right):
+            if left != right:
                 return {
                     "g": matrix_to_json(g),
                     "perm": list(sigma),

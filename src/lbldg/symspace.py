@@ -214,9 +214,6 @@ class GroupElem:
     def __matmul__(self, other):
         return GroupElem(mat_mul(self.entries, other.entries), validate=False)
 
-    def transpose(self):
-        return GroupElem(mat_transpose(self.entries), validate=False)
-
     def inverse(self):
         # det = 1, so the inverse is the adjugate; stays division-free
         return GroupElem(mat_adjugate(self.entries), validate=False)
@@ -355,7 +352,8 @@ def _upper_concave_hull(points):
 
 def cartan_valuations(x, y):
     """Half the root negvals of det(lambda*x - y), sorted descending, as a
-    tuple of LambdaVal."""
+    tuple of Fractions: each is a slope of the Newton polygon, so none is
+    Bottom."""
     return _pencil_valuations(char_pencil(x, y))
 
 
@@ -387,7 +385,7 @@ def _pencil_valuations(q):
         raise PrecisionError("endpoint coefficient of the pencil is masked")
     mu = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        v = LambdaVal.of(Fraction(y2 - y1, 2 * e * (x2 - x1)))
+        v = Fraction(y2 - y1, 2 * e * (x2 - x1))
         mu.extend([v] * (x2 - x1))
     return tuple(mu)
 
@@ -406,8 +404,8 @@ def distance(x, y):
     sign + and i pairs j < i with sign -, twice each."""
     mu = cartan_valuations(x, y)
     n = len(mu)
-    total = sum([(n - 1 - 2 * i) * v.finite_value for i, v in enumerate(mu)], Fraction(0))
-    return LambdaVal.of(2 * total)
+    total = sum([(n - 1 - 2 * i) * v for i, v in enumerate(mu)], Fraction(0))
+    return LambdaVal(2 * total)
 
 
 def equivalent(x, y):
@@ -419,9 +417,18 @@ def equivalent(x, y):
 
 def retract(x):
     """Apartment coordinates of the upper-unipotent/diagonal factorization,
-    read off trailing principal minors: mu_i = (negval M_i - negval M_{i+1})/2."""
+    read off trailing principal minors: mu_i = (negval M_i - negval M_{i+1})/2.
+    An exactly-zero minor, possible only on a point built without
+    validation, raises ValueError."""
     n = x.n
-    nv = [fs.negval(d).finite_value for d in _trailing_minors(x.entries)]
+    nv = []
+    for d in _trailing_minors(x.entries):
+        v = fs.negval(d)
+        if v is None:
+            raise ValueError(
+                "a trailing principal minor is zero, so the point is not positive definite"
+            )
+        nv.append(v)
     nv.append(Fraction(0))
     mu = [(nv[i] - nv[i + 1]) / 2 for i in range(n)]
     return ApartmentVec.from_mu(type_A(n - 1), mu)

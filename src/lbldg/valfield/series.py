@@ -3,8 +3,10 @@
 An element is a finite sum of terms c*t^x plus a floor: None means the element
 is exact; a rational floor f means an unknown tail h with negval(h) <= f may
 exist. Visible exponents lie strictly above the floor, so the leading exponent
-(when terms exist) is the exact negval. The distinguished element t (exponent
-1) is infinite: t > r for every rational r.
+(when terms exist) is the exact negval. ``negval`` returns that exponent as a
+Fraction, and None for the exact zero: None is Bottom, the value of 0, below
+every Fraction. The distinguished element t (exponent 1) is infinite: t > r
+for every rational r.
 
 Terms live on an integer lattice. An element stores
 
@@ -21,7 +23,7 @@ hashing compare the ints directly. Each operation brings its operands to a
 common e (and, for addition, a common d) before the kernel call in
 ``_backend`` and divides the gcds out after it. Fractions appear only at the
 boundary: ``from_terms``, ``parse``, ``to_str``, the ``terms`` view, floors
-and the payloads of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
+and the values of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
 
 Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
 matrix on one ramification index and one integer scale per row,
@@ -46,7 +48,6 @@ from ..errors import (
     SeriesSyntaxError,
 )
 from ._backend import kernel_add, kernel_dot, kernel_mul
-from .lam import BOTTOM, LambdaVal
 
 LT, EQ, GT = -1, 0, 1
 
@@ -116,56 +117,11 @@ class PuiseuxElem:
     def __hash__(self):
         return hash((self.e, self.d, self.pairs, self.floor))
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # Only exact rational division; general inverses go through inv().
-        if not isinstance(other, (int, Fraction)) or other == 0:
-            raise TypeError("series division is only defined by nonzero rationals")
-        return mul(self, from_rational(Fraction(1, 1) / other))
-
-    def __lt__(self, other):
-        return cmp(self, _coerce(other)) == LT
-
-    def __le__(self, other):
-        return cmp(self, _coerce(other)) != GT
-
-    def __gt__(self, other):
-        return cmp(self, _coerce(other)) == GT
-
-    def __ge__(self, other):
-        return cmp(self, _coerce(other)) != LT
-
     def __str__(self):
         return to_str(self)
 
     def __repr__(self):
         return f"PuiseuxElem({to_str(self)!r})"
-
-
-def _coerce(x):
-    if isinstance(x, PuiseuxElem):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return from_rational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to PuiseuxElem")
 
 
 # --- the integer lattice ----------------------------------------------------
@@ -404,10 +360,12 @@ def lattice_ring(e):
 
 
 def negval(a):
+    """The leading exponent as a Fraction, None for the exact zero (Bottom,
+    below every value); PrecisionError when the floor masks the lead."""
     if a.pairs:
-        return LambdaVal.of(lead_exp(a))
+        return Fraction(a.pairs[0][0], a.e)
     if a.floor is None:
-        return BOTTOM
+        return None
     raise PrecisionError(f"negval masked by floor {a.floor}")
 
 

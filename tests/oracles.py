@@ -1,7 +1,13 @@
 """Reference oracles for the tests: a brute-force membership search, a
 greedy Iwasawa witness search, Fraction Gauss-Jordan elimination, and the
-direct forms of act, the Newton polygon and chart_image that the package
-computes on lattice ints, each independent of the algorithm it checks.
+direct forms of act, the Newton polygon, chart_image and the half-apartment
+stabilizer shape that the package computes on lattice ints or with explicit
+None checks, each independent of the algorithm it checks.
+
+Valuations here are Lam values: Lambda = Q with Bottom as a value of its
+own, below every finite value and absorbing under addition.  The package
+encodes Bottom as None and handles it at each call site; Lam(v) lifts such
+a value, so the two encodings can be compared.
 
 The witness search factors g = u . n . k with u upper unipotent, n a diagonal
 monomial matrix of determinant one, and k a matrix over O.  It runs a greedy
@@ -15,15 +21,61 @@ making diag(t^peak) special and leaving the scaled rows over O.
 """
 
 from fractions import Fraction
+from functools import total_ordering
 from itertools import product
 
 from lbldg.apartment import ApartmentVec
 from lbldg.errors import PrecisionError
 from lbldg.symspace import GroupElem, SPDPoint
 from lbldg.valfield import series as fs
-from lbldg.valfield.lam import BOTTOM, LambdaVal
 
 MAX_STEPS = 500
+
+
+# --- Lambda with Bottom ------------------------------------------------------------
+
+
+@total_ordering
+class Lam:
+    """A value of Lambda = Q with Bottom: Lam(None) is Bottom, and Lam(q)
+    for a Fraction q is finite."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other):
+        if self.v is None or other.v is None:
+            return BOTTOM
+        return Lam(self.v + other.v)
+
+    def __eq__(self, other):
+        return isinstance(other, Lam) and self.v == other.v
+
+    def __lt__(self, other):
+        if self.v is None:
+            return other.v is not None
+        return other.v is not None and self.v < other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return "Bottom" if self.v is None else f"Lam({self.v})"
+
+
+BOTTOM = Lam(None)
+
+
+def valuation(a):
+    """-v(a) as a Lam, read from the visible terms: the leading exponent, or
+    Bottom for the exact zero; PrecisionError when the floor masks it."""
+    if a.terms:
+        return Lam(a.terms[0][0])
+    if a.floor is None:
+        return BOTTOM
+    raise PrecisionError(f"negval masked by floor {a.floor}")
 
 
 # --- Fraction linear algebra ----------------------------------------------------
@@ -140,18 +192,18 @@ def pencil_valuations(q):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = (y2 - y1) / (x2 - x1)
         mu.extend([slope / 2] * int(x2 - x1))
-    return tuple(LambdaVal.of(v) for v in mu)
+    return tuple(mu)
 
 
 def chart_image(g, mu):
-    """r_i = max_j (negval(g_ij) + mu_j) in LambdaVal, with negval read
-    entry by entry in row-major order; the point when the r_i sum to zero,
-    else None."""
+    """r_i = max_j (valuation(g_ij) + mu_j) in Lam, with the valuations
+    read entry by entry in row-major order; the point when the r_i sum to
+    zero, else None."""
     rs = mu.rs
     if g.n != rs.rank + 1:
         raise ValueError("chart size and apartment rank disagree")
-    T = [[fs.negval(e) for e in row] for row in g.entries]
-    mv = [LambdaVal.of(m) for m in mu.to_mu()]
+    T = [[valuation(e) for e in row] for row in g.entries]
+    mv = [Lam(m) for m in mu.to_mu()]
     r = []
     for row in T:
         best = BOTTOM
@@ -162,9 +214,28 @@ def chart_image(g, mu):
     total = r[0]
     for v in r[1:]:
         total = total + v
-    if total != LambdaVal.of(0):
+    if total != Lam(Fraction(0)):
         return None
-    return ApartmentVec.from_mu(rs, [v.finite_value for v in r])
+    return ApartmentVec.from_mu(rs, [v.v for v in r])
+
+
+def half_apartment_shape(g, root, ell):
+    """Whether g has the shape of the stabilizer of {mu_i - mu_j >= ell},
+    root = (i, j): units on the diagonal, valuation(g_ij) <= ell in Lam's
+    order, and every other entry provably zero.  Entries are read in
+    row-major order, and the first that fails decides."""
+    wall = (root[0] - 1, root[1] - 1)
+    for i, row in enumerate(g.entries):
+        for j, e in enumerate(row):
+            if i == j:
+                ok = fs.is_unit(e)
+            elif (i, j) == wall:
+                ok = valuation(e) <= Lam(ell)
+            else:
+                ok = fs.provably_zero(e)
+            if not ok:
+                return False
+    return True
 
 
 # --- membership and Iwasawa witnesses -------------------------------------------
@@ -188,8 +259,8 @@ def brute_membership(g, mu, denom=2):
         validate=False,
     )
     m = g @ a
-    vals = (fs.negval(e) for row in g.entries for e in row)
-    finite = [abs(v.finite_value) for v in vals if not v.is_bottom]
+    vals = (valuation(e) for row in g.entries for e in row)
+    finite = [abs(v.v) for v in vals if v != BOTTOM]
     b = max(finite) + max(abs(x) for x in mv)
     lo, hi = -b - 1, (n - 1) * b + 1
     axis = [Fraction(k, denom) for k in range(int(denom * lo), int(denom * hi) + 1)]
@@ -235,10 +306,10 @@ def iwasawa_witness(g):
     tops = [None] * size
     for i in range(size - 1, -1, -1):
         for _ in range(MAX_STEPS):
-            peak = max(fs.negval(e) for e in rows[i])
-            if peak.is_bottom:
+            peak = max(valuation(e) for e in rows[i])
+            if peak == BOTTOM:
                 return None
-            m = peak.finite_value
+            m = peak.v
             v = [fs.coef_at(e, m) for e in rows[i]]
             lower = list(range(i + 1, size))
             lam = solve_combo([tops[k] for k in lower], v)

@@ -203,7 +203,7 @@ def test_criterion_08_newton_polygon_oracle():
         mu = sorted(gen_apartment_mu(rng, 3), reverse=True)
         p = act(k, x_mu(mu))
         got = list(cartan_valuations(o, p))
-        assert got == [LambdaVal.of(v) for v in mu]
+        assert got == mu
     print("criterion 8: 50 conjugated flats, eigen-valuations recovered sorted")
 
 

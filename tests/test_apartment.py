@@ -137,7 +137,7 @@ class TestNormDist:
         found = 0
         while found < 20:
             x, y = _rand_mu(rng, A3), _rand_mu(rng, A3)
-            z = x - y
+            z = _mu(A3, *[a - b for a, b in zip(x.to_mu(), y.to_mu())])
             if not _in_C0(z):
                 continue
             found += 1

@@ -191,7 +191,7 @@ class TestKernelRadius:
         for n in (2, 3, 4):
             x = bd.x_mu([lam * Q(n - 1 - 2 * i, 2) for i in range(n)])
             top = max(fs.negval(x.entries[i][i]) for i in range(n))
-            assert top == LambdaVal.of(lam * (n - 1))
+            assert top == lam * (n - 1)
             mu = retract(x).to_mu()
             assert [mu[i] - mu[i + 1] for i in range(n - 1)] == [lam] * (n - 1)
 

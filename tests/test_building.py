@@ -43,8 +43,8 @@ from lbldg.harness.generators import (
 from lbldg.rootsys import type_A
 from lbldg.symspace import GroupElem, SPDPoint, act, distance, equivalent, retract
 from lbldg.valfield import series as fs
-from lbldg.valfield.lam import BOTTOM, LambdaVal
-from oracles import brute_membership, iwasawa_witness
+from lbldg.valfield.lam import LambdaVal
+from oracles import BOTTOM, Lam, brute_membership, iwasawa_witness, valuation
 
 A1 = type_A(1)
 A2 = type_A(2)
@@ -85,7 +85,7 @@ def _sl3_grid(span):
 def _trop_lam(g):
     """trop(g) read back in Lambda: S_ij / L, Bottom for None."""
     L, S = bd.trop(g)
-    return [[BOTTOM if v is None else LambdaVal.of(Q(v, L)) for v in row] for row in S]
+    return [[BOTTOM if v is None else Lam(Q(v, L)) for v in row] for row in S]
 
 
 def _max_plus(a, b):
@@ -111,7 +111,7 @@ class TestTrop:
             rng = trial_rng(3, "trop-orth", trial)
             k = gen_orthogonal(rng, 3)
             T = _trop_lam(k)
-            assert max(v for row in T for v in row) == LambdaVal.of(0)
+            assert max(v for row in T for v in row) == Lam(Q(0))
 
     def test_submultiplicative_under_max_plus(self):
         for trial in range(30):
@@ -287,35 +287,35 @@ def _oracle_region(rs, T, sigma):
     cons = []
     for i in range(1, n + 1):
         a = sigma[i - 1]
-        base = T[i - 1][a - 1].finite_value
+        base = T[i - 1][a - 1].v
         for j in range(1, n + 1):
             tij = T[i - 1][j - 1]
-            if j != a and not tij.is_bottom:
-                cons.append(HalfApartment(rs.alpha(a, j), tij.finite_value - base))
+            if j != a and tij != BOTTOM:
+                cons.append(HalfApartment(rs.alpha(a, j), tij.v - base))
     return WConvexSet(rs, tuple(cons))
 
 
 def _oracle_overlap(g):
-    """The overlap by exhaustive search in Lambda, on negval read entry by
-    entry: every optimal permutation's region, a Bellman-Ford witness for
+    """The overlap by exhaustive search in Lambda, on valuations read entry
+    by entry: every optimal permutation's region, a Bellman-Ford witness for
     each, and the first region in lex order that contains every witness."""
     n = g.n
     rs = type_A(n - 1)
-    T = [[fs.negval(e) for e in row] for row in g.entries]
+    T = [[valuation(e) for e in row] for row in g.entries]
     best, opt = BOTTOM, []
     for sigma in permutations(range(1, n + 1)):
-        tot = LambdaVal.of(0)
+        tot = Lam(Q(0))
         for i in range(n):
             tot = tot + T[i][sigma[i] - 1]
-        if tot.is_bottom:
+        if tot == BOTTOM:
             continue
         if best < tot:
             best, opt = tot, [sigma]
         elif tot == best:
             opt.append(sigma)
-    if best > LambdaVal.of(0):
+    if best > Lam(Q(0)):
         return None
-    if not best.is_bottom and best < LambdaVal.of(0):
+    if best != BOTTOM and best < Lam(Q(0)):
         raise ValueError("the tropical permanent is negative, so g is not in SL(n)")
     regions = [(sigma, _oracle_region(rs, T, sigma)) for sigma in opt]
     witnesses = [wconvex_witness(reg) for _, reg in regions]
@@ -324,7 +324,7 @@ def _oracle_overlap(g):
         raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
     for sigma, reg in regions:
         if all(in_wconvex(reg, p) for p in points):
-            c = [T[i][sigma[i] - 1].finite_value for i in range(n)]
+            c = [T[i][sigma[i] - 1].v for i in range(n)]
             return reg, affine_from_mu(rs, sigma, c)
     raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
 
@@ -637,8 +637,8 @@ class TestStabO:
 
 class TestPhi:
     def test_values(self):
-        assert bd.phi(bd.RootElem(2, 1, 2, fs.parse("t"))) == LambdaVal.of(1)
-        assert bd.phi(bd.RootElem(2, 1, 2, fs.ZERO)) == BOTTOM
+        assert bd.phi(bd.RootElem(2, 1, 2, fs.parse("t"))) == 1
+        assert bd.phi(bd.RootElem(2, 1, 2, fs.ZERO)) is None
 
     def test_ultrametric_on_products(self):
         for trial in range(100):
@@ -652,10 +652,11 @@ class TestPhi:
             v = bd.RootElem(3, i, j, s2)
             uv = bd.RootElem(3, i, j, fs.add(s1, s2))
             assert u.as_group() @ v.as_group() == uv.as_group()
-            bound = max(bd.phi(u), bd.phi(v))
-            assert bd.phi(uv) <= bound
-            if bd.phi(u) != bd.phi(v):
-                assert bd.phi(uv) == bound
+            pu, pv, puv = Lam(bd.phi(u)), Lam(bd.phi(v)), Lam(bd.phi(uv))
+            bound = max(pu, pv)
+            assert puv <= bound
+            if pu != pv:
+                assert puv == bound
 
 
 # --- fixed sets ------------------------------------------------------------------
@@ -705,11 +706,11 @@ class TestFixedSets:
             rng = trial_rng(3, "fix-conj", trial)
             _, i, j, s = gen_root_elem(rng, 3)
             a = gen_diagonal(rng, 3)
-            exps = [fs.negval(a.entries[k][k]).finite_value for k in range(3)]
+            exps = [fs.negval(a.entries[k][k]) for k in range(3)]
             conj = a @ bd.RootElem(3, i, j, s).as_group() @ a.inverse()
             moved = bd.RootElem(3, i, j, conj.entries[i - 1][j - 1])
             got = bd.fixed_set_root(moved)
-            want = bd.phi(bd.RootElem(3, i, j, s)).finite_value + exps[i - 1] - exps[j - 1]
+            want = bd.phi(bd.RootElem(3, i, j, s)) + exps[i - 1] - exps[j - 1]
             assert got.threshold == want
 
     def test_unipotent_identity_fixes_everything(self):
@@ -788,6 +789,13 @@ class TestMOf:
         with pytest.raises(NotARoot, match=rf"no root labelled \({i}, {j}\)"):
             bd.m_of(bd.RootElem(3, i, j, fs.parse("t")))
 
+    @pytest.mark.parametrize("fn", [bd.phi, bd.fixed_set_root, bd.RootElem.as_group])
+    @pytest.mark.parametrize("i, j", [(1, 5), (1, 1), (0, 2), (4, 1)])
+    def test_every_reader_rejects_the_pair_alike(self, fn, i, j):
+        # one bad pair, one answer from every reader of a root element
+        with pytest.raises(NotARoot, match=rf"no root labelled \({i}, {j}\)"):
+            fn(bd.RootElem(3, i, j, fs.parse("t")))
+
     def test_wall_fixed_and_halves_swapped(self):
         for trial in range(20):
             rng = trial_rng(3, "mof-wall", trial)
@@ -805,15 +813,9 @@ class TestMOf:
                 assert b_ext(pt, root) == ell
                 assert apply_weyl(w, pt) == pt
                 # push off the wall: the two sides trade places
-                off = ApartmentVec.from_mu(
-                    A2,
-                    [
-                        Q(1) if a == i - 1 else (Q(-1) if a == j - 1 else Q(0))
-                        for a in range(3)
-                    ],
-                )
-                plus = pt + off
-                minus = pt - off
+                off = [Q(1) if a == i - 1 else (Q(-1) if a == j - 1 else Q(0)) for a in range(3)]
+                plus = _mu(A2, *[m + o for m, o in zip(mu, off)])
+                minus = _mu(A2, *[m - o for m, o in zip(mu, off)])
                 assert apply_weyl(w, plus) == minus
                 assert apply_weyl(w, minus) == plus
 
@@ -835,7 +837,7 @@ class TestMOf:
             m, _, _ = bd.m_of(u)
             e, c = s.terms[0]
             uprime = bd.RootElem(3, j, i, fs.monomial(-e, -1 / c))
-            assert bd.phi(uprime).payload == -bd.phi(u).payload
+            assert bd.phi(uprime) == -bd.phi(u)
             assert uprime.as_group() @ u.as_group() @ uprime.as_group() == m
 
     def test_truncated_parameter(self):
@@ -972,7 +974,7 @@ class TestIwasawa:
             peeled = u.inverse() @ g
             nu = bd.chart_image(peeled, zero)
             assert nu is not None
-            exps = [fs.negval(n.entries[i][i]).finite_value for i in range(3)]
+            exps = [fs.negval(n.entries[i][i]) for i in range(3)]
             assert list(nu.to_mu()) == exps
 
     def test_retraction_cross_check(self):
@@ -987,7 +989,7 @@ class TestIwasawa:
                 res = iwasawa_witness(g)
                 assert res is not None
                 _, n, _ = res
-                exps = [fs.negval(n.entries[i][i]).finite_value for i in range(size)]
+                exps = [fs.negval(n.entries[i][i]) for i in range(size)]
                 got = retract(act(g, SPDPoint.basepoint(size)))
                 assert list(got.to_mu()) == exps
 

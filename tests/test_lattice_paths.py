@@ -3,7 +3,11 @@ act (upper triangle mirrored, exact zeros skipped) against two full matrix
 products, the int Newton polygon against the Fraction one, trop and
 trop_radius against negval entry by entry, and chart_image on one int
 lattice against the maximum over those negvals.  Inputs are drawn at
-n = 2..5, exact and floored, with rows of exact zeros and masked entries."""
+n = 2..5, exact and floored, with rows of exact zeros and masked entries.
+
+The package encodes Bottom, the valuation of 0, as None; phi, trop and the
+half-apartment stabilizer shape are checked against the oracles' Lam
+order, where Bottom lies below every finite value, at n = 2..4."""
 
 from fractions import Fraction as Q
 
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from lbldg import building as bd
 from lbldg import symspace as sym
-from lbldg.apartment import ApartmentVec
+from lbldg.apartment import ApartmentVec, HalfApartment
 from lbldg.errors import PrecisionError
 from lbldg.harness.generators import gen_diagonal, gen_group_elem, gen_unipotent, trial_rng
 from lbldg.rootsys import type_A
@@ -175,8 +179,8 @@ class TestTrop:
         L, S = got[1]
         assert type(L) is int and L > 0
         assert all(v is None or type(v) is int for row in S for v in row)
-        assert S == [[None if v.is_bottom else v.finite_value * L for v in row] for row in want[1]]
-        finite = [abs(v.finite_value) for row in want[1] for v in row if not v.is_bottom]
+        assert S == [[None if v is None else v * L for v in row] for row in want[1]]
+        finite = [abs(v) for row in want[1] for v in row if v is not None]
         assert bd.trop_radius(g) == max(finite, default=0)
 
 
@@ -222,3 +226,47 @@ def test_x_mu_entries_are_the_monomials(mu):
     assert x.entries == tuple(
         tuple(fs.monomial(2 * mu[i]) if i == j else fs.ZERO for j in range(n)) for i in range(n)
     )
+
+
+@st.composite
+def _half_apartment_cases(draw):
+    """A matrix of size 2..4, a root (i, j) and a threshold.  Half of the
+    matrices are drawn entry by entry; the other half have the stabilizer's
+    shape (identity diagonal, exact zeros) around a drawn wall entry g_ij,
+    sometimes with one more drawn entry anywhere.  Every drawn entry is
+    exact, floored, exactly zero or masked."""
+    n = draw(st.integers(2, 4))
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    if draw(st.booleans()):
+        rows = draw(_matrix(n, floored=True))
+    else:
+        rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]
+        rows[i - 1][j - 1] = draw(_series(floored=True))
+        if draw(st.integers(0, 3)) == 0:
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                _series(floored=True)
+            )
+    return sym.GroupElem(rows, validate=False), (i, j), draw(_EXPONENT)
+
+
+class TestBottomOrder:
+    @given(_half_apartment_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_phi_trop_and_half_apartment_shape(self, case):
+        g, (i, j), ell = case
+        s = g.entries[i - 1][j - 1]
+        # phi: the Fraction or None, read as a Lam, or the same error
+        kind, value = _outcome(bd.phi, bd.RootElem(g.n, i, j, s))
+        got = (kind, oracles.Lam(value)) if kind == "ok" else (kind, value)
+        assert got == _outcome(oracles.valuation, s)
+        # trop: S_ij / L, None read as Bottom, or the first masked entry's error
+        want = _outcome(lambda: [oracles.valuation(e) for row in g.entries for e in row])
+        got = _outcome(bd.trop, g)
+        if got[0] == "ok":
+            L, S = got[1]
+            got = ("ok", [oracles.Lam(None if v is None else Q(v, L)) for row in S for v in row])
+        assert got == want
+        # the half-apartment stabilizer's shape, decided in Lam's order
+        assert _outcome(bd.stab_predicates, g, HalfApartment((i, j), ell)) == _outcome(
+            oracles.half_apartment_shape, g, (i, j), ell
+        )

@@ -65,13 +65,12 @@ class TestTypes:
         _g([["1 + O(t^(-1))", "0"], ["0", "1"]])
         _x([["1 + O(t^(-1/2))", "0"], ["0", "1"]])
 
-    def test_inverse_and_transpose(self):
+    def test_inverse(self):
         rng = trial_rng(5, "inv", 0)
         for n in (2, 3, 4):
             for _ in range(5):
                 g = gen_group_elem(rng, n)
                 assert g @ g.inverse() == sym.GroupElem.identity(n)
-                assert g.transpose().entries == sym.mat_transpose(g.entries)
 
     def test_json_round_trip(self):
         g = _g([["1", "t^(1/2)"], ["0", "1"]])
@@ -134,20 +133,17 @@ class TestAct:
 class TestCartanValuations:
     def test_spec_examples(self):
         ident = sym.SPDPoint.basepoint(2)
-        assert sym.cartan_valuations(ident, ident) == (
-            LambdaVal.of(0),
-            LambdaVal.of(0),
-        )
+        assert sym.cartan_valuations(ident, ident) == (Q(0), Q(0))
         y = _diag_point(2, -2)
-        assert [v.finite_value for v in sym.cartan_valuations(ident, y)] == [1, -1]
+        assert list(sym.cartan_valuations(ident, y)) == [1, -1]
         y2 = _x([["1 + t^2", "t"], ["t", "1"]])
-        assert [v.finite_value for v in sym.cartan_valuations(ident, y2)] == [1, -1]
+        assert list(sym.cartan_valuations(ident, y2)) == [1, -1]
 
     def test_sorted_and_sum_zero(self):
         rng = trial_rng(5, "cart", 2)
         for _ in range(30):
             x, y = gen_point(rng, 3), gen_point(rng, 3)
-            mu = [v.finite_value for v in sym.cartan_valuations(x, y)]
+            mu = list(sym.cartan_valuations(x, y))
             assert mu == sorted(mu, reverse=True)
             assert sum(mu) == 0
 
@@ -180,15 +176,15 @@ class TestCartanValuations:
             mu.sort(reverse=True)
             d = _diag_point(*[2 * m for m in mu])
             k = gen_orthogonal(rng, 3)
-            got = [v.finite_value for v in sym.cartan_valuations(ident, sym.act(k, d))]
+            got = list(sym.cartan_valuations(ident, sym.act(k, d)))
             assert got == mu
 
     def test_weyl_orbit_relation(self):
         rng = trial_rng(5, "orbit", 4)
         for _ in range(20):
             x, y = gen_point(rng, 2), gen_point(rng, 2)
-            ab = [v.finite_value for v in sym.cartan_valuations(x, y)]
-            ba = [v.finite_value for v in sym.cartan_valuations(y, x)]
+            ab = list(sym.cartan_valuations(x, y))
+            ba = list(sym.cartan_valuations(y, x))
             assert ba == [-v for v in reversed(ab)]
 
     def test_masked_coefficient_raises(self):
@@ -231,7 +227,7 @@ class TestCartanValuations:
             ],
             validate=False,
         )
-        got = [v.finite_value for v in sym.cartan_valuations(ident, y)]
+        got = list(sym.cartan_valuations(ident, y))
         assert got == [1, -1]
 
 
@@ -355,7 +351,7 @@ class TestDistance:
         rng = trial_rng(5, "pairwise", n)
         for _ in range(8):
             x, y = gen_point(rng, n), gen_point(rng, n)
-            mu = [v.finite_value for v in sym.cartan_valuations(x, y)]
+            mu = list(sym.cartan_valuations(x, y))
             pairwise = sum(abs(a - b) for a in mu for b in mu)
             assert sym.distance(x, y) == LambdaVal.of(pairwise)
 
@@ -377,8 +373,7 @@ class TestDistance:
         y = sym.SPDPoint([[u, fs.ZERO], [fs.ZERO, uinv]], validate=False)
         assert sym.equivalent(ident, _diag_point(0, 0))
         assert not sym.equivalent(ident, _diag_point(2, -2))
-        got = [v for v in sym.cartan_valuations(ident, y)]
-        assert all(v.finite_value == 0 for v in got)
+        assert all(v == 0 for v in sym.cartan_valuations(ident, y))
 
 
 class TestRetract:
@@ -393,7 +388,7 @@ class TestRetract:
             a = gen_diagonal(rng, 3)
             x = sym.act(a, sym.SPDPoint.basepoint(3))
             mu = list(sym.retract(x).to_mu())
-            want = [fs.negval(a.entries[i][i]).finite_value for i in range(3)]
+            want = [fs.negval(a.entries[i][i]) for i in range(3)]
             assert mu == want
 
     def test_a_equivariance(self):
@@ -401,10 +396,17 @@ class TestRetract:
         for _ in range(30):
             a = gen_diagonal(rng, 3)
             x = gen_point(rng, 3)
-            shift = [fs.negval(a.entries[i][i]).finite_value for i in range(3)]
+            shift = [fs.negval(a.entries[i][i]) for i in range(3)]
             lhs = list(sym.retract(sym.act(a, x)).to_mu())
             rhs = [m + s for m, s in zip(sym.retract(x).to_mu(), shift)]
             assert lhs == rhs
+
+    def test_exactly_zero_trailing_minor(self):
+        # an unvalidated point whose last diagonal entry is an exact zero
+        x = sym.SPDPoint([["1", "0"], ["0", "0"]], validate=False)
+        msg = "a trailing principal minor is zero, so the point is not positive definite"
+        with pytest.raises(ValueError, match=msg):
+            sym.retract(x)
 
     def test_distance_diminishing_200(self):
         rng = trial_rng(5, "dimin", 10)
