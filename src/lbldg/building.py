@@ -226,7 +226,6 @@ def stab_o(g):
     return all(fs.in_O(e) for row in g.entries for e in row)
 
 
-POINT_O = "PointO"
 APARTMENT_POINTWISE = "ApartmentPointwise"
 CHAMBER_C0 = "ChamberC0"
 
@@ -242,12 +241,10 @@ def _stab_shape(g, off_diagonal):
 
 
 def stab_predicates(g, target):
-    """Matrix-shape membership tests for the four stabilizer groups: the
-    base-point stabilizer, the pointwise apartment stabilizer, the pointwise
-    chamber stabilizer, and a half-apartment stabilizer (target a
-    HalfApartment, whose root must be one of type_A(n - 1))."""
-    if target == POINT_O:
-        return stab_o(g)
+    """Matrix-shape membership tests for the pointwise apartment stabilizer,
+    the pointwise chamber stabilizer, and a half-apartment stabilizer
+    (target a HalfApartment, whose root must be one of type_A(n - 1)); the
+    base-point stabilizer is stab_o."""
     if target == APARTMENT_POINTWISE:
         return _stab_shape(g, lambda i, j, e: fs.provably_zero(e))
     if target == CHAMBER_C0:

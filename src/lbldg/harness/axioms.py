@@ -1,9 +1,10 @@
 """Axiom verification suites at desk scale.
 
 Each suite runs cfg.trials independent trials; trial k draws from the
-stream split off by (seed, suite-name, k), so reports are reproducible and
-independent of execution order. A trial either verifies a concretely
-constructed instance of the axiom or records a replayable counterexample.
+stream split off by (seed, stream, k), the stream named where run_check is
+called, so reports are reproducible and independent of execution order. A
+trial either verifies a concretely constructed instance of the axiom or
+records a replayable counterexample.
 
 The constructions are pinned so every trial is decidable:
 
@@ -60,13 +61,8 @@ from .generators import (
     gen_root_elem,
     gen_unipotent,
     sample_in_region,
-    trial_rng,
 )
 from .report import payload_strs, run_check, run_suite
-
-
-def _vec(rs, mu):
-    return ApartmentVec.from_mu(rs, mu)
 
 
 # --- A1: precomposition with the affine Weyl group ----------------------------
@@ -75,15 +71,14 @@ def _vec(rs, mu):
 def _check_a1(cfg):
     rs = type_A(cfg.n - 1)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "A1", trial)
+    def one(rng, _):
         g = draw_group(rng, cfg)
         sigma = tuple(rng.sample(range(1, cfg.n + 1), cfg.n))
         c = gen_apartment_mu(rng, cfg.n)
         w = affine_from_mu(rs, sigma, list(c))
         nw = normalizer_of(w, cfg.n)
         for _ in range(4):
-            mu = _vec(rs, gen_apartment_mu(rng, cfg.n))
+            mu = ApartmentVec.from_mu(rs, gen_apartment_mu(rng, cfg.n))
             left = act(g @ nw, x_mu(mu))
             right = act(g, x_mu(apply_weyl(w, mu)))
             if left != right:
@@ -95,7 +90,7 @@ def _check_a1(cfg):
                 }
         return None
 
-    return [run_check("charts absorb affine Weyl precomposition", cfg.trials, one)]
+    return [run_check("charts absorb affine Weyl precomposition", cfg, "A1", one)]
 
 
 # --- A2: two charts differ by one Weyl element on their overlap ---------------
@@ -104,8 +99,7 @@ def _check_a1(cfg):
 def _check_a2(cfg):
     bound = cfg.n * (cfg.n - 1)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "A2", trial)
+    def one(rng, _):
         # a one-point region is carried by many Weyl elements, so keep
         # drawing until the overlap holds at least two sampled points
         for _ in range(40):
@@ -128,7 +122,7 @@ def _check_a2(cfg):
                 return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
 
-    return [run_check("overlaps carry a single Weyl transport", cfg.trials, one)]
+    return [run_check("overlaps carry a single Weyl transport", cfg, "A2", one)]
 
 
 # --- A3r: distance is chart-independent ----------------------------------------
@@ -136,12 +130,11 @@ def _check_a2(cfg):
 
 def _check_a3r(cfg):
     rs = type_A(cfg.n - 1)
-    zero = _vec(rs, [Fraction(0)] * cfg.n)
+    zero = ApartmentVec.from_mu(rs, [Fraction(0)] * cfg.n)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "A3r", trial)
+    def one(rng, _):
         h = draw_group(rng, cfg)
-        nu = _vec(rs, gen_apartment_mu(rng, cfg.n))
+        nu = ApartmentVec.from_mu(rs, gen_apartment_mu(rng, cfg.n))
         base = distance(x_mu(zero), x_mu(nu))
         moved = distance(act(h, x_mu(zero)), act(h, x_mu(nu)))
         if moved != base:
@@ -153,15 +146,14 @@ def _check_a3r(cfg):
             return {"h": matrix_to_json(h), "nu": payload_strs(nu.to_mu()), "kind": "weyl"}
         return None
 
-    return [run_check("distance agrees across chart presentations", cfg.trials, one)]
+    return [run_check("distance agrees across chart presentations", cfg, "A3r", one)]
 
 
 # --- TI: pseudo-distance axioms -------------------------------------------------
 
 
 def _check_ti(cfg):
-    def one(trial):
-        rng = trial_rng(cfg.seed, "TI", trial)
+    def one(rng, _):
         x, y, z = (draw_point(rng, cfg) for _ in range(3))
         dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
         if dxy < ZERO or distance(x, x) != ZERO:
@@ -177,24 +169,17 @@ def _check_ti(cfg):
             }
         return None
 
-    return [run_check("pseudo-distance axioms hold on triples", cfg.trials, one)]
+    return [run_check("pseudo-distance axioms hold on triples", cfg, "TI", one)]
 
 
 # --- A4: two sectors admit a common chart ---------------------------------------
 
 
-def _staircase(n):
-    mu = [Fraction(n - 1 - 2 * i) for i in range(n)]
-    shift = sum(mu) / n
-    return [v - shift for v in mu]
-
-
 def _check_a4(cfg):
     rs = type_A(cfg.n - 1)
-    stair = _staircase(cfg.n)
+    stair = [Fraction(cfg.n - 1 - 2 * i) for i in range(cfg.n)]
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "A4", trial)
+    def one(rng, _):
         span = cfg.exponent_magnitude_bound
         denom = cfg.exponent_denominator_bound
         u1 = gen_unipotent(rng, cfg.n, span=span, denom=denom)
@@ -213,7 +198,7 @@ def _check_a4(cfg):
         into_chart = b1.inverse()
         transition = into_chart @ g
         for k in range(4):
-            mu = _vec(rs, [(depth + k) * v for v in stair])
+            mu = ApartmentVec.from_mu(rs, [(depth + k) * v for v in stair])
             if chart_image(into_chart, mu) is None:
                 return {
                     "g": matrix_to_json(g),
@@ -228,7 +213,7 @@ def _check_a4(cfg):
                 }
         return None
 
-    return [run_check("sector pairs share a chart at depth", cfg.trials, one)]
+    return [run_check("sector pairs share a chart at depth", cfg, "A4", one)]
 
 
 # --- EC: exchange configuration from a root element -----------------------------
@@ -238,21 +223,21 @@ def _gap_point(rs, n, i, j, gamma):
     mu = [Fraction(0)] * n
     mu[i - 1] = gamma / 2
     mu[j - 1] = -gamma / 2
-    return _vec(rs, mu)
+    return ApartmentVec.from_mu(rs, mu)
 
 
 def _check_ec(cfg):
     rs = type_A(cfg.n - 1)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "EC", trial)
-        u, i, j, s = gen_root_elem(
+    def one(rng, _):
+        root_elem = gen_root_elem(
             rng,
             cfg.n,
             cfg.exponent_magnitude_bound,
             cfg.exponent_denominator_bound,
         )
-        root_elem = RootElem(cfg.n, i, j, s)
+        _, i, j, s = root_elem
+        u = root_elem.as_group()
         exp = fs.lead_exp(s)
         coef = fs.coef_at(s, exp)
         ell = exp
@@ -300,7 +285,7 @@ def _check_ec(cfg):
             return dict(bad, kind="transition moves the wall")
         return None
 
-    return [run_check("exchange configurations close up", cfg.trials, one)]
+    return [run_check("exchange configurations close up", cfg, "EC", one)]
 
 
 AXIOMS = {

@@ -1,9 +1,11 @@
 """Seeded random generators for group elements, points, and root elements.
 
 Every generator takes an explicit random.Random so the harness can derive one
-deterministic stream per trial. Supports stay tiny by default: monomial
-entries with exponent denominators <= 2 and numerators bounded by 4,
-everything Exact. The span/denom knobs widen or narrow that lattice.
+deterministic stream per trial. Supports stay tiny: monomial entries with
+exponent denominators <= 2 and numerators bounded by 4, everything Exact.
+The group and root-element generators take span and denom, so a suite
+config can widen or narrow that lattice; gen_apartment_mu keeps the
+half-integer lattice, and gen_dominant_mu takes only denom.
 
 sample_in_region draws points of a type A overlap region by an exact walk
 on the 1/denom lattice: each move's feasible step is read off the region's
@@ -13,9 +15,10 @@ difference constraints, so no drawn point is ever tested and thrown away.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd
+from math import floor, gcd, prod
 
 from ..apartment import ApartmentVec, difference_form, wconvex_witness
+from ..building import RootElem
 from ..linalg import mat_inv
 from ..symspace import GroupElem, SPDPoint, act
 from ..valfield import series as fs
@@ -26,16 +29,19 @@ def trial_rng(seed, which, trial):
     return random.Random(f"{seed}:{which}:{trial}")
 
 
-def _exponent(rng, span=4, denom=2):
-    return Fraction(rng.randint(-span, span), rng.choice(range(1, denom + 1)))
+def _exponent(rng, span, denom, integral=False):
+    """An exponent on the 1/denom lattice, at or below zero when integral."""
+    top = 0 if integral else span
+    return Fraction(rng.randint(-span, top), rng.choice(range(1, denom + 1)))
 
 
 def _small_rational(rng):
     return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
 
-def gen_unipotent(rng, n, lower=False, span=4, denom=2):
-    """Upper (or lower) unipotent with zero-or-monomial off-diagonal entries."""
+def gen_unipotent(rng, n, lower=False, span=4, denom=2, integral=False):
+    """Upper (or lower) unipotent with zero-or-monomial off-diagonal entries;
+    integral keeps every exponent at or below zero, so the entries lie in O."""
     rows = [[fs.ONE if i == j else fs.ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -43,7 +49,7 @@ def gen_unipotent(rng, n, lower=False, span=4, denom=2):
             if above and rng.random() < 0.7:
                 c = _small_rational(rng)
                 if c:
-                    rows[i][j] = fs.monomial(_exponent(rng, span, denom), c)
+                    rows[i][j] = fs.monomial(_exponent(rng, span, denom, integral), c)
     return GroupElem(rows, validate=False)
 
 
@@ -52,10 +58,7 @@ def gen_diagonal(rng, n, span=4, denom=2):
     exps = [_exponent(rng, span, denom) for _ in range(n - 1)]
     exps.append(-sum(exps))
     coefs = [Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2])) for _ in range(n - 1)]
-    prod = Fraction(1)
-    for c in coefs:
-        prod *= c
-    coefs.append(1 / prod)
+    coefs.append(1 / prod(coefs))
     rows = [
         [fs.monomial(exps[i], coefs[i]) if i == j else fs.ZERO for j in range(n)]
         for i in range(n)
@@ -95,8 +98,8 @@ def gen_group_elem(rng, n, span=4, denom=2, factors=3):
     return g
 
 
-def gen_point(rng, n, span=4, denom=2, factors=3):
-    return act(gen_group_elem(rng, n, span, denom, factors), SPDPoint.basepoint(n))
+def gen_point(rng, n):
+    return act(gen_group_elem(rng, n), SPDPoint.basepoint(n))
 
 
 def draw_group(rng, cfg):
@@ -115,28 +118,10 @@ def draw_point(rng, cfg):
     return act(draw_group(rng, cfg), SPDPoint.basepoint(cfg.n))
 
 
-def gen_unipotent_O(rng, n, lower):
-    """Unipotent with off-diagonal entries in the valuation ring: exponents
-    on the half-integer lattice at or below zero."""
-    rows = [[fs.ONE if i == j else fs.ZERO for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            above = i > j if lower else i < j
-            if above and rng.random() < 0.7:
-                c = _small_rational(rng)
-                if c:
-                    e = Fraction(rng.randint(-4, 0), rng.choice([1, 2]))
-                    rows[i][j] = fs.monomial(e, c)
-    return GroupElem(rows, validate=False)
-
-
 def gen_diag_units(rng, n):
     """Diagonal rational units (either sign) with determinant exactly 1."""
     coefs = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(n - 1)]
-    prod = Fraction(1)
-    for c in coefs:
-        prod *= c
-    coefs.append(1 / prod)
+    coefs.append(1 / prod(coefs))
     rows = [
         [fs.from_rational(coefs[i]) if i == j else fs.ZERO for j in range(n)]
         for i in range(n)
@@ -153,7 +138,7 @@ def gen_stab_elem(rng, n):
     for _ in range(rng.randint(1, 3)):
         kind = rng.randint(0, 2)
         if kind == 0:
-            g = g @ gen_unipotent_O(rng, n, rng.random() < 0.5)
+            g = g @ gen_unipotent(rng, n, lower=rng.random() < 0.5, integral=True)
         elif kind == 1:
             g = g @ gen_diag_units(rng, n)
         else:
@@ -162,26 +147,24 @@ def gen_stab_elem(rng, n):
 
 
 def gen_root_elem(rng, n, span=4, denom=2):
-    """A unipotent root element: identity plus one monomial at (i, j), i != j.
-    Returns (GroupElem, i, j, s) with 1-indexed positions."""
+    """A root element: one monomial s at the 1-indexed (i, j), i != j."""
     i, j = rng.sample(range(1, n + 1), 2)
     c = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
-    s = fs.monomial(_exponent(rng, span, denom), c)
-    rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]
-    rows[i - 1][j - 1] = s
-    return GroupElem(rows, validate=False), i, j, s
+    return RootElem(n, i, j, fs.monomial(_exponent(rng, span, denom), c))
 
 
-def gen_apartment_mu(rng, n, denom=2, span=3):
-    """Sum-zero rational tuple for mu-view sampling."""
-    mu = [Fraction(rng.randint(-span * denom, span * denom), denom) for _ in range(n - 1)]
+def gen_apartment_mu(rng, n):
+    """Sum-zero tuple on the half-integer lattice, entries but the last in
+    [-3, 3], for mu-view sampling."""
+    mu = [Fraction(rng.randint(-6, 6), 2) for _ in range(n - 1)]
     mu.append(-sum(mu))
     return tuple(mu)
 
 
-def gen_dominant_mu(rng, n, denom=2, span=3):
-    """Strictly dominant sum-zero tuple: every consecutive gap is positive."""
-    gaps = [Fraction(rng.randint(1, span * denom), denom) for _ in range(n - 1)]
+def gen_dominant_mu(rng, n, denom):
+    """Strictly dominant sum-zero tuple: every consecutive gap is positive,
+    on the 1/denom lattice and at most 3."""
+    gaps = [Fraction(rng.randint(1, 3 * denom), denom) for _ in range(n - 1)]
     mu = [Fraction(0)]
     for g in gaps:
         mu.append(mu[-1] - g)

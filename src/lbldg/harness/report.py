@@ -11,6 +11,8 @@ a report either.
 import time
 from typing import NamedTuple
 
+from .generators import trial_rng
+
 SCHEMA = "lbldg-report/1"
 
 # cap stored counterexamples per row; counts still reflect every failure
@@ -41,14 +43,15 @@ class Report(NamedTuple):
         return all(row.ok for row in self.rows)
 
 
-def run_check(name, trials, one_trial):
-    """Drive one_trial over range(trials). A trial passes when it returns
-    None; a JSON-able payload or a raised exception records a failure."""
+def run_check(name, cfg, stream, one):
+    """Drive one(rng, t) over range(cfg.trials), trial t drawing from
+    trial_rng(cfg.seed, stream, t). A trial passes when it returns None; a
+    JSON-able payload or a raised exception records a failure."""
     passed = failed = 0
     kept = []
-    for t in range(trials):
+    for t in range(cfg.trials):
         try:
-            bad = one_trial(t)
+            bad = one(trial_rng(cfg.seed, stream, t), t)
         except Exception as exc:
             bad = {"error": f"{type(exc).__name__}: {exc}"}
         if bad is None:
@@ -59,7 +62,7 @@ def run_check(name, trials, one_trial):
                 payload = dict(bad)
                 payload["trial"] = t
                 kept.append(payload)
-    return CheckRow(name, trials, passed, failed, tuple(kept))
+    return CheckRow(name, cfg.trials, passed, failed, tuple(kept))
 
 
 def run_suite(kind, suites, cfg, which, enumeration=False):

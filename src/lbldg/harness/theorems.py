@@ -1,8 +1,9 @@
 """Stabilizer and retraction theorem suites.
 
 Same trial discipline as the axiom suites: per-trial streams split by
-(seed, suite-name, trial), every check decided by exact arithmetic, and
-failures recorded with replayable payloads.
+(seed, stream, trial), the stream named where run_check is called, every
+check decided by exact arithmetic, and failures recorded with replayable
+payloads.
 
 The stabilizer suites compare matrix-shape predicates against the action
 itself. For the base point and the full apartment the shape test is exactly
@@ -52,8 +53,7 @@ from .generators import (
     gen_diag_units,
     gen_dominant_mu,
     gen_stab_elem,
-    gen_unipotent_O,
-    trial_rng,
+    gen_unipotent,
 )
 from .report import payload_strs, run_check, run_suite
 
@@ -64,8 +64,7 @@ from .report import payload_strs, run_check, run_suite
 def _check_stab_o(cfg):
     o = SPDPoint.basepoint(cfg.n)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "Stab_o", trial)
+    def one(rng, _):
         g = draw_group(rng, cfg)
         shape = stab_o(g)
         moved = distance(o, act(g, o))
@@ -73,7 +72,7 @@ def _check_stab_o(cfg):
             return {"g": matrix_to_json(g), "shape": shape, "distance": str(moved)}
         return None
 
-    return [run_check("integral shape is exactly the base-point stabilizer", cfg.trials, one)]
+    return [run_check("integral shape is exactly the base-point stabilizer", cfg, "Stab_o", one)]
 
 
 # --- pointwise apartment stabilizer ------------------------------------------------
@@ -84,8 +83,6 @@ def _probe_mus(cfg, rng, rs):
     exponent a product of factor_count factors can carry."""
     k = cfg.factor_count * cfg.n * cfg.exponent_magnitude_bound + 1
     stair = [Fraction(k * (cfg.n - 1 - 2 * i)) for i in range(cfg.n)]
-    shift = sum(stair) / cfg.n
-    stair = [v - shift for v in stair]
     mus = [stair, [-v for v in stair]]
     for _ in range(4):
         mus.append(list(gen_apartment_mu(rng, cfg.n)))
@@ -95,8 +92,7 @@ def _probe_mus(cfg, rng, rs):
 def _check_stab_a(cfg):
     rs = type_A(cfg.n - 1)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "Stab_A", trial)
+    def one(rng, trial):
         g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else draw_group(rng, cfg)
         shape = stab_predicates(g, APARTMENT_POINTWISE)
         fixes = all(
@@ -106,7 +102,7 @@ def _check_stab_a(cfg):
             return {"g": matrix_to_json(g), "shape": shape, "fixes": fixes}
         return None
 
-    return [run_check("diagonal units are exactly the apartment fixers", cfg.trials, one)]
+    return [run_check("diagonal units are exactly the apartment fixers", cfg, "Stab_A", one)]
 
 
 # --- pointwise chamber stabilizer --------------------------------------------------
@@ -116,20 +112,18 @@ def _check_stab_c0(cfg):
     rs = type_A(cfg.n - 1)
     denom = cfg.exponent_denominator_bound
 
-    def positive(trial):
-        rng = trial_rng(cfg.seed, "Stab_C0+", trial)
-        g = gen_unipotent_O(rng, cfg.n, lower=False) @ gen_diag_units(rng, cfg.n)
+    def positive(rng, _):
+        g = gen_unipotent(rng, cfg.n, integral=True) @ gen_diag_units(rng, cfg.n)
         if not stab_predicates(g, CHAMBER_C0):
             return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for _ in range(20):
-            mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n, denom=denom))
+            mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n, denom))
             if not equivalent(act(g, x_mu(mu)), x_mu(mu)):
                 return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
 
-    def negative(trial):
-        rng = trial_rng(cfg.seed, "Stab_C0-", trial)
-        g = gen_unipotent_O(rng, cfg.n, lower=False) @ gen_diag_units(rng, cfg.n)
+    def negative(rng, _):
+        g = gen_unipotent(rng, cfg.n, integral=True) @ gen_diag_units(rng, cfg.n)
         i, j = sorted(rng.sample(range(1, cfg.n + 1), 2))
         ell = Fraction(rng.randint(1, 2 * denom), denom)
         bad = g @ RootElem(cfg.n, i, j, fs.monomial(ell, Fraction(1))).as_group()
@@ -139,16 +133,14 @@ def _check_stab_c0(cfg):
         # the staircase has consecutive gaps 2*gamma, so positions i and j
         # sit 2*gamma*(j - i) apart
         gamma = ell / (4 * (j - i))
-        mu = [gamma * (cfg.n - 1 - 2 * a) for a in range(cfg.n)]
-        shift = sum(mu) / cfg.n
-        vec = ApartmentVec.from_mu(rs, [v - shift for v in mu])
+        vec = ApartmentVec.from_mu(rs, [gamma * (cfg.n - 1 - 2 * a) for a in range(cfg.n)])
         if equivalent(act(bad, x_mu(vec)), x_mu(vec)):
             return {"g": matrix_to_json(bad), "mu": payload_strs(vec.to_mu()), "kind": "not moved"}
         return None
 
     return [
-        run_check("triangular integral products fix the chamber", cfg.trials, positive),
-        run_check("a too-shallow entry moves an interior point", cfg.trials, negative),
+        run_check("triangular integral products fix the chamber", cfg, "Stab_C0+", positive),
+        run_check("a too-shallow entry moves an interior point", cfg, "Stab_C0-", negative),
     ]
 
 
@@ -179,8 +171,7 @@ def _check_half_apt(cfg):
             out.append(ApartmentVec.from_mu(rs, mu))
         return out
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "HalfAptStab", trial)
+    def one(rng, _):
         i, j = rng.sample(range(1, cfg.n + 1), 2)
         ell = Fraction(rng.randint(-span, span), denom)
         target = HalfApartment(rs.alpha(i, j), ell)
@@ -202,7 +193,7 @@ def _check_half_apt(cfg):
             return {"g": matrix_to_json(shallow), "kind": "wall not moved"}
         return None
 
-    return [run_check("root depth against the wall level decides fixing", cfg.trials, one)]
+    return [run_check("root depth against the wall level decides fixing", cfg, "HalfAptStab", one)]
 
 
 # --- retraction -----------------------------------------------------------------
@@ -211,8 +202,7 @@ def _check_half_apt(cfg):
 def _check_retract(cfg):
     rs = type_A(cfg.n - 1)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "Retract", trial)
+    def one(rng, _):
         x = draw_point(rng, cfg)
         y = draw_point(rng, cfg)
         if distance(x_mu(retract(x)), x_mu(retract(y))) > distance(x, y):
@@ -223,7 +213,7 @@ def _check_retract(cfg):
                 return {"mu": payload_strs(mu.to_mu()), "kind": "apartment moved"}
         return None
 
-    return [run_check("retraction diminishes distances and fixes the apartment", cfg.trials, one)]
+    return [run_check("retraction diminishes distances and fixes the apartment", cfg, "Retract", one)]
 
 
 # --- germs of sectors ------------------------------------------------------------
@@ -232,8 +222,7 @@ def _check_retract(cfg):
 def _check_germ_borel(cfg):
     base = SectorGerm(GroupElem.identity(cfg.n))
 
-    def agreement(trial):
-        rng = trial_rng(cfg.seed, "GermBorel", trial)
+    def agreement(rng, _):
         s = SectorGerm(gen_stab_elem(rng, cfg.n))
         shape = germ_equal(s, base)
         sampled = sampled_germ_equal(s, base)
@@ -241,8 +230,7 @@ def _check_germ_borel(cfg):
             return {"g": matrix_to_json(s.g), "shape": shape, "sampled": sampled}
         return None
 
-    def witness(trial):
-        rng = trial_rng(cfg.seed, "GermBorel-w", trial)
+    def witness(rng, _):
         s1 = SectorGerm(gen_stab_elem(rng, cfg.n))
         s2 = SectorGerm(gen_stab_elem(rng, cfg.n))
         h = transitivity_witness(s1, s2)
@@ -251,8 +239,8 @@ def _check_germ_borel(cfg):
         return None
 
     return [
-        run_check("residue shape matches sampled germ comparison", cfg.trials, agreement),
-        run_check("residue witness maps germ to germ", cfg.trials, witness),
+        run_check("residue shape matches sampled germ comparison", cfg, "GermBorel", agreement),
+        run_check("residue witness maps germ to germ", cfg, "GermBorel-w", witness),
     ]
 
 
@@ -262,8 +250,7 @@ def _check_germ_borel(cfg):
 def _check_infinity_borel(cfg):
     base = SectorAtInfinity(GroupElem.identity(cfg.n))
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "InfinityBorel", trial)
+    def one(rng, _):
         c = SectorAtInfinity(draw_group(rng, cfg))
         shape = infinity_equal(c, base)
         sampled = sampled_infinity_equal(c, base)
@@ -271,7 +258,7 @@ def _check_infinity_borel(cfg):
             return {"g": matrix_to_json(c.g), "shape": shape, "sampled": sampled}
         return None
 
-    return [run_check("triangularity matches sampled parallelism", cfg.trials, one)]
+    return [run_check("triangularity matches sampled parallelism", cfg, "InfinityBorel", one)]
 
 
 # --- Iwasawa at the base point ----------------------------------------------------
@@ -282,14 +269,13 @@ def _check_iwasawa_o(cfg):
     origin = ApartmentVec.from_mu(rs, [Fraction(0)] * cfg.n)
     o = SPDPoint.basepoint(cfg.n)
 
-    def one(trial):
-        rng = trial_rng(cfg.seed, "IwasawaO", trial)
+    def one(rng, _):
         g = gen_stab_elem(rng, cfg.n)
         if retract(act(g, o)) != origin:
             return {"g": matrix_to_json(g)}
         return None
 
-    return [run_check("integral orbits retract to the origin", cfg.trials, one)]
+    return [run_check("integral orbits retract to the origin", cfg, "IwasawaO", one)]
 
 
 THEOREMS = {

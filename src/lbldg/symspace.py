@@ -363,8 +363,11 @@ def _pencil_valuations(q):
     on one int lattice: E is the lcm of the visible coefficients' e, and
     each leading exponent is an int over E, so the hull compares ints and
     each slope makes one Fraction.  A masked coefficient is checked
-    against the polygon as a Fraction."""
+    against the polygon as a Fraction.  The end coefficients are det(-y)
+    and det(x), so an exactly-zero one is a singular point."""
     n = len(q) - 1
+    if any(not c.pairs and c.floor is None for c in (q[0], q[n])):
+        raise ValueError("an end coefficient of the pencil is zero, so a point is singular")
     e = lcm(*[c.e for c in q if c.pairs])
     known = []
     masked = []
@@ -381,8 +384,6 @@ def _pencil_valuations(q):
     for k, bound in masked:
         if k < hull[0][0] or k > hull[-1][0] or bound > _hull_value_at(hull, k, e):
             raise PrecisionError(f"coefficient of degree {n - k} masked above the Newton polygon")
-    if hull[0][0] != 0 or hull[-1][0] != n:
-        raise PrecisionError("endpoint coefficient of the pencil is masked")
     mu = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         v = Fraction(y2 - y1, 2 * e * (x2 - x1))

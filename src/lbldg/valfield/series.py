@@ -473,8 +473,8 @@ def inv(a, target_floor):
     """Multiplicative inverse; every exponent >= target_floor is computed.
     The result floor is the lattice point below target_floor (one lattice step
     below it when target_floor is a lattice point), or the operand's floor
-    carried through when that is higher."""
-    target_floor = _q(target_floor)
+    carried through when that is higher.  target_floor may be None only
+    when a is an exact monomial."""
     if not a.pairs:
         if a.floor is None:
             raise ZeroDivisionError("inverse of zero")

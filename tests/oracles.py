@@ -152,8 +152,11 @@ def act(g, x):
 
 def pencil_valuations(q):
     """Half the slopes of the upper Newton polygon of the pencil q (low
-    degree first), with every point, height and slope a Fraction."""
+    degree first), with every point, height and slope a Fraction.  An
+    exactly-zero end coefficient is a singular point."""
     n = len(q) - 1
+    if any(fs.lead_exp(c) is None and c.floor is None for c in (q[0], q[n])):
+        raise ValueError("an end coefficient of the pencil is zero, so a point is singular")
     known = []
     masked = []
     for k in range(n + 1):
@@ -186,8 +189,6 @@ def pencil_valuations(q):
             raise PrecisionError(
                 f"coefficient of degree {n - int(k)} masked above the Newton polygon"
             )
-    if hull[0][0] != 0 or hull[-1][0] != n:
-        raise PrecisionError("endpoint coefficient of the pencil is masked")
     mu = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = (y2 - y1) / (x2 - x1)

@@ -9,7 +9,6 @@ from fractions import Fraction as Q
 
 from lbldg.apartment import ApartmentVec, apply_weyl, in_half
 from lbldg.building import (
-    RootElem,
     apartment_overlap,
     chart_image,
     fixed_set_root,
@@ -158,8 +157,9 @@ def test_criterion_06_fixed_sets_on_grid():
     assert len(grid) == 81
     for trial in range(20):
         rng = trial_rng(SEED, "c6", trial)
-        g, i, j, s = gen_root_elem(rng, 3)
-        half = fixed_set_root(RootElem(3, i, j, s))
+        u = gen_root_elem(rng, 3)
+        half = fixed_set_root(u)
+        g = u.as_group()
         for mu in grid:
             inside = in_half(half, mu)
             img = chart_image(g, mu)
@@ -171,8 +171,9 @@ def test_criterion_06_fixed_sets_on_grid():
 def test_criterion_07_affine_reflections():
     for trial in range(20):
         rng = trial_rng(SEED, "c7", trial)
-        g, i, j, s = gen_root_elem(rng, 3)
-        m, root, ell = m_of(RootElem(3, i, j, s))
+        u = gen_root_elem(rng, 3)
+        i, j = u.i, u.j
+        m, root, ell = m_of(u)
         for k in range(5):
             others = [Q(rng.randint(-4, 4), 2)]
             wall = _gap_point(A2, 3, i, j, ell, others)

@@ -438,7 +438,7 @@ class TestOverlapOracle:
     def test_exact_zeros(self, n):
         rng = trial_rng(11, "oracle-zeros", n)
         elems = [gen_unipotent(rng, n), gen_unipotent(rng, n, lower=True),
-                 gen_diagonal(rng, n), gen_root_elem(rng, n)[0]]
+                 gen_diagonal(rng, n), gen_root_elem(rng, n).as_group()]
         elems += [g for g in _unvalidated(n, 40) if not _all_bottom(g)]
         assert any(e == fs.ZERO for g in elems for row in g.entries for e in row)
         for g in elems:
@@ -643,12 +643,12 @@ class TestPhi:
     def test_ultrametric_on_products(self):
         for trial in range(100):
             rng = trial_rng(3, "phi-ultra", trial)
-            _, i, j, s1 = gen_root_elem(rng, 3)
+            u = gen_root_elem(rng, 3)
+            _, i, j, s1 = u
             s2 = fs.monomial(
                 Q(rng.randint(-4, 4), rng.choice([1, 2])),
                 Q(rng.choice([1, -1, 2, -2]), rng.choice([1, 2])),
             )
-            u = bd.RootElem(3, i, j, s1)
             v = bd.RootElem(3, i, j, s2)
             uv = bd.RootElem(3, i, j, fs.add(s1, s2))
             assert u.as_group() @ v.as_group() == uv.as_group()
@@ -696,21 +696,23 @@ class TestFixedSets:
         grid = _sl3_grid(2)
         for trial in range(10):
             rng = trial_rng(3, "fix-grid", trial)
-            gmat, i, j, s = gen_root_elem(rng, 3)
-            h = bd.fixed_set_root(bd.RootElem(3, i, j, s))
+            u = gen_root_elem(rng, 3)
+            h = bd.fixed_set_root(u)
+            gmat = u.as_group()
             for mu in grid:
                 assert in_half(h, mu) == (bd.chart_image(gmat, mu) is not None)
 
     def test_conjugation_shifts_threshold(self):
         for trial in range(30):
             rng = trial_rng(3, "fix-conj", trial)
-            _, i, j, s = gen_root_elem(rng, 3)
+            u = gen_root_elem(rng, 3)
+            i, j = u.i, u.j
             a = gen_diagonal(rng, 3)
             exps = [fs.negval(a.entries[k][k]) for k in range(3)]
-            conj = a @ bd.RootElem(3, i, j, s).as_group() @ a.inverse()
+            conj = a @ u.as_group() @ a.inverse()
             moved = bd.RootElem(3, i, j, conj.entries[i - 1][j - 1])
             got = bd.fixed_set_root(moved)
-            want = bd.phi(bd.RootElem(3, i, j, s)) + exps[i - 1] - exps[j - 1]
+            want = bd.phi(u) + exps[i - 1] - exps[j - 1]
             assert got.threshold == want
 
     def test_unipotent_identity_fixes_everything(self):
@@ -799,8 +801,9 @@ class TestMOf:
     def test_wall_fixed_and_halves_swapped(self):
         for trial in range(20):
             rng = trial_rng(3, "mof-wall", trial)
-            _, i, j, s = gen_root_elem(rng, 3)
-            m, root, ell = bd.m_of(bd.RootElem(3, i, j, s))
+            u = gen_root_elem(rng, 3)
+            i, j = u.i, u.j
+            m, root, ell = bd.m_of(u)
             _, w = bd.apartment_overlap(m)
             for k in range(5):
                 mu = list(gen_apartment_mu(rng, 3))
@@ -822,8 +825,7 @@ class TestMOf:
     def test_square_acts_trivially(self):
         for trial in range(20):
             rng = trial_rng(3, "mof-square", trial)
-            _, i, j, s = gen_root_elem(rng, 3)
-            m, _, _ = bd.m_of(bd.RootElem(3, i, j, s))
+            m, _, _ = bd.m_of(gen_root_elem(rng, 3))
             _, w = bd.apartment_overlap(m @ m)
             for k in range(10):
                 mu = _mu(A2, *gen_apartment_mu(rng, 3))
@@ -832,8 +834,8 @@ class TestMOf:
     def test_triple_product_identity(self):
         for trial in range(20):
             rng = trial_rng(3, "mof-triple", trial)
-            _, i, j, s = gen_root_elem(rng, 3)
-            u = bd.RootElem(3, i, j, s)
+            u = gen_root_elem(rng, 3)
+            _, i, j, s = u
             m, _, _ = bd.m_of(u)
             e, c = s.terms[0]
             uprime = bd.RootElem(3, j, i, fs.monomial(-e, -1 / c))
@@ -853,12 +855,6 @@ class TestMOf:
 
 
 class TestStabPredicates:
-    def test_point_o_matches_stab_o(self):
-        for trial in range(20):
-            rng = trial_rng(3, "pred-o", trial)
-            g = gen_group_elem(rng, 3)
-            assert bd.stab_predicates(g, bd.POINT_O) == bd.stab_o(g)
-
     def test_apartment_pointwise(self):
         assert bd.stab_predicates(_g([["-1", "0"], ["0", "-1"]]), bd.APARTMENT_POINTWISE)
         assert bd.stab_predicates(

@@ -16,6 +16,7 @@ from lbldg.harness.generators import gen_group_elem, trial_rng
 from lbldg.harness.report import (
     KEEP,
     SCHEMA,
+    CheckRow,
     format_lines,
     report_to_dict,
     run_check,
@@ -27,40 +28,62 @@ from lbldg.valfield import series as fs
 # --- report plumbing -------------------------------------------------------------
 
 
+def _draws(rng, trial):
+    """Fails every third trial with a payload read off its stream."""
+    if trial % 3 == 0:
+        return {"value": rng.randint(0, 10**9)}
+    return None
+
+
 class TestRunCheck:
     def test_counts_and_payloads(self):
-        def one(trial):
-            if trial % 3 == 0:
-                return {"value": trial * trial}
-            return None
-
-        row = run_check("thirds fail", 10, one)
+        cfg = TrialConfig(trials=10, seed=4)
+        row = run_check("thirds fail", cfg, "thirds", _draws)
         assert (row.trials, row.passed, row.failed) == (10, 6, 4)
         assert not row.ok
         assert [ce["trial"] for ce in row.counterexamples] == [0, 3, 6, 9]
-        # the payload replays: re-running the recorded trial reproduces it
+        # the payload replays: re-running the recorded trial on its stream
+        # reproduces it
         for ce in row.counterexamples:
-            again = one(ce["trial"])
-            assert again == {"value": ce["value"]}
+            t = ce["trial"]
+            assert _draws(trial_rng(cfg.seed, "thirds", t), t) == {"value": ce["value"]}
+        # and the stream is keyed by its name
+        other = run_check("thirds fail", cfg, "other", _draws)
+        assert other.counterexamples != row.counterexamples
 
     def test_keep_cap(self):
-        row = run_check("all fail", KEEP + 7, lambda t: {})
+        row = run_check("all fail", TrialConfig(trials=KEEP + 7), "all", lambda rng, t: {})
         assert row.failed == KEEP + 7
         assert len(row.counterexamples) == KEEP
 
     def test_exceptions_become_failures(self):
-        def one(trial):
+        def one(rng, trial):
             if trial == 2:
                 raise ValueError("boom")
             return None
 
-        row = run_check("raises once", 4, one)
+        row = run_check("raises once", TrialConfig(trials=4), "raises", one)
         assert row.failed == 1
         assert row.counterexamples[0] == {"error": "ValueError: boom", "trial": 2}
 
     def test_all_pass(self):
-        row = run_check("fine", 5, lambda t: None)
+        row = run_check("fine", TrialConfig(trials=5), "fine", lambda rng, t: None)
         assert row.ok and row.counterexamples == ()
+
+    def test_every_check_draws_from_its_own_stream(self, monkeypatch):
+        streams = []
+
+        def record(name, cfg, stream, one):
+            streams.append(stream)
+            return CheckRow(name, cfg.trials, cfg.trials, 0, ())
+
+        monkeypatch.setattr(ax, "run_check", record)
+        monkeypatch.setattr(th, "run_check", record)
+        cfg = TrialConfig(n=2, trials=1)
+        for check in list(ax.AXIOMS.values()) + list(th.THEOREMS.values()):
+            check(cfg)
+        assert len(streams) == 16
+        assert len(set(streams)) == len(streams)
 
 
 class TestReports:
@@ -354,7 +377,7 @@ class TestCli:
 
     def test_failing_suite_exits_1(self, monkeypatch):
         def rigged(cfg):
-            return [run_check("always fails", cfg.trials, lambda t: {"bad": True})]
+            return [run_check("always fails", cfg, "rigged", lambda rng, t: {"bad": True})]
 
         monkeypatch.setitem(ax.AXIOMS, "A1", rigged)
         res = CliRunner().invoke(

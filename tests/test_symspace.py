@@ -330,6 +330,23 @@ class TestDistance:
         y = _x([["1 + t^2", "t"], ["t", "1"]])
         assert sym.distance(ident, y) == LambdaVal.of(4)
 
+    @pytest.mark.parametrize(
+        "det, error, msg",
+        [
+            # no floor is involved, so the point is singular
+            (fs.ZERO, ValueError, "an end coefficient of the pencil is zero, so a point is singular"),
+            # a floor and no visible term: more precision could decide it
+            (fs.with_floor(fs.monomial(4), 5), PrecisionError, "masked above the Newton polygon"),
+        ],
+        ids=["zero", "masked"],
+    )
+    def test_determinant_without_a_visible_term(self, det, error, msg):
+        x = sym.SPDPoint([[fs.ONE, fs.ZERO], [fs.ZERO, det]], validate=False)
+        o = sym.SPDPoint.basepoint(2)
+        for a, b in ((x, o), (o, x)):
+            with pytest.raises(error, match=msg):
+                sym.distance(a, b)
+
     @pytest.mark.parametrize("xn, yn", [(2, 3), (3, 2)])
     def test_sizes_must_agree(self, xn, yn):
         x, y = sym.SPDPoint.basepoint(xn), sym.SPDPoint.basepoint(yn)

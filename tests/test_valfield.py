@@ -247,6 +247,13 @@ class TestInvSqrt:
         with pytest.raises(PrecisionError):
             vf.inv(vf.parse("0 + O(t^(3))"), Q(-1))
 
+    def test_inv_without_target(self):
+        # a monomial inverts exactly, as sqrt_pos(4*t^2, None) does
+        assert vf.to_str(vf.inv(vf.parse("2*t^(-3/2)"), None)) == "1/2*t^(3/2)"
+        assert vf.to_str(vf.sqrt_pos(vf.parse("4*t^2"), None)) == "2*t"
+        with pytest.raises(TypeError, match="target_floor is required for non-monomial input"):
+            vf.inv(vf.parse("1 - t^(-1)"), None)
+
     def test_inv_correctness_random(self):
         rng = random.Random(17)
         for _ in range(100):
