@@ -6,7 +6,8 @@ class PrecisionError(ArithmeticError):
 
 
 class SeriesSyntaxError(ValueError):
-    """Series text does not match the grammar; carries the byte offset."""
+    """Series text does not match the grammar; carries the offset, a character
+    index into the text."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")

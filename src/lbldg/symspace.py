@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .apartment import ApartmentVec
-from .errors import PrecisionError
+from .errors import PrecisionError, SeriesSyntaxError
 from .rootsys import type_A
 from .valfield import series as fs
 from .valfield.lam import LambdaVal
@@ -444,12 +444,23 @@ def matrix_to_json(obj):
 
 
 def _rows_from_json(data):
-    """Series rows of decoded JSON; ValueError unless it is a list of lists of strings."""
+    """Series rows of decoded JSON; ValueError unless it is a list of lists of
+    strings, and one naming the 1-based row and column of an entry that does
+    not parse."""
     if not isinstance(data, list) or not all(
         isinstance(row, list) and all(isinstance(s, str) for s in row) for row in data
     ):
         raise ValueError("matrix must be a JSON list of rows, each a list of series strings")
-    return [[fs.parse(s) for s in row] for row in data]
+    rows = []
+    for i, row in enumerate(data, 1):
+        out = []
+        for j, s in enumerate(row, 1):
+            try:
+                out.append(fs.parse(s))
+            except SeriesSyntaxError as exc:
+                raise ValueError(f"row {i}, column {j}: {exc}") from exc
+        rows.append(out)
+    return rows
 
 
 def group_from_json(data, validate=True):

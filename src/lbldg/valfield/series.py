@@ -22,8 +22,14 @@ denominators of the visible terms (gcd(e, k, ...) = 1), and ``d`` is minimal
 hashing compare the ints directly. Each operation brings its operands to a
 common e (and, for addition, a common d) before the kernel call in
 ``_backend`` and divides the gcds out after it. Fractions appear only at the
-boundary: ``from_terms``, ``parse``, ``to_str``, the ``terms`` view, floors
-and the values of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
+boundary: the arguments of ``from_terms``, the ``terms`` view, floors and the
+values of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
+
+Series text does not go through Fractions either. ``parse`` matches one term
+at a time with a compiled regex and hands the integers it reads to the same
+int-term builder as ``from_terms``; only text that it turns down is walked
+token by token, to name the error and its offset. ``to_str`` prints from
+``pairs``, reducing each coefficient and exponent by one gcd.
 
 Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
 matrix on one ramification index and one integer scale per row,
@@ -36,6 +42,7 @@ All operations are pure; results are immutable.
 """
 
 import math
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -69,26 +76,14 @@ class PuiseuxElem:
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxElem is immutable")
 
-    @classmethod
-    def from_terms(cls, pairs, floor=None):
+    @staticmethod
+    def from_terms(pairs, floor=None):
         """Build from (exponent, coefficient) pairs, combining duplicates."""
-        acc = {}
+        terms = []
         for x, c in pairs:
             x, c = _q(x), _q(c)
-            acc[x] = acc.get(x, Fraction(0)) + c
-        floor = None if floor is None else _q(floor)
-        visible = [(x, c) for x, c in acc.items() if c and (floor is None or x > floor)]
-        # lcms of reduced denominators are already minimal
-        e = lcm(*(x.denominator for x, _ in visible))
-        d = lcm(*(c.denominator for _, c in visible))
-        kn = sorted(
-            (
-                (x.numerator * (e // x.denominator), c.numerator * (d // c.denominator))
-                for x, c in visible
-            ),
-            reverse=True,
-        )
-        return cls(e, d, tuple(kn), floor)
+            terms.append((x.numerator, x.denominator, c.numerator, c.denominator))
+        return _from_ints(terms, None if floor is None else _q(floor))
 
     @property
     def terms(self):
@@ -156,6 +151,22 @@ def _canon(e, d, pairs, floor):
             e //= g
             pairs = tuple([(k // g, n) for k, n in pairs])
     return PuiseuxElem(e, d, pairs, floor)
+
+
+def _from_ints(terms, floor):
+    """The canonical element of the terms (n/d)*t^(x/y), given as (x, y, n, d)
+    ints with y, d > 0, plus floor: equal exponents are summed, and terms at
+    or below the floor dropped."""
+    e = lcm(*[y for _, y, _, _ in terms])
+    d = lcm(*[dd for _, _, _, dd in terms])
+    acc = {}
+    for x, y, n, dd in terms:
+        k = x * (e // y)
+        acc[k] = acc.get(k, 0) + n * (d // dd)
+    cut = None if floor is None else floor.numerator * e // floor.denominator
+    pairs = [(k, n) for k, n in acc.items() if n and (cut is None or k > cut)]
+    pairs.sort(reverse=True)
+    return _canon(e, d, tuple(pairs), floor)
 
 
 def _rescale(pairs, s, u):
@@ -493,146 +504,209 @@ def sqrt_pos(a, target_floor=None):
 # --- canonical text form ---------------------------------------------------
 
 
-def _fmt_exp(e):
-    if e == 1:
-        return "t"
-    if e.denominator == 1 and e >= 2:
-        return f"t^{e}"
-    return f"t^({e})"
+def _ratio(n, d):
+    """The reduced rational n/d (d > 0) as text: "n" or "n/d"."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
 
 
 def to_str(a):
+    e, d = a.e, a.d
     parts = []
-    for e, c in a.terms:
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _fmt_exp(e)
+    for k, n in a.pairs:
+        coef = _ratio(abs(n), d)
+        if k == 0:
+            body = coef
         else:
-            body = f"{mag}*{_fmt_exp(e)}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        text = "0"
-    else:
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
+            if k == e:
+                body = "t"
+            elif k % e == 0 and k > e:
+                body = f"t^{k // e}"
+            else:
+                body = f"t^({_ratio(k, e)})"
+            if coef != "1":
+                body = f"{coef}*{body}"
+        if not parts:
+            parts.append("-" + body if n < 0 else body)
+        else:
+            parts.append(("- " if n < 0 else "+ ") + body)
+    text = " ".join(parts) if parts else "0"
     if a.floor is not None:
         text += f" + O(t^({a.floor}))"
     return text
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+# A term is a coefficient n or n/d, a power t, t^k or t^(n/d), or both joined
+# by '*'; whitespace may come before every token, but not inside an integer,
+# 'O(' or the tail's 't^('. \s is what str.isspace accepts and \d what int()
+# reads. No two \s* ever compete for one run of whitespace, so a failed match
+# takes time linear in it.
+_INT = r"([+-]?\d+)"
+_RAT = rf"{_INT}(?:\s*/\s*{_INT})?"
+_TERM = re.compile(
+    rf"\s*(?:([+-])\s*)?"  # 1: sign
+    rf"(?:{_RAT}(?:\s*(\*)\s*)?)?"  # 2, 3: coefficient; 4: '*'
+    rf"(?:(t)(?:\s*\^\s*(?:\(\s*{_RAT}\s*\)|{_INT}))?)?"  # 5: t; 6, 7: (n/d); 8: k
+)
+_TAIL = re.compile(rf"\s*\+\s*O\(\s*t\^\(\s*{_RAT}\s*\)\s*\)\s*\Z")
+_END = re.compile(r"\s*\Z")
+_SPACE = re.compile(r"\s*")
+_DIGITS = re.compile(r"[+-]?\d+")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _read(text):
+    """The element text spells, or None when it breaks the grammar, repeats
+    an exponent or has a denominator below 1; int() raises ValueError for a
+    literal past its digit limit."""
+    terms = []
+    seen = set()
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, cn, cd, star, t, xn, xd, xk = m.groups()
+        # a bare coefficient, or a power of t with an optional coefficient
+        if (t is None) != (cn is not None and star is None) or (pos and sign is None):
+            return None
+        if t is None:
+            x, y = 0, 1
+        elif xk is not None:
+            x, y = int(xk), 1
+        elif xn is not None:
+            x, y = int(xn), int(xd) if xd else 1
+        else:
+            x, y = 1, 1
+        n, d = (int(cn), int(cd) if cd else 1) if cn is not None else (1, 1)
+        if y < 1 or d < 1:
+            return None
+        g = gcd(x, y)
+        key = (x // g, y // g)
+        if key in seen:
+            return None
+        seen.add(key)
+        terms.append((x, y, -n if sign == "-" else n, d))
+        pos = m.end()
+        if _END.match(text, pos):
+            return _from_ints(terms, None)
+        m = _TAIL.match(text, pos)
+        if m:
+            fn, fd = m.groups()
+            fd = int(fd) if fd else 1
+            if fd < 1:
+                return None
+            return _from_ints(terms, Fraction(int(fn), fd))
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, literal):
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+def _reject(text):
+    """Raise the SeriesSyntaxError for text that _read turned down: walk its
+    tokens as the grammar reads them and report the first one out of place,
+    the first denominator below 1, integer past int()'s digit limit or
+    repeated exponent, at its offset."""
+    pos = 0
+
+    def skip():
+        nonlocal pos
+        pos = _SPACE.match(text, pos).end()
+
+    def at_end():
+        skip()
+        return pos == len(text)
+
+    def take(literal):
+        nonlocal pos
+        skip()
+        if text.startswith(literal, pos):
+            pos += len(literal)
             return True
         return False
 
-    def expect(self, literal):
-        if not self.take(literal):
-            raise SeriesSyntaxError(f"expected {literal!r}", self.pos)
+    def expect(literal):
+        if not take(literal):
+            raise SeriesSyntaxError(f"expected {literal!r}", pos)
 
-    def parse_int(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            raise SeriesSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
+    def integer():
+        nonlocal pos
+        skip()
+        m = _DIGITS.match(text, pos)
+        if m is None:
+            raise SeriesSyntaxError("expected an integer", pos)
+        try:
+            value = int(m[0])
+        except ValueError:
+            raise SeriesSyntaxError("integer has too many digits", pos) from None
+        pos = m.end()
+        return value
 
-    def parse_rat(self):
-        num = self.parse_int()
-        if self.take("/"):
-            start = self.pos
-            den = self.parse_int()
-            if den <= 0:
-                raise SeriesSyntaxError("denominator must be positive", start)
-            return Fraction(num, den)
-        return Fraction(num)
+    def rational():
+        num = integer()
+        if not take("/"):
+            return Fraction(num)
+        start = pos
+        den = integer()
+        if den < 1:
+            raise SeriesSyntaxError("denominator must be positive", start)
+        return Fraction(num, den)
 
+    def power():
+        """The exponent after a 't'."""
+        if not take("^"):
+            return Fraction(1)
+        if take("("):
+            x = rational()
+            expect(")")
+            return x
+        return Fraction(integer())
 
-def _parse_tpow(sc):
-    sc.expect("t")
-    if sc.take("^"):
-        if sc.take("("):
-            e = sc.parse_rat()
-            sc.expect(")")
+    seen = set()
+
+    def term():
+        where = pos
+        if take("t"):
+            x = power()
         else:
-            e = Fraction(sc.parse_int())
-        return e
-    return Fraction(1)
+            rational()
+            x = Fraction(0)
+            if take("*"):
+                expect("t")
+                x = power()
+        if x in seen:
+            raise DuplicateExponent(f"exponent {x} appears twice", where)
+        seen.add(x)
 
-
-def _parse_term(sc):
-    if sc.peek() == "t":
-        return _parse_tpow(sc), Fraction(1)
-    coef = sc.parse_rat()
-    if sc.take("*"):
-        return _parse_tpow(sc), coef
-    return Fraction(0), coef
+    if not take("-"):
+        take("+")
+    term()
+    while not at_end():
+        if take("+"):
+            if take("O("):
+                expect("t^(")
+                rational()
+                expect(")")
+                expect(")")
+                if not at_end():
+                    raise SeriesSyntaxError("text after O(...) tail", pos)
+                break
+        elif not take("-"):
+            raise SeriesSyntaxError("expected '+' or '-'", pos)
+        term()
+    raise AssertionError(f"parse turned down well-formed text {text!r}")
 
 
 def parse(text):
     """Parse series text.  Accepts the grammar plus a leading sign, which the
     canonical printer emits for a negative leading coefficient."""
-    sc = _Scanner(text)
-    seen = {}
-    floor = None
-
-    def record(e, c, where):
-        if e in seen:
-            raise DuplicateExponent(f"exponent {e} appears twice", where)
-        seen[e] = c
-
-    sign = -1 if sc.take("-") else 1
-    if sign == 1:
-        sc.take("+")
-    where = sc.pos
-    e, c = _parse_term(sc)
-    record(e, sign * c, where)
-    while not sc.at_end():
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            raise SeriesSyntaxError("expected '+' or '-'", sc.pos)
-        if sign == 1 and sc.take("O("):
-            sc.expect("t^(")
-            floor = sc.parse_rat()
-            sc.expect(")")
-            sc.expect(")")
-            if not sc.at_end():
-                raise SeriesSyntaxError("text after O(...) tail", sc.pos)
-            break
-        where = sc.pos
-        e, c = _parse_term(sc)
-        record(e, sign * c, where)
-    return PuiseuxElem.from_terms(seen.items(), floor)
+    try:
+        value = _read(text)
+    except ValueError:
+        value = None
+    if value is None:
+        _reject(text)
+    return value
 
 
 ZERO = PuiseuxElem(1, 1, (), None)

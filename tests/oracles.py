@@ -1,8 +1,9 @@
 """Reference oracles for the tests: a brute-force membership search, a
-greedy Iwasawa witness search, Fraction Gauss-Jordan elimination, and the
+greedy Iwasawa witness search, Fraction Gauss-Jordan elimination, the
 direct forms of act, the Newton polygon, chart_image and the half-apartment
 stabilizer shape that the package computes on lattice ints or with explicit
-None checks, each independent of the algorithm it checks.
+None checks, and a character scanner and printer for series text on
+Fractions, each independent of the algorithm it checks.
 
 Valuations here are Lam values: Lambda = Q with Bottom as a value of its
 own, below every finite value and absorbing under addition.  The package
@@ -23,9 +24,10 @@ making diag(t^peak) special and leaving the scaled rows over O.
 from fractions import Fraction
 from functools import total_ordering
 from itertools import product
+from math import lcm
 
 from lbldg.apartment import ApartmentVec
-from lbldg.errors import PrecisionError
+from lbldg.errors import DuplicateExponent, PrecisionError, SeriesSyntaxError
 from lbldg.symspace import GroupElem, SPDPoint
 from lbldg.valfield import series as fs
 
@@ -337,3 +339,216 @@ def iwasawa_witness(g):
     )
     k = n_elem.inverse() @ GroupElem(rows, validate=False)
     return u, n_elem, k
+
+
+# --- series text on Fractions ---------------------------------------------------
+#
+# The scanner parser and the printer that series.parse and series.to_str
+# replaced: one Fraction per token and per printed term, and the canonical
+# element built from a Fraction dict.
+
+
+def series_from_terms(pairs, floor=None):
+    """The canonical element of (exponent, coefficient) pairs, equal
+    exponents summed, terms at or below floor dropped."""
+    acc = {}
+    for x, c in pairs:
+        x, c = Fraction(x), Fraction(c)
+        acc[x] = acc.get(x, Fraction(0)) + c
+    floor = None if floor is None else Fraction(floor)
+    visible = [(x, c) for x, c in acc.items() if c and (floor is None or x > floor)]
+    e = lcm(*(x.denominator for x, _ in visible))
+    d = lcm(*(c.denominator for _, c in visible))
+    kn = sorted(
+        ((x.numerator * (e // x.denominator), c.numerator * (d // c.denominator)) for x, c in visible),
+        reverse=True,
+    )
+    return fs.PuiseuxElem(e, d, tuple(kn), floor)
+
+
+def _fmt_exp(e):
+    if e == 1:
+        return "t"
+    if e.denominator == 1 and e >= 2:
+        return f"t^{e}"
+    return f"t^({e})"
+
+
+def series_str(a):
+    parts = []
+    for e, c in a.terms:
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = _fmt_exp(e)
+        else:
+            body = f"{mag}*{_fmt_exp(e)}"
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        text = "0"
+    else:
+        sign, body = parts[0]
+        text = ("-" if sign == "-" else "") + body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+    if a.floor is not None:
+        text += f" + O(t^({a.floor}))"
+    return text
+
+
+class _Scanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self):
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, literal):
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def expect(self, literal):
+        if not self.take(literal):
+            raise SeriesSyntaxError(f"expected {literal!r}", self.pos)
+
+    def parse_int(self):
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == digits:
+            raise SeriesSyntaxError("expected an integer", start)
+        return int(self.text[start : self.pos])
+
+    def parse_rat(self):
+        num = self.parse_int()
+        if self.take("/"):
+            start = self.pos
+            den = self.parse_int()
+            if den <= 0:
+                raise SeriesSyntaxError("denominator must be positive", start)
+            return Fraction(num, den)
+        return Fraction(num)
+
+
+def _parse_tpow(sc):
+    sc.expect("t")
+    if sc.take("^"):
+        if sc.take("("):
+            e = sc.parse_rat()
+            sc.expect(")")
+        else:
+            e = Fraction(sc.parse_int())
+        return e
+    return Fraction(1)
+
+
+def _parse_term(sc):
+    if sc.peek() == "t":
+        return _parse_tpow(sc), Fraction(1)
+    coef = sc.parse_rat()
+    if sc.take("*"):
+        return _parse_tpow(sc), coef
+    return Fraction(0), coef
+
+
+def parse_series(text):
+    """Series text read one character at a time.  A run of digits is what
+    str.isdigit accepts, so a superscript or an over-long literal reaches
+    int() and raises its plain ValueError."""
+    sc = _Scanner(text)
+    seen = {}
+    floor = None
+
+    def record(e, c, where):
+        if e in seen:
+            raise DuplicateExponent(f"exponent {e} appears twice", where)
+        seen[e] = c
+
+    sign = -1 if sc.take("-") else 1
+    if sign == 1:
+        sc.take("+")
+    where = sc.pos
+    e, c = _parse_term(sc)
+    record(e, sign * c, where)
+    while not sc.at_end():
+        if sc.take("+"):
+            sign = 1
+        elif sc.take("-"):
+            sign = -1
+        else:
+            raise SeriesSyntaxError("expected '+' or '-'", sc.pos)
+        if sign == 1 and sc.take("O("):
+            sc.expect("t^(")
+            floor = sc.parse_rat()
+            sc.expect(")")
+            sc.expect(")")
+            if not sc.at_end():
+                raise SeriesSyntaxError("text after O(...) tail", sc.pos)
+            break
+        where = sc.pos
+        e, c = _parse_term(sc)
+        record(e, sign * c, where)
+    return series_from_terms(seen.items(), floor)
+
+
+def random_terms(rng):
+    """Seeded (pairs, floor): up to five (exponent, coefficient) pairs over
+    exponent denominators 1-6, some coefficients zero and some exponents
+    repeated, and by turns no floor or one below, between or above them."""
+    pairs = [
+        (
+            Fraction(rng.randint(-12, 12), rng.choice([1, 1, 1, 2, 3, 4, 6])),
+            Fraction(rng.choice([-1, 1]) * rng.randint(0, 12), rng.choice([1, 1, 2, 3, 5])),
+        )
+        for _ in range(rng.randint(0, 5))
+    ]
+    floor = None
+    if rng.random() < 0.4:
+        floor = Fraction(rng.randint(-14, 6), rng.choice([1, 2, 3]))
+    return pairs, floor
+
+
+def random_series(rng):
+    """The canonical element of random_terms(rng)."""
+    return series_from_terms(*random_terms(rng))
+
+
+def series_texts(rng, count, tokens):
+    """count seeded strings: half of them concatenate up to 12 of tokens; the
+    other half print a random_series and then insert, delete or replace up
+    to two characters, with whitespace and tokens drawn from tokens."""
+    out = []
+    for i in range(count):
+        if i % 2 == 0:
+            out.append("".join(rng.choice(tokens) for _ in range(rng.randint(0, 12))))
+            continue
+        text = series_str(random_series(rng))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            at = rng.randint(0, len(text))
+            how = rng.randrange(3)
+            if how == 0:
+                text = text[:at] + rng.choice(tokens) + text[at:]
+            elif how == 1:
+                text = text[:at] + text[at + 1 :]
+            else:
+                text = text[:at] + rng.choice(tokens) + text[at + 1 :]
+        out.append(text)
+    return out

@@ -22,6 +22,7 @@ from lbldg.harness.theorems import THEOREMS, check_theorem
 from lbldg.rootsys import type_A
 from lbldg.symspace import GroupElem, distance, matrix_to_json, retract
 from lbldg.valfield import series as fs
+from oracles import random_series, series_texts
 
 A = "3/2*t^(1/2) + 1 - 2*t^(-3)"
 B = "t^(1/2) - 1 + t^(-5/2)"
@@ -421,3 +422,32 @@ CHART_DIGEST = "06290f262ecd2e98c2cddd36c4344ac2efcd7d6c22ac9a38aba87a2670f1d267
 
 def test_overlap_and_chart_image_outputs():
     assert _chart_digest() == CHART_DIGEST
+
+
+# test_parse_fuzz's alphabet plus a tab, a no-break space, an Arabic-Indic
+# digit and "O (": every digit here is one int() reads
+TEXT_TOKENS = list("0123456789t^()/*+-O ") + [
+    "t^(", "O(t^(", "3/2", "*t", " + ", "\t", "\xa0", "\u0663", "O (",
+]
+
+
+def _text_digest():
+    rng = random.Random(20261020)
+    lines = []
+    for text in series_texts(rng, 6000, TEXT_TOKENS):
+        try:
+            lines.append(fs.to_str(fs.parse(text)))
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    lines.extend(fs.to_str(random_series(rng)) for _ in range(3000))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the parse outcome of every series_texts string, as the to_str of
+# the value or "type: message", then the to_str of 3 000 random_series
+# elements, one per line
+TEXT_DIGEST = "f7035d5c1519b278ad2f346e9c12bb39e28f8cbe7a6bc05c2ae82797a2f120d5"
+
+
+def test_series_text_outcomes():
+    assert _text_digest() == TEXT_DIGEST

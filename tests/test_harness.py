@@ -315,6 +315,21 @@ class TestCli:
             assert again.exit_code == 0 and again.stdout.rstrip("\n") == out, expr
         assert accepted > 50
 
+    def test_a_digit_int_cannot_read_is_a_syntax_error(self):
+        res = CliRunner().invoke(main, ["parse", "--", "t^(1/\u00b2)"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == "error: expected an integer (offset 5)\n"
+
+    def test_bad_entry_is_named_by_row_and_column(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([["1", "0"], ["0", "1/0"]]))
+        res = CliRunner().invoke(main, ["retract", str(bad)])
+        assert res.exit_code == 2 and res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert line == (
+            f"error: cannot read {bad}: row 2, column 2: denominator must be positive (offset 2)"
+        )
+
     def test_bad_point_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -19,6 +19,7 @@ from lbldg.errors import (
 )
 from lbldg.valfield import series as vf
 from lbldg.valfield._backend import kernel_add, kernel_dot, kernel_mul
+from oracles import parse_series, random_terms, series_from_terms, series_str, series_texts
 
 # the distinguished element t
 T = vf.monomial(1)
@@ -98,6 +99,18 @@ class TestParsePrint:
         with pytest.raises(DuplicateExponent):
             vf.parse("t^2 + 3*t^2")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("\u00b2", 0), ("t^(1/\u00b2)", 5), ("7" * 5000, 0), ("t + 3/" + "1" * 4301, 6)],
+        ids=["superscript", "superscript-denominator", "long-literal", "long-denominator"],
+    )
+    def test_digits_int_cannot_read_are_syntax_errors(self, text, offset):
+        """A superscript is no digit, and a literal past int()'s digit limit
+        is refused at its offset, not by int()'s own ValueError."""
+        with pytest.raises(SeriesSyntaxError) as ei:
+            vf.parse(text)
+        assert ei.value.offset == offset
+
     def test_round_trip_100_random(self):
         rng = random.Random(20260816)
         done = 0
@@ -117,6 +130,56 @@ class TestParsePrint:
         assert vf.to_str(vf.monomial(Q(1, 2), Q(3, 2))) == "3/2*t^(1/2)"
         assert vf.to_str(vf.ZERO) == "0"
         assert vf.to_str(vf.with_floor(vf.ZERO, Q(-5))) == "0 + O(t^(-5))"
+
+
+# test_parse_fuzz's alphabet plus a tab, a no-break space, an Arabic-Indic
+# digit, a superscript two, "O (", and literals at and past int()'s default
+# limit of 4 300 digits
+FUZZ_TOKENS = list("0123456789t^()/*+-O ") + [
+    "t^(", "O(t^(", "3/2", "*t", " + ", "\t", "\xa0", "\u0663", "\u00b2", "O (",
+    "9" * 4300, "7" * 5000,
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstTheScanner:
+    """parse and to_str against the Fraction scanner and printer they replaced."""
+
+    def test_parse_on_20000_seeded_strings(self):
+        rng = random.Random(20261021)
+        refused = 0
+        for text in series_texts(rng, 20000, FUZZ_TOKENS):
+            want = _outcome(parse_series, text)
+            got = _outcome(vf.parse, text)
+            if isinstance(want, tuple) and want[0] is ValueError:
+                # int() refused a digit run the scanner took: now a syntax
+                # error, at the digit or at an earlier repeated exponent
+                assert isinstance(got, tuple) and issubclass(got[0], SeriesSyntaxError), text
+                refused += 1
+            else:
+                assert got == want, text
+        assert refused > 100
+
+    def test_to_str_and_from_terms_on_6000_seeded_elements(self):
+        rng = random.Random(20261022)
+        floors = 0
+        for i in range(6000):
+            pairs, floor = random_terms(rng)
+            x = vf.PuiseuxElem.from_terms(pairs, floor)
+            assert x == series_from_terms(pairs, floor), (pairs, floor)
+            if i % 3 == 0:
+                # products reach wider lattices than the drawn terms
+                y = vf.PuiseuxElem.from_terms(*random_terms(rng))
+                x = vf.mul(x, y)
+            assert vf.to_str(x) == series_str(x)
+            floors += x.floor is not None
+        assert floors > 2000
 
 
 # --- ring/field operations ---------------------------------------------------
