@@ -12,13 +12,17 @@ standard sector point the same way exactly when the transition element is
 upper triangular over the series field itself (entries below the diagonal
 exactly zero).
 
+A sector is given by its chart, the group element g that carries the
+standard sector onto it; the relations compare the germs at the base point,
+or the parallelism classes, of the sectors of two charts g1 and g2, and read
+the transition element g2^(-1) g1.
+
 Both predicates come with sampling oracles that probe actual points of the
 building through chart_image, so tests can confront the matrix-shape
 characterizations with the geometry they claim to summarize.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .apartment import ApartmentVec
 from .building import chart_image, stab_o, trop_radius
@@ -33,18 +37,6 @@ GERM_RADII = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 # rungs per ray: each radius is probed at these fractions of itself
 GERM_LADDER = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5), Fraction(1))
-
-
-class SectorGerm(NamedTuple):
-    """Germ at the base point of g applied to the standard sector."""
-
-    g: GroupElem
-
-
-class SectorAtInfinity(NamedTuple):
-    """Parallelism class of g applied to the standard sector."""
-
-    g: GroupElem
 
 
 def reduce(g):
@@ -65,15 +57,15 @@ def _is_upper(g):
     return all(fs.provably_zero(g.entries[i][j]) for i in range(g.n) for j in range(i))
 
 
-def germ_equal(s1, s2):
-    """Whether two sectors based at o agree on some ball around o.
+def germ_equal(g1, g2):
+    """Whether the sectors of the charts g1 and g2, based at o, agree on
+    some ball around o: whether they have one germ.
 
     Operationally: the reduction of the transition element is upper
     triangular, i.e. lies in the Borel subgroup of the residue group,
     which is exactly the germ stabilizer of the standard sector.
     """
-    b = s2.g.inverse() @ s1.g
-    return _is_upper(reduce(b))
+    return _is_upper(reduce(g2.inverse() @ g1))
 
 
 def chamber_rays(n):
@@ -94,8 +86,8 @@ def chamber_rays(n):
     return tuple(rays)
 
 
-def sampled_germ_equal(s1, s2):
-    """Point-sampling oracle for the germ relation.
+def sampled_germ_equal(g1, g2):
+    """Point-sampling oracle for the germ relation of the charts g1 and g2.
 
     For each radius, the transition element is tested on a ladder of
     interior chamber points with coordinate 1-norm at most that radius;
@@ -110,7 +102,7 @@ def sampled_germ_equal(s1, s2):
     has negval 0, which exceeds mu_i - mu_j on every interior point, so
     every sampled point moves at every radius.
     """
-    b = s2.g.inverse() @ s1.g
+    b = g2.inverse() @ g1
     if not stab_o(b):
         raise NotInRing("sampled germs require base charts in O")
     rs = type_A(b.n - 1)
@@ -130,13 +122,14 @@ def sampled_germ_equal(s1, s2):
     return False
 
 
-def infinity_equal(c1, c2):
-    """Whether two charts point at the same sector at infinity.
+def infinity_equal(g1, g2):
+    """Whether the charts g1 and g2 point at the same sector at infinity:
+    whether their sectors are parallel.
 
     Operationally: the transition element is upper triangular over the
     series field, i.e. every entry below the diagonal is exactly zero.
     """
-    return _is_upper(c2.g.inverse() @ c1.g)
+    return _is_upper(g2.inverse() @ g1)
 
 
 def _deep_direction(n):
@@ -152,8 +145,8 @@ def _deep_direction(n):
     return [p - mean for p in powers]
 
 
-def sampled_infinity_equal(c1, c2):
-    """Deep-point sampling oracle for parallelism.
+def sampled_infinity_equal(g1, g2):
+    """Deep-point sampling oracle for parallelism of the charts g1 and g2.
 
     The transition element is applied to points far out in the standard
     sector; the charts agree at infinity exactly when every sampled point
@@ -170,7 +163,7 @@ def sampled_infinity_equal(c1, c2):
     below the diagonal.  Conversely an upper-triangular transition element
     translates deep points by its diagonal negvals.
     """
-    b = c2.g.inverse() @ c1.g
+    b = g2.inverse() @ g1
     r0 = 2 * b.n * (1 + trop_radius(b))
     rs = type_A(b.n - 1)
     rho = _deep_direction(b.n)
@@ -188,16 +181,16 @@ def sampled_infinity_equal(c1, c2):
     return True
 
 
-def transitivity_witness(s1, s2):
-    """Residue-group element carrying the first germ to the second.
+def transitivity_witness(g1, g2):
+    """Residue-group element carrying the germ of the chart g1 to that of g2.
 
     With r1, r2 the reductions of the two charts, h = r2 r1^(-1) maps the
     first sector's germ to the second's, since the transition residue it
     induces is the identity, which is upper triangular.  Residues have
     determinant 1, so the inverse is the adjugate.
     """
-    r1 = reduce(s1.g)
-    r2 = reduce(s2.g)
+    r1 = reduce(g1)
+    r2 = reduce(g2)
     h = r2 @ r1.inverse()
     if not _is_upper(r2.inverse() @ h @ r1):
         raise AssertionError("witness failed the Borel check")

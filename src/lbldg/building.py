@@ -1,6 +1,9 @@
 """Charts of the affine building for SL(n): tropical membership, the
 apartment-overlap algorithm, root subgroups, rank-one reflections, and
-stabilizer shape predicates.
+stabilizers.  Each stabilizer is one shape predicate of a group element:
+stab_o for the base point, and stab_apartment, stab_chamber and
+stab_half_apartment for the pointwise stabilizers of the standard
+apartment, the chamber C0 and a half-apartment.
 
 A chart is a group element g read as the map mu -> g . x_mu, where
 x_mu = diag(t^(2 mu_1), ..., t^(2 mu_n)) and mu has exact sum zero.  The
@@ -25,7 +28,7 @@ from .apartment import (
     difference_potentials,
     wconvex_to_json,
 )
-from .errors import AmbiguousWeyl, ConfigError, EnumerationBound, IdentityElement
+from .errors import AmbiguousWeyl, EnumerationBound, IdentityElement
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
@@ -226,10 +229,6 @@ def stab_o(g):
     return all(fs.in_O(e) for row in g.entries for e in row)
 
 
-APARTMENT_POINTWISE = "ApartmentPointwise"
-CHAMBER_C0 = "ChamberC0"
-
-
 def _stab_shape(g, off_diagonal):
     """Row-major scan: diagonal entries are units, and off_diagonal(i, j, e)
     holds for every other entry (0-based i, j)."""
@@ -240,28 +239,34 @@ def _stab_shape(g, off_diagonal):
     return True
 
 
-def stab_predicates(g, target):
-    """Matrix-shape membership tests for the pointwise apartment stabilizer,
-    the pointwise chamber stabilizer, and a half-apartment stabilizer
-    (target a HalfApartment, whose root must be one of type_A(n - 1)); the
-    base-point stabilizer is stab_o."""
-    if target == APARTMENT_POINTWISE:
-        return _stab_shape(g, lambda i, j, e: fs.provably_zero(e))
-    if target == CHAMBER_C0:
-        return _stab_shape(g, lambda i, j, e: fs.provably_zero(e) if i > j else fs.in_O(e))
-    if isinstance(target, HalfApartment):
-        i, j = type_A(g.n - 1).alpha(*target.root)
-        ell = target.threshold
-        wall = (i - 1, j - 1)
+def stab_apartment(g):
+    """True iff g fixes the standard apartment pointwise: g is diagonal with
+    unit entries."""
+    return _stab_shape(g, lambda i, j, e: fs.provably_zero(e))
 
-        def off_diagonal(i, j, e):
-            if (i, j) != wall:
-                return fs.provably_zero(e)
-            v = fs.negval(e)
-            return v is None or v <= ell  # Bottom lies below every threshold
 
-        return _stab_shape(g, off_diagonal)
-    raise ConfigError(f"unknown stabilizer target: {target!r}")
+def stab_chamber(g):
+    """True iff g has the shape of the pointwise stabilizer of the standard
+    chamber C0: upper triangular over O with unit diagonal."""
+    return _stab_shape(g, lambda i, j, e: fs.provably_zero(e) if i > j else fs.in_O(e))
+
+
+def stab_half_apartment(g, h):
+    """True iff g has the shape of the pointwise stabilizer of the
+    half-apartment h: unit diagonal, and off it only the entry on h's root,
+    of negval at most h's threshold.  A root that is not one of
+    type_A(n - 1) raises NotARoot."""
+    i, j = type_A(g.n - 1).alpha(*h.root)
+    ell = h.threshold
+    wall = (i - 1, j - 1)
+
+    def off_diagonal(i, j, e):
+        if (i, j) != wall:
+            return fs.provably_zero(e)
+        v = fs.negval(e)
+        return v is None or v <= ell  # Bottom lies below every threshold
+
+    return _stab_shape(g, off_diagonal)
 
 
 # --- root subgroups --------------------------------------------------------------
@@ -318,9 +323,8 @@ def m_of(u):
     root = (u.i, u.j)  # phi checked that it is a root
     s = u.s
     if len(s.pairs) == 1 and s.floor is None:
-        e = fs.lead_exp(s)
-        c = fs.coef_at(s, e)
-        minus_sinv = fs.monomial(-e, Fraction(-1, 1) / c)
+        c = fs.coef_at(s, level)
+        minus_sinv = fs.monomial(-level, Fraction(-1, 1) / c)
     else:
         minus_sinv = fs.neg(fs.inv(s, -level - INV_TAIL))
     rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]

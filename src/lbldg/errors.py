@@ -18,6 +18,11 @@ class DuplicateExponent(SeriesSyntaxError):
     """The same exponent appears twice in series text."""
 
 
+class DigitLimit(ValueError):
+    """A series integer has more digits than int() converts to text, the
+    limit sys.get_int_max_str_digits() reads."""
+
+
 class NotInRing(ValueError):
     """Element is not in the valuation ring O."""
 

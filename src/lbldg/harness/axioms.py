@@ -238,10 +238,9 @@ def _check_ec(cfg):
         )
         _, i, j, s = root_elem
         u = root_elem.as_group()
-        exp = fs.lead_exp(s)
-        coef = fs.coef_at(s, exp)
-        ell = exp
-        opp = RootElem(cfg.n, j, i, fs.monomial(-exp, 1 / coef)).as_group()
+        ell = fs.negval(s)
+        coef = fs.coef_at(s, ell)
+        opp = RootElem(cfg.n, j, i, fs.monomial(-ell, 1 / coef)).as_group()
         bad = {"s": fs.to_str(s), "i": i, "j": j}
         ov12 = apartment_overlap(u)
         ov13 = apartment_overlap(opp)

@@ -18,16 +18,14 @@ from fractions import Fraction
 
 from ..apartment import ApartmentVec, HalfApartment
 from ..building import (
-    APARTMENT_POINTWISE,
-    CHAMBER_C0,
     RootElem,
+    stab_apartment,
+    stab_chamber,
+    stab_half_apartment,
     stab_o,
-    stab_predicates,
     x_mu,
 )
 from ..boundaries import (
-    SectorAtInfinity,
-    SectorGerm,
     germ_equal,
     infinity_equal,
     sampled_germ_equal,
@@ -94,7 +92,7 @@ def _check_stab_a(cfg):
 
     def one(rng, trial):
         g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else draw_group(rng, cfg)
-        shape = stab_predicates(g, APARTMENT_POINTWISE)
+        shape = stab_apartment(g)
         fixes = all(
             equivalent(act(g, x_mu(mu)), x_mu(mu)) for mu in _probe_mus(cfg, rng, rs)
         )
@@ -114,7 +112,7 @@ def _check_stab_c0(cfg):
 
     def positive(rng, _):
         g = gen_unipotent(rng, cfg.n, integral=True) @ gen_diag_units(rng, cfg.n)
-        if not stab_predicates(g, CHAMBER_C0):
+        if not stab_chamber(g):
             return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for _ in range(20):
             mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n, denom))
@@ -127,7 +125,7 @@ def _check_stab_c0(cfg):
         i, j = sorted(rng.sample(range(1, cfg.n + 1), 2))
         ell = Fraction(rng.randint(1, 2 * denom), denom)
         bad = g @ RootElem(cfg.n, i, j, fs.monomial(ell, Fraction(1))).as_group()
-        if stab_predicates(bad, CHAMBER_C0):
+        if stab_chamber(bad):
             return {"g": matrix_to_json(bad), "kind": "shape accepted"}
         # interior point whose (i, j) gap is ell/2, below the entry depth:
         # the staircase has consecutive gaps 2*gamma, so positions i and j
@@ -178,7 +176,7 @@ def _check_half_apt(cfg):
         depth = Fraction(rng.randint(0, 2 * denom), denom)
         deep = RootElem(cfg.n, i, j, fs.monomial(ell - depth, Fraction(1)))
         g = gen_diag_units(rng, cfg.n) @ deep.as_group()
-        if not stab_predicates(g, target):
+        if not stab_half_apartment(g, target):
             return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for vec in _gap_points(rng, i, j, ell):
             if not equivalent(act(g, x_mu(vec)), x_mu(vec)):
@@ -186,7 +184,7 @@ def _check_half_apt(cfg):
         shallow = RootElem(
             cfg.n, i, j, fs.monomial(ell + Fraction(1, denom), Fraction(1))
         ).as_group()
-        if stab_predicates(shallow, target):
+        if stab_half_apartment(shallow, target):
             return {"g": matrix_to_json(shallow), "kind": "shape accepted"}
         wall = _gap_points(rng, i, j, ell)[0]
         if equivalent(act(shallow, x_mu(wall)), x_mu(wall)):
@@ -220,22 +218,22 @@ def _check_retract(cfg):
 
 
 def _check_germ_borel(cfg):
-    base = SectorGerm(GroupElem.identity(cfg.n))
+    base = GroupElem.identity(cfg.n)
 
     def agreement(rng, _):
-        s = SectorGerm(gen_stab_elem(rng, cfg.n))
-        shape = germ_equal(s, base)
-        sampled = sampled_germ_equal(s, base)
+        g = gen_stab_elem(rng, cfg.n)
+        shape = germ_equal(g, base)
+        sampled = sampled_germ_equal(g, base)
         if shape != sampled:
-            return {"g": matrix_to_json(s.g), "shape": shape, "sampled": sampled}
+            return {"g": matrix_to_json(g), "shape": shape, "sampled": sampled}
         return None
 
     def witness(rng, _):
-        s1 = SectorGerm(gen_stab_elem(rng, cfg.n))
-        s2 = SectorGerm(gen_stab_elem(rng, cfg.n))
-        h = transitivity_witness(s1, s2)
-        if not germ_equal(SectorGerm(h @ s1.g), s2):
-            return {"g1": matrix_to_json(s1.g), "g2": matrix_to_json(s2.g)}
+        g1 = gen_stab_elem(rng, cfg.n)
+        g2 = gen_stab_elem(rng, cfg.n)
+        h = transitivity_witness(g1, g2)
+        if not germ_equal(h @ g1, g2):
+            return {"g1": matrix_to_json(g1), "g2": matrix_to_json(g2)}
         return None
 
     return [
@@ -248,14 +246,14 @@ def _check_germ_borel(cfg):
 
 
 def _check_infinity_borel(cfg):
-    base = SectorAtInfinity(GroupElem.identity(cfg.n))
+    base = GroupElem.identity(cfg.n)
 
     def one(rng, _):
-        c = SectorAtInfinity(draw_group(rng, cfg))
-        shape = infinity_equal(c, base)
-        sampled = sampled_infinity_equal(c, base)
+        g = draw_group(rng, cfg)
+        shape = infinity_equal(g, base)
+        sampled = sampled_infinity_equal(g, base)
         if shape != sampled:
-            return {"g": matrix_to_json(c.g), "shape": shape, "sampled": sampled}
+            return {"g": matrix_to_json(g), "shape": shape, "sampled": sampled}
         return None
 
     return [run_check("triangularity matches sampled parallelism", cfg, "InfinityBorel", one)]

@@ -30,19 +30,14 @@ from .valfield.lam import LambdaVal
 # --- series matrices ---------------------------------------------------------
 
 
-def _coerce_entry(v):
-    if isinstance(v, fs.PuiseuxElem):
-        return v
-    if isinstance(v, str):
-        return fs.parse(v)
-    if isinstance(v, (int, Fraction)):
-        return fs.from_rational(v)
-    raise TypeError(f"cannot use {type(v).__name__} as a matrix entry")
-
-
 def mat_from_rows(rows):
-    """A non-empty square matrix of series; ValueError for any other shape."""
-    m = tuple(tuple(_coerce_entry(v) for v in row) for row in rows)
+    """A non-empty square matrix of PuiseuxElem entries; ValueError for any
+    other shape and TypeError for any other entry."""
+    m = tuple([tuple(row) for row in rows])
+    for row in m:
+        for v in row:
+            if not isinstance(v, fs.PuiseuxElem):
+                raise TypeError(f"cannot use {type(v).__name__} as a matrix entry")
     if not m or any(len(row) != len(m) for row in m):
         raise ValueError(
             f"matrix must be square and non-empty, got rows of lengths {[len(r) for r in m]}"
@@ -80,10 +75,6 @@ def mat_mul(a, b):
         nz = _nonzero(row)
         out.append(tuple([_row_dot(nz, col) for col in cols]))
     return tuple(out)
-
-
-def mat_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
 
 
 def _minors(m, ring, masks):
@@ -172,8 +163,8 @@ def mat_adjugate(a):
     cof = []
     for i in range(n):
         minors = _series_minors(a[:i] + a[i + 1 :], masks)
-        cof.append(tuple([d if (i + j) % 2 == 0 else fs.neg(d) for j, d in enumerate(minors)]))
-    return mat_transpose(tuple(cof))
+        cof.append([d if (i + j) % 2 == 0 else fs.neg(d) for j, d in enumerate(minors)])
+    return tuple(zip(*cof))
 
 
 def _trailing_minors(m):
@@ -419,8 +410,9 @@ def equivalent(x, y):
 def retract(x):
     """Apartment coordinates of the upper-unipotent/diagonal factorization,
     read off trailing principal minors: mu_i = (negval M_i - negval M_{i+1})/2.
-    An exactly-zero minor, possible only on a point built without
-    validation, raises ValueError."""
+    The mu sum to negval(det x)/2.  An exactly-zero minor or a determinant
+    that is not a unit, possible only on a point built without validation,
+    raises ValueError."""
     n = x.n
     nv = []
     for d in _trailing_minors(x.entries):
@@ -430,6 +422,8 @@ def retract(x):
                 "a trailing principal minor is zero, so the point is not positive definite"
             )
         nv.append(v)
+    if nv[0] != 0:
+        raise ValueError("the determinant is not a unit, so the point does not have determinant 1")
     nv.append(Fraction(0))
     mu = [(nv[i] - nv[i + 1]) / 2 for i in range(n)]
     return ApartmentVec.from_mu(type_A(n - 1), mu)
@@ -439,8 +433,8 @@ def retract(x):
 
 
 def matrix_to_json(obj):
-    entries = obj.entries if hasattr(obj, "entries") else obj
-    return [[fs.to_str(v) for v in row] for row in entries]
+    """The entries of a GroupElem or SPDPoint as rows of series strings."""
+    return [[fs.to_str(v) for v in row] for row in obj.entries]
 
 
 def _rows_from_json(data):

@@ -23,13 +23,15 @@ hashing compare the ints directly. Each operation brings its operands to a
 common e (and, for addition, a common d) before the kernel call in
 ``_backend`` and divides the gcds out after it. Fractions appear only at the
 boundary: the arguments of ``from_terms``, the ``terms`` view, floors and the
-values of ``negval``, ``residue``, ``lead_exp`` and ``coef_at``.
+values of ``negval``, ``residue`` and ``coef_at``.
 
 Series text does not go through Fractions either. ``parse`` matches one term
 at a time with a compiled regex and hands the integers it reads to the same
 int-term builder as ``from_terms``; only text that it turns down is walked
 token by token, to name the error and its offset. ``to_str`` prints from
-``pairs``, reducing each coefficient and exponent by one gcd.
+``pairs``, reducing each coefficient and exponent by one gcd, and raises
+``DigitLimit`` for an integer with more digits than ``int()`` turns into
+text, which ``parse`` could not read back either.
 
 Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
 matrix on one ramification index and one integer scale per row,
@@ -43,10 +45,12 @@ All operations are pure; results are immutable.
 
 import math
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import (
+    DigitLimit,
     DuplicateExponent,
     NegativeInput,
     NotASquare,
@@ -185,11 +189,6 @@ def _above(pairs, e, floor):
     return pairs
 
 
-def lead_exp(a):
-    """Exponent of the leading visible term, or None when no term is visible."""
-    return Fraction(a.pairs[0][0], a.e) if a.pairs else None
-
-
 def coef_at(a, x):
     """Coefficient of t^x among the visible terms; 0 when there is none."""
     x = _q(x)
@@ -231,8 +230,7 @@ def with_floor(a, f):
 
 def _negval_ub(a):
     """Upper bound for negval; None only for the exact zero."""
-    lead = lead_exp(a)
-    return a.floor if lead is None else lead
+    return Fraction(a.pairs[0][0], a.e) if a.pairs else a.floor
 
 
 # --- arithmetic --------------------------------------------------------------
@@ -517,28 +515,36 @@ def _ratio(n, d):
 
 
 def to_str(a):
+    """The canonical text of a, which parse reads back to a.  DigitLimit
+    when an integer of it has more digits than int() turns into text."""
     e, d = a.e, a.d
     parts = []
-    for k, n in a.pairs:
-        coef = _ratio(abs(n), d)
-        if k == 0:
-            body = coef
-        else:
-            if k == e:
-                body = "t"
-            elif k % e == 0 and k > e:
-                body = f"t^{k // e}"
+    try:
+        for k, n in a.pairs:
+            coef = _ratio(abs(n), d)
+            if k == 0:
+                body = coef
             else:
-                body = f"t^({_ratio(k, e)})"
-            if coef != "1":
-                body = f"{coef}*{body}"
-        if not parts:
-            parts.append("-" + body if n < 0 else body)
-        else:
-            parts.append(("- " if n < 0 else "+ ") + body)
-    text = " ".join(parts) if parts else "0"
-    if a.floor is not None:
-        text += f" + O(t^({a.floor}))"
+                if k == e:
+                    body = "t"
+                elif k % e == 0 and k > e:
+                    body = f"t^{k // e}"
+                else:
+                    body = f"t^({_ratio(k, e)})"
+                if coef != "1":
+                    body = f"{coef}*{body}"
+            if not parts:
+                parts.append("-" + body if n < 0 else body)
+            else:
+                parts.append(("- " if n < 0 else "+ ") + body)
+        text = " ".join(parts) if parts else "0"
+        if a.floor is not None:
+            text += f" + O(t^({a.floor}))"
+    except ValueError:
+        raise DigitLimit(
+            f"a series integer has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of int() text conversion"
+        ) from None
     return text
 
 
@@ -698,8 +704,18 @@ def _reject(text):
 
 
 def parse(text):
-    """Parse series text.  Accepts the grammar plus a leading sign, which the
-    canonical printer emits for a negative leading coefficient."""
+    """Parse series text: terms joined by '+' or '-', then optionally the
+    tail '+ O(t^(q))' that gives the floor q.  A term is a coefficient n or
+    n/d, a power t, t^k or t^(n/d), or a coefficient and a power joined by
+    '*'.  The first term may carry a sign as well; the canonical printer
+    emits '-' for a negative leading coefficient.  Every integer may carry
+    its own sign right before its digits, and a term's sign and its
+    coefficient's sign both apply: "--3" is 3, "t - -1" is t + 1 and "+-3"
+    is -3.  Whitespace may come before any token, but not inside an
+    integer, 'O(' or 't^('.  Denominators must be positive, and no exponent
+    may appear twice.  Other text raises SeriesSyntaxError, or
+    DuplicateExponent for a repeated exponent, with the offset of the first
+    token out of place."""
     try:
         value = _read(text)
     except ValueError:

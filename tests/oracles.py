@@ -157,15 +157,14 @@ def pencil_valuations(q):
     degree first), with every point, height and slope a Fraction.  An
     exactly-zero end coefficient is a singular point."""
     n = len(q) - 1
-    if any(fs.lead_exp(c) is None and c.floor is None for c in (q[0], q[n])):
+    if any(c.is_zero for c in (q[0], q[n])):
         raise ValueError("an end coefficient of the pencil is zero, so a point is singular")
     known = []
     masked = []
     for k in range(n + 1):
         c = q[n - k]
-        lead = fs.lead_exp(c)
-        if lead is not None:
-            known.append((Fraction(k), lead))
+        if c.pairs:
+            known.append((Fraction(k), fs.negval(c)))
         elif c.floor is not None:
             masked.append((Fraction(k), c.floor))
     hull = []

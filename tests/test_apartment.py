@@ -12,6 +12,7 @@ from lbldg import rootsys as rsys
 from lbldg.building import apartment_overlap, chart_image, normalizer_of, x_mu
 from lbldg.errors import NotARoot
 from lbldg.symspace import GroupElem, distance
+from lbldg.valfield import series as fs
 from lbldg.valfield.lam import LambdaVal
 
 A1 = rsys.type_A(1)
@@ -152,7 +153,8 @@ class TestChambersWalls:
     def test_chamber_examples(self):
         # C0 is the fixed set of the integral upper unipotent with every
         # entry above the diagonal equal to 1
-        u = GroupElem([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        rows = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+        u = GroupElem([[fs.from_rational(v) for v in row] for row in rows])
         for mu, inside in (
             ((0, 0, 0), True),
             ((2, 1, -3), True),

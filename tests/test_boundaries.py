@@ -24,7 +24,7 @@ A1 = type_A(1)
 
 
 def _g(rows):
-    return GroupElem(rows)
+    return GroupElem([[fs.parse(v) for v in row] for row in rows])
 
 
 def _mu(rs, *vals):
@@ -96,10 +96,8 @@ class TestReduce:
                 rng = trial_rng(11, f"reduce-const-{n}", trial)
                 for c in (bn.reduce(gen_stab_elem(rng, n)), gen_orthogonal(rng, n)):
                     assert bn.reduce(c) == c
-                    germ = bn.germ_equal(bn.SectorGerm(c), bn.SectorGerm(ident))
-                    parallel = bn.infinity_equal(
-                        bn.SectorAtInfinity(c), bn.SectorAtInfinity(ident)
-                    )
+                    germ = bn.germ_equal(c, ident)
+                    parallel = bn.infinity_equal(c, ident)
                     assert germ == parallel
                     verdicts.add(germ)
         assert verdicts == {True, False}
@@ -111,37 +109,37 @@ class TestReduce:
 class TestGerms:
     def test_reflexive(self):
         for n in (2, 3):
-            s = bn.SectorGerm(GroupElem.identity(n))
+            s = GroupElem.identity(n)
             assert bn.germ_equal(s, s) is True
             assert bn.sampled_germ_equal(s, s) is True
 
     def test_deep_lower_entry_is_invisible(self):
         # the (2,1) entry sits below the residue, so the germ agrees
-        s = bn.SectorGerm(_g([["1", "0"], ["t^(-1)", "1"]]))
-        s0 = bn.SectorGerm(GroupElem.identity(2))
+        s = _g([["1", "0"], ["t^(-1)", "1"]])
+        s0 = GroupElem.identity(2)
         assert bn.germ_equal(s, s0) is True
         assert bn.sampled_germ_equal(s, s0) is True
 
     def test_rational_lower_entry_splits_germs(self):
-        s = bn.SectorGerm(_g([["1", "0"], ["2", "1"]]))
-        s0 = bn.SectorGerm(GroupElem.identity(2))
+        s = _g([["1", "0"], ["2", "1"]])
+        s0 = GroupElem.identity(2)
         assert bn.germ_equal(s, s0) is False
         assert bn.sampled_germ_equal(s, s0) is False
         # the chamber point with gap 1/2 is moved clean off the apartment
-        assert bd.chart_image(s.g, _mu(A1, "1/4", "-1/4")) is None
+        assert bd.chart_image(s, _mu(A1, "1/4", "-1/4")) is None
 
     def test_radii_are_existential(self):
         # fixes gaps up to 1/2 only: the radius-1 ladder moves, radius 1/2 agrees
-        s = bn.SectorGerm(_deep_root(2, 2, 1, "-1/2"))
-        s0 = bn.SectorGerm(GroupElem.identity(2))
-        assert bd.chart_image(s.g, _mu(A1, "1/2", "-1/2")) != _mu(A1, "1/2", "-1/2")
-        assert bd.chart_image(s.g, _mu(A1, "1/4", "-1/4")) == _mu(A1, "1/4", "-1/4")
+        s = _deep_root(2, 2, 1, "-1/2")
+        s0 = GroupElem.identity(2)
+        assert bd.chart_image(s, _mu(A1, "1/2", "-1/2")) != _mu(A1, "1/2", "-1/2")
+        assert bd.chart_image(s, _mu(A1, "1/4", "-1/4")) == _mu(A1, "1/4", "-1/4")
         assert bn.sampled_germ_equal(s, s0) is True
         assert bn.germ_equal(s, s0) is True
 
     def test_requires_stabilizer_charts(self):
-        s = bn.SectorGerm(_g([["t", "0"], ["0", "t^(-1)"]]))
-        s0 = bn.SectorGerm(GroupElem.identity(2))
+        s = _g([["t", "0"], ["0", "t^(-1)"]])
+        s0 = GroupElem.identity(2)
         with pytest.raises(NotInRing):
             bn.germ_equal(s, s0)
         with pytest.raises(NotInRing):
@@ -151,8 +149,8 @@ class TestGerms:
         for n in (2, 3):
             for trial in range(60):
                 rng = trial_rng(11, f"germ-agree-{n}", trial)
-                s1 = bn.SectorGerm(gen_stab_elem(rng, n))
-                s2 = bn.SectorGerm(gen_stab_elem(rng, n))
+                s1 = gen_stab_elem(rng, n)
+                s2 = gen_stab_elem(rng, n)
                 assert bn.germ_equal(s1, s2) == bn.sampled_germ_equal(s1, s2)
 
     def test_orthogonal_charts_split_unless_upper(self):
@@ -160,7 +158,7 @@ class TestGerms:
         for trial in range(30):
             rng = trial_rng(11, "germ-orth", trial)
             k = gen_orthogonal(rng, 2)
-            verdict = bn.germ_equal(bn.SectorGerm(k), bn.SectorGerm(GroupElem.identity(2)))
+            verdict = bn.germ_equal(k, GroupElem.identity(2))
             if verdict:
                 assert bn.reduce(k).entries[1][0] == 0
             else:
@@ -227,13 +225,13 @@ class TestKernelRadius:
 class TestInfinity:
     def test_reflexive(self):
         for n in (2, 3):
-            c = bn.SectorAtInfinity(GroupElem.identity(n))
+            c = GroupElem.identity(n)
             assert bn.infinity_equal(c, c) is True
             assert bn.sampled_infinity_equal(c, c) is True
 
     def test_upper_root_element_is_parallel(self):
-        c = bn.SectorAtInfinity(_g([["1", "t"], ["0", "1"]]))
-        c0 = bn.SectorAtInfinity(GroupElem.identity(2))
+        c = _g([["1", "t"], ["0", "1"]])
+        c0 = GroupElem.identity(2)
         assert bn.infinity_equal(c, c0) is True
         assert bn.sampled_infinity_equal(c, c0) is True
         # witness subsector: mu1 - mu2 >= 1 is fixed pointwise
@@ -242,28 +240,27 @@ class TestInfinity:
         for a in (1, 2, 5):
             pt = _mu(A1, a, -a)
             assert in_half(half, pt)
-            assert bd.chart_image(c.g, pt) == pt
+            assert bd.chart_image(c, pt) == pt
 
     def test_swap_is_not_parallel(self):
-        c = bn.SectorAtInfinity(_g([["0", "1"], ["-1", "0"]]))
-        c0 = bn.SectorAtInfinity(GroupElem.identity(2))
+        c = _g([["0", "1"], ["-1", "0"]])
+        c0 = GroupElem.identity(2)
         assert bn.infinity_equal(c, c0) is False
         assert bn.sampled_infinity_equal(c, c0) is False
 
     def test_diagonal_translates(self):
         # a diagonal chart is parallel; deep points shift by its exponents
-        c = bn.SectorAtInfinity(_g([["t", "0"], ["0", "t^(-1)"]]))
-        c0 = bn.SectorAtInfinity(GroupElem.identity(2))
+        c = _g([["t", "0"], ["0", "t^(-1)"]])
+        c0 = GroupElem.identity(2)
         assert bn.infinity_equal(c, c0) is True
         assert bn.sampled_infinity_equal(c, c0) is True
         pt = _mu(A1, 10, -10)
-        assert bd.chart_image(c.g, pt) == _mu(A1, 11, -11)
+        assert bd.chart_image(c, pt) == _mu(A1, 11, -11)
 
     def test_masked_lower_entry_raises(self):
         z = fs.with_floor(fs.ZERO, -5)
-        g = GroupElem([[fs.ONE, fs.ZERO], [z, fs.ONE]], validate=False)
-        c = bn.SectorAtInfinity(g)
-        c0 = bn.SectorAtInfinity(GroupElem.identity(2))
+        c = GroupElem([[fs.ONE, fs.ZERO], [z, fs.ONE]], validate=False)
+        c0 = GroupElem.identity(2)
         with pytest.raises(PrecisionError):
             bn.infinity_equal(c, c0)
 
@@ -271,8 +268,8 @@ class TestInfinity:
         for n in (2, 3):
             for trial in range(60):
                 rng = trial_rng(11, f"inf-agree-{n}", trial)
-                c1 = bn.SectorAtInfinity(gen_group_elem(rng, n))
-                c2 = bn.SectorAtInfinity(gen_group_elem(rng, n))
+                c1 = gen_group_elem(rng, n)
+                c2 = gen_group_elem(rng, n)
                 assert bn.infinity_equal(c1, c2) == bn.sampled_infinity_equal(c1, c2)
 
     def test_deep_direction_sums_are_multiset_unique(self):
@@ -302,13 +299,13 @@ class TestTransitivity:
         for n in (2, 3):
             for trial in range(40):
                 rng = trial_rng(11, f"trans-{n}", trial)
-                s1 = bn.SectorGerm(gen_stab_elem(rng, n))
-                s2 = bn.SectorGerm(gen_stab_elem(rng, n))
+                s1 = gen_stab_elem(rng, n)
+                s2 = gen_stab_elem(rng, n)
                 h = bn.transitivity_witness(s1, s2)
                 # the witness carries germ 1 to germ 2
-                assert bn.germ_equal(bn.SectorGerm(h @ s1.g), s2) is True
+                assert bn.germ_equal(h @ s1, s2) is True
 
     def test_witness_is_residue_level(self):
-        s1 = bn.SectorGerm(_g([["1", "t^(-1)"], ["0", "1"]]))
-        s0 = bn.SectorGerm(GroupElem.identity(2))
+        s1 = _g([["1", "t^(-1)"], ["0", "1"]])
+        s0 = GroupElem.identity(2)
         assert bn.transitivity_witness(s1, s0) == GroupElem.identity(2)

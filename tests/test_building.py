@@ -51,7 +51,7 @@ A2 = type_A(2)
 
 
 def _g(rows):
-    return GroupElem(rows)
+    return GroupElem([[fs.parse(v) for v in row] for row in rows])
 
 
 def _mu(rs, *vals):
@@ -856,35 +856,27 @@ class TestMOf:
 
 class TestStabPredicates:
     def test_apartment_pointwise(self):
-        assert bd.stab_predicates(_g([["-1", "0"], ["0", "-1"]]), bd.APARTMENT_POINTWISE)
-        assert bd.stab_predicates(
-            _g([["1/2", "0"], ["0", "2"]]), bd.APARTMENT_POINTWISE
-        )
-        assert not bd.stab_predicates(_g([["t", "0"], ["0", "t^(-1)"]]), bd.APARTMENT_POINTWISE)
-        assert not bd.stab_predicates(_g([["1", "t^(-1)"], ["0", "1"]]), bd.APARTMENT_POINTWISE)
+        assert bd.stab_apartment(_g([["-1", "0"], ["0", "-1"]]))
+        assert bd.stab_apartment(_g([["1/2", "0"], ["0", "2"]]))
+        assert not bd.stab_apartment(_g([["t", "0"], ["0", "t^(-1)"]]))
+        assert not bd.stab_apartment(_g([["1", "t^(-1)"], ["0", "1"]]))
 
     def test_chamber(self):
-        assert bd.stab_predicates(_g([["1", "t^(-1)"], ["0", "1"]]), bd.CHAMBER_C0)
-        assert not bd.stab_predicates(_g([["1", "t"], ["0", "1"]]), bd.CHAMBER_C0)
-        assert not bd.stab_predicates(_g([["1", "0"], ["1", "1"]]), bd.CHAMBER_C0)
+        assert bd.stab_chamber(_g([["1", "t^(-1)"], ["0", "1"]]))
+        assert not bd.stab_chamber(_g([["1", "t"], ["0", "1"]]))
+        assert not bd.stab_chamber(_g([["1", "0"], ["1", "1"]]))
 
     def test_half_apartment_shape(self):
         g = _g([["1", "t"], ["0", "1"]])
-        assert bd.stab_predicates(g, _half((1, 2), 1))
-        assert not bd.stab_predicates(g, _half((1, 2), 0))
-        assert bd.stab_predicates(GroupElem.identity(2), _half((1, 2), 0))
-        assert not bd.stab_predicates(_g([["1", "0"], ["t", "1"]]), _half((1, 2), 1))
+        assert bd.stab_half_apartment(g, _half((1, 2), 1))
+        assert not bd.stab_half_apartment(g, _half((1, 2), 0))
+        assert bd.stab_half_apartment(GroupElem.identity(2), _half((1, 2), 0))
+        assert not bd.stab_half_apartment(_g([["1", "0"], ["t", "1"]]), _half((1, 2), 1))
 
     @pytest.mark.parametrize("root", [(0, 5), (1, 1), (4, 1)])
     def test_half_apartment_target_names_a_root(self, root):
         with pytest.raises(NotARoot):
-            bd.stab_predicates(GroupElem.identity(3), _half(root, 0))
-
-    def test_unknown_target(self):
-        from lbldg.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            bd.stab_predicates(GroupElem.identity(2), "Everything")
+            bd.stab_half_apartment(GroupElem.identity(3), _half(root, 0))
 
 
 # --- apartment points and normalizers ---------------------------------------------

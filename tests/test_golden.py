@@ -377,7 +377,7 @@ def _chart_inputs():
         kind = i // 4 % 4
         if kind == 1:
             e = rows[a][b]
-            lead = fs.lead_exp(e) if e.pairs else Q(0)
+            lead = fs.negval(e) if e.pairs else Q(0)
             rows[a][b] = fs.with_floor(e, lead + Q(rng.randint(-4, 4), 2))
         elif kind == 2:
             rows[a][b] = fs.ZERO

@@ -172,9 +172,9 @@ class TestGolden:
         # frozen wire forms; a change here means seeded streams moved and
         # every recorded counterexample stops replaying
         g = gen_group_elem(trial_rng(0, "golden", 0), 2)
-        assert matrix_to_json(g.entries) == [["0", "1"], ["-1", "0"]]
+        assert matrix_to_json(g) == [["0", "1"], ["-1", "0"]]
         g3 = gen_group_elem(trial_rng(0, "golden", 1), 3)
-        assert matrix_to_json(g3.entries) == [
+        assert matrix_to_json(g3) == [
             ["1", "t^2", "1/2*t^2"],
             ["0", "1", "t^4"],
             ["0", "0", "1"],
@@ -182,7 +182,7 @@ class TestGolden:
 
     def test_factor_count_zero_is_identity(self):
         g = gen_group_elem(trial_rng(0, "golden", 0), 3, factors=0)
-        assert matrix_to_json(g.entries) == [
+        assert matrix_to_json(g) == [
             ["1", "0", "0"],
             ["0", "1", "0"],
             ["0", "0", "1"],
@@ -232,8 +232,8 @@ def files(tmp_path):
     px = tmp_path / "x.json"
     py = tmp_path / "y.json"
     pg = tmp_path / "g.json"
-    px.write_text(json.dumps(matrix_to_json(x_mu([1, -1]).entries)))
-    py.write_text(json.dumps(matrix_to_json(x_mu([0, 0]).entries)))
+    px.write_text(json.dumps(matrix_to_json(x_mu([1, -1]))))
+    py.write_text(json.dumps(matrix_to_json(x_mu([0, 0]))))
     pg.write_text(json.dumps([["1", "t"], ["0", "1"]]))
     return px, py, pg
 
@@ -248,7 +248,7 @@ class TestCli:
     def test_dist_of_points_of_different_sizes(self, files, tmp_path, swap):
         px, _, _ = files
         p3 = tmp_path / "x3.json"
-        p3.write_text(json.dumps(matrix_to_json(x_mu([1, 0, -1]).entries)))
+        p3.write_text(json.dumps(matrix_to_json(x_mu([1, 0, -1]))))
         args = [str(p3), str(px)] if swap else [str(px), str(p3)]
         sizes = ("3 x 3", "2 x 2") if swap else ("2 x 2", "3 x 3")
         res = CliRunner().invoke(main, ["dist", *args])
@@ -344,6 +344,26 @@ class TestCli:
         assert res.exit_code == 2 and res.stdout == ""
         (line,) = res.stderr.splitlines()
         assert line.startswith(f"error: cannot read {bad}: ") and "square" in line
+
+    @pytest.mark.parametrize("command", ["retract", "dist"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["1", "0"], ["0"]], "matrix must be square and non-empty, got rows of lengths [2, 1]"),
+            ([[1, 0], [0, 1]], "matrix must be a JSON list of rows, each a list of series strings"),
+            ([["1", "0"], ["0", "t^"]], "row 2, column 2: expected an integer (offset 2)"),
+            ([["t", "0"], ["0", "1"]], "determinant must be exactly 1"),
+        ],
+        ids=["ragged", "numbers", "bad-entry", "determinant"],
+    )
+    def test_malformed_point_files_exit_2(self, files, tmp_path, command, rows, message):
+        _, py, _ = files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rows))
+        args = [str(bad)] if command == "retract" else [str(bad), str(py)]
+        res = CliRunner().invoke(main, [command, *args])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: cannot read {bad}: {message}\n"
 
     @pytest.mark.parametrize("command", ["retract", "overlap"])
     @pytest.mark.parametrize(

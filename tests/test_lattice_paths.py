@@ -267,6 +267,6 @@ class TestBottomOrder:
             got = ("ok", [oracles.Lam(None if v is None else Q(v, L)) for row in S for v in row])
         assert got == want
         # the half-apartment stabilizer's shape, decided in Lam's order
-        assert _outcome(bd.stab_predicates, g, HalfApartment((i, j), ell)) == _outcome(
+        assert _outcome(bd.stab_half_apartment, g, HalfApartment((i, j), ell)) == _outcome(
             oracles.half_apartment_shape, g, (i, j), ell
         )

@@ -20,11 +20,11 @@ from lbldg.valfield.lam import LambdaVal
 
 
 def _g(rows):
-    return sym.GroupElem(rows)
+    return sym.GroupElem([[fs.parse(v) for v in row] for row in rows])
 
 
 def _x(rows):
-    return sym.SPDPoint(rows)
+    return sym.SPDPoint([[fs.parse(v) for v in row] for row in rows])
 
 
 def _diag_point(*exps):
@@ -77,6 +77,17 @@ class TestTypes:
         data = sym.matrix_to_json(g)
         assert data == [["1", "t^(1/2)"], ["0", "1"]]
         assert sym.group_from_json(data) == g
+
+    @pytest.mark.parametrize("cls", [sym.GroupElem, sym.SPDPoint])
+    @pytest.mark.parametrize("entry", ["1", 1, Q(1), 1.0], ids=["str", "int", "Fraction", "float"])
+    def test_entries_are_series_only(self, cls, entry):
+        """Text enters through the JSON readers or fs.parse, and rationals
+        through fs.from_rational; a matrix takes no other entry type."""
+        rows = [[entry, fs.ZERO], [fs.ZERO, fs.ONE]]
+        msg = f"cannot use {type(entry).__name__} as a matrix entry"
+        for validate in (True, False):
+            with pytest.raises(TypeError, match=msg):
+                cls(rows, validate=validate)
 
     @pytest.mark.parametrize("reader", [sym.point_from_json, sym.group_from_json])
     @pytest.mark.parametrize(
@@ -282,7 +293,7 @@ def _masked_vertex_pairs(draw):
     y, cut = (sym.SPDPoint(m, validate=False) for m in (y, cut))
     q = sym.char_pencil(x, cut)
     hull = sym._upper_concave_hull(
-        [(Q(k), fs.lead_exp(c)) for k, c in enumerate(reversed(sym.char_pencil(x, y))) if c.pairs]
+        [(Q(k), fs.negval(c)) for k, c in enumerate(reversed(sym.char_pencil(x, y))) if c.pairs]
     )
     assert q[0].pairs and q[n].pairs
     assume(any(not q[n - int(k)].pairs for k, _ in hull[1:-1]))
@@ -418,9 +429,16 @@ class TestRetract:
             rhs = [m + s for m, s in zip(sym.retract(x).to_mu(), shift)]
             assert lhs == rhs
 
+    def test_determinant_not_a_unit(self):
+        # an unvalidated point of determinant t: its mu would sum to 1/2
+        x = sym.SPDPoint([[fs.monomial(1), fs.ZERO], [fs.ZERO, fs.ONE]], validate=False)
+        msg = "the determinant is not a unit, so the point does not have determinant 1"
+        with pytest.raises(ValueError, match=msg):
+            sym.retract(x)
+
     def test_exactly_zero_trailing_minor(self):
         # an unvalidated point whose last diagonal entry is an exact zero
-        x = sym.SPDPoint([["1", "0"], ["0", "0"]], validate=False)
+        x = sym.SPDPoint([[fs.ONE, fs.ZERO], [fs.ZERO, fs.ZERO]], validate=False)
         msg = "a trailing principal minor is zero, so the point is not positive definite"
         with pytest.raises(ValueError, match=msg):
             sym.retract(x)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as Q
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbldg.errors import (
+    DigitLimit,
     DuplicateExponent,
     NegativeInput,
     NotASquare,
@@ -110,6 +112,35 @@ class TestParsePrint:
         with pytest.raises(SeriesSyntaxError) as ei:
             vf.parse(text)
         assert ei.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, printed", [("--3", "3"), ("t - -1", "t + 1"), ("+-3", "-3")]
+    )
+    def test_a_term_sign_and_its_coefficient_sign_both_apply(self, text, printed):
+        assert vf.to_str(vf.parse(text)) == printed
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            vf.from_rational,
+            lambda big: vf.from_rational(Q(1, big)),
+            vf.monomial,
+            lambda big: vf.monomial(Q(1, big)),
+            lambda big: vf.with_floor(vf.ONE, -big),
+        ],
+        ids=["numerator", "denominator", "exponent", "exponent-denominator", "floor"],
+    )
+    def test_digits_int_cannot_print_raise_digit_limit(self, make):
+        """An integer past int()'s digit limit is refused with a typed error
+        naming the limit, not by int()'s own ValueError."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(DigitLimit, match=f"more than {limit} digits"):
+            vf.to_str(make(10**limit))
+
+    def test_integers_at_the_digit_limit_print_and_read_back(self):
+        big = 10 ** (sys.get_int_max_str_digits() - 1)
+        x = vf.add(vf.monomial(Q(1, big), big), vf.with_floor(vf.ZERO, -big))
+        assert vf.parse(vf.to_str(x)) == x
 
     def test_round_trip_100_random(self):
         rng = random.Random(20260816)
