@@ -1,17 +1,22 @@
 """Command line interface.
 
 Point and group inputs are JSON files holding a square array of series
-strings. Exit codes: 0 when every requested check passes, 1 when a suite
-reports failures, 2 for unreadable input or a bad configuration.
+strings. Exit codes: 0 on success, 1 when a suite reports failures, 2 for
+bad input or a bad configuration (a ValueError, malformed JSON and series
+text among them, a TypeError, an OSError or another lbldg.errors type), and
+3 when a PrecisionError, raised reading a truncated input or computing on
+it, leaves the answer undecided. Any other exception is a defect and
+propagates with its traceback.
 """
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
 from ..building import apartment_overlap, overlap_to_json
-from ..errors import ConfigError
+from ..errors import AmbiguousWeyl, ConfigError, EnumerationBound, PrecisionError
 from ..symspace import distance, group_from_json, point_from_json, retract
 from ..valfield import series as fs
 from .axioms import AXIOM_NAMES, check_axiom
@@ -20,14 +25,31 @@ from .report import SCHEMA, format_lines, report_to_dict
 from .theorems import THEOREM_NAMES, check_theorem
 
 
-def _load(path, reader):
+# bad input: what reading JSON and series text raises, and the package's own
+# error types; PrecisionError is caught before these
+_BAD_INPUT = (ValueError, TypeError, OSError, EnumerationBound, AmbiguousWeyl)
+
+
+@contextmanager
+def _exits(command, path=None):
+    """Exit 3 on a PrecisionError and 2 on bad input, with one stderr line
+    naming the command or the file read; anything else propagates."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return reader(data)
-    except Exception as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
+        yield
+    except PrecisionError as exc:
+        where = f"{path}: " if path else ""
+        click.echo(f"undecided: {command}: {where}{exc}", err=True)
+        sys.exit(3)
+    except _BAD_INPUT as exc:
+        where = f"cannot read {path}: " if path else ""
+        click.echo(f"error: {where}{exc}", err=True)
         sys.exit(2)
+
+
+def _load(command, path, reader):
+    with _exits(command, path):
+        with open(path) as fh:
+            return reader(json.load(fh))
 
 
 @click.group()
@@ -40,25 +62,20 @@ def main():
 @click.argument("y", type=click.Path(exists=True))
 def dist(x, y):
     """Distance between two points given as series-matrix JSON files."""
-    px = _load(x, point_from_json)
-    py = _load(y, point_from_json)
-    try:
-        click.echo(str(distance(px, py).finite_value))
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    px = _load("dist", x, point_from_json)
+    py = _load("dist", y, point_from_json)
+    with _exits("dist"):
+        d = distance(px, py)
+    click.echo(str(d.finite_value))
 
 
 @main.command(name="retract")
 @click.argument("x", type=click.Path(exists=True))
 def retract_cmd(x):
     """Apartment coordinates of the retraction of a point."""
-    px = _load(x, point_from_json)
-    try:
+    px = _load("retract", x, point_from_json)
+    with _exits("retract"):
         mu = retract(px).to_mu()
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(json.dumps({"mu": [str(v) for v in mu]}))
 
 
@@ -67,12 +84,9 @@ def retract_cmd(x):
 def overlap(g):
     """Overlap of a chart with the model apartment, as constraints plus the
     Weyl transport, or {"empty": true}."""
-    elem = _load(g, group_from_json)
-    try:
+    elem = _load("overlap", g, group_from_json)
+    with _exits("overlap"):
         result = apartment_overlap(elem)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(json.dumps(overlap_to_json(result), sort_keys=True))
 
 
@@ -143,10 +157,7 @@ def theorems(which, n, trials, seed, denominator_bound, magnitude_bound, factor_
 @click.argument("expr")
 def parse(check, expr):
     """Parse a series expression; echoes the canonical form."""
-    try:
+    with _exits("parse"):
         val = fs.parse(expr)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     if not check:
         click.echo(fs.to_str(val))

@@ -6,12 +6,16 @@ check decided by exact arithmetic, and failures recorded with replayable
 payloads.
 
 The stabilizer suites compare matrix-shape predicates against the action
-itself. For the base point and the full apartment the shape test is exactly
-the stabilizer, so trials check equivalence against moved-or-fixed probes.
-For chambers and half-apartments the shape test describes a subgroup that
-fixes the region pointwise; trials verify that direction on sampled points
-and, within the single-root family where the shape is also necessary, the
-converse with a wall witness.
+itself. Stab_o reads it off the pencil, distance(o, g . o) = 0. The
+apartment, chamber and half-apartment suites read it off the chart image:
+g fixes x_mu iff g . x_mu is the point of the standard apartment with
+coordinates mu, which is chart_image(g, mu) == mu, that is
+max_ij (negval g_ij + mu_j - mu_i) <= 0. For the base point and the full
+apartment the shape test is exactly the stabilizer, so trials check it
+against moved-or-fixed probes. For chambers and half-apartments the shape
+test describes a subgroup that fixes the region pointwise; trials verify
+that direction on sampled points and, within the single-root family where
+the shape is also necessary, the converse with a wall witness.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from fractions import Fraction
 from ..apartment import ApartmentVec, HalfApartment
 from ..building import (
     RootElem,
+    chart_image,
     stab_apartment,
     stab_chamber,
     stab_half_apartment,
@@ -38,7 +43,6 @@ from ..symspace import (
     SPDPoint,
     act,
     distance,
-    equivalent,
     matrix_to_json,
     retract,
 )
@@ -93,9 +97,7 @@ def _check_stab_a(cfg):
     def one(rng, trial):
         g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else draw_group(rng, cfg)
         shape = stab_apartment(g)
-        fixes = all(
-            equivalent(act(g, x_mu(mu)), x_mu(mu)) for mu in _probe_mus(cfg, rng, rs)
-        )
+        fixes = all(chart_image(g, mu) == mu for mu in _probe_mus(cfg, rng, rs))
         if shape != fixes:
             return {"g": matrix_to_json(g), "shape": shape, "fixes": fixes}
         return None
@@ -116,7 +118,7 @@ def _check_stab_c0(cfg):
             return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for _ in range(20):
             mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n, denom))
-            if not equivalent(act(g, x_mu(mu)), x_mu(mu)):
+            if chart_image(g, mu) != mu:
                 return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
 
@@ -132,7 +134,7 @@ def _check_stab_c0(cfg):
         # sit 2*gamma*(j - i) apart
         gamma = ell / (4 * (j - i))
         vec = ApartmentVec.from_mu(rs, [gamma * (cfg.n - 1 - 2 * a) for a in range(cfg.n)])
-        if equivalent(act(bad, x_mu(vec)), x_mu(vec)):
+        if chart_image(bad, vec) == vec:
             return {"g": matrix_to_json(bad), "mu": payload_strs(vec.to_mu()), "kind": "not moved"}
         return None
 
@@ -179,7 +181,7 @@ def _check_half_apt(cfg):
         if not stab_half_apartment(g, target):
             return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for vec in _gap_points(rng, i, j, ell):
-            if not equivalent(act(g, x_mu(vec)), x_mu(vec)):
+            if chart_image(g, vec) != vec:
                 return {"g": matrix_to_json(g), "mu": payload_strs(vec.to_mu()), "kind": "moved"}
         shallow = RootElem(
             cfg.n, i, j, fs.monomial(ell + Fraction(1, denom), Fraction(1))
@@ -187,7 +189,7 @@ def _check_half_apt(cfg):
         if stab_half_apartment(shallow, target):
             return {"g": matrix_to_json(shallow), "kind": "shape accepted"}
         wall = _gap_points(rng, i, j, ell)[0]
-        if equivalent(act(shallow, x_mu(wall)), x_mu(wall)):
+        if chart_image(shallow, wall) == wall:
             return {"g": matrix_to_json(shallow), "kind": "wall not moved"}
         return None
 

@@ -400,10 +400,6 @@ def distance(x, y):
     return LambdaVal(2 * total)
 
 
-def equivalent(x, y):
-    return distance(x, y) == LambdaVal.of(0)
-
-
 # --- Iwasawa retraction ------------------------------------------------------
 
 

@@ -2,17 +2,29 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from lbldg.building import PERM_BOUND, apartment_overlap, x_mu
+from lbldg import symspace as sym
+from lbldg.apartment import ApartmentVec
+from lbldg.building import PERM_BOUND, RootElem, apartment_overlap, chart_image, x_mu
 from lbldg.errors import ConfigError
 from lbldg.harness import axioms as ax
 from lbldg.harness import theorems as th
 from lbldg.harness.cli import main
 from lbldg.harness.config import TrialConfig
-from lbldg.harness.generators import gen_group_elem, trial_rng
+from lbldg.harness.generators import (
+    gen_apartment_mu,
+    gen_diag_units,
+    gen_dominant_mu,
+    gen_group_elem,
+    gen_point,
+    gen_stab_elem,
+    gen_unipotent,
+    trial_rng,
+)
 from lbldg.harness.report import (
     KEEP,
     SCHEMA,
@@ -21,8 +33,10 @@ from lbldg.harness.report import (
     report_to_dict,
     run_check,
 )
-from lbldg.symspace import matrix_to_json
+from lbldg.rootsys import type_A
+from lbldg.symspace import act, distance, matrix_to_json
 from lbldg.valfield import series as fs
+from lbldg.valfield.lam import LambdaVal
 
 
 # --- report plumbing -------------------------------------------------------------
@@ -162,6 +176,66 @@ class TestSuites:
             for n in (2, 3):
                 rep = th.check_theorem(TrialConfig(n=n, trials=6, seed=13), which)
                 assert rep.ok, (which, n, rep.rows)
+
+
+# --- "g fixes x_mu": the chart image against the pencil ---------------------------
+
+
+def _fixer_candidates(rng, n, denom):
+    """One g from each family the stabilizer suites draw or build: diagonal
+    units, random products, integral elements, triangular integral
+    products, and diagonal units times a root element."""
+    i, j = rng.sample(range(1, n + 1), 2)
+    ell = Fraction(rng.randint(-2 * denom, 2 * denom), denom)
+    root = RootElem(n, i, j, fs.monomial(ell, Fraction(1))).as_group()
+    return [
+        gen_diag_units(rng, n),
+        gen_group_elem(rng, n),
+        gen_stab_elem(rng, n),
+        gen_unipotent(rng, n, integral=True) @ gen_diag_units(rng, n),
+        gen_diag_units(rng, n) @ root,
+    ]
+
+
+class TestFixedPoints:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chart_image_agrees_with_the_pencil(self, n):
+        """g fixes x_mu by the pencil, distance(g . x_mu, x_mu) = 0, iff
+        chart_image(g, mu) == mu, on both deep staircases of the Stab_A
+        probes, one random and one dominant point."""
+        cfg = TrialConfig(n=n, seed=3)
+        rs = type_A(n - 1)
+        fixed = cases = 0
+        for trial in range(4):
+            rng = trial_rng(cfg.seed, "fixed-points", trial)
+            for g in _fixer_candidates(rng, n, cfg.exponent_denominator_bound):
+                mus = th._probe_mus(cfg, rng, rs)[:2] + [
+                    ApartmentVec.from_mu(rs, gen_apartment_mu(rng, n)),
+                    ApartmentVec.from_mu(
+                        rs, gen_dominant_mu(rng, n, cfg.exponent_denominator_bound)
+                    ),
+                ]
+                for mu in mus:
+                    by_pencil = distance(act(g, x_mu(mu)), x_mu(mu)) == LambdaVal.of(0)
+                    by_chart = chart_image(g, mu) == mu
+                    assert by_pencil == by_chart, (matrix_to_json(g), mu.to_mu())
+                    fixed += by_chart
+                    cases += 1
+        assert 0 < fixed < cases
+
+    def test_stabilizer_suites_expand_no_pencil(self, monkeypatch):
+        """Stab_A, Stab_C0 and HalfAptStab decide fixing on the chart alone:
+        no act, no distance, no characteristic pencil."""
+
+        def forbidden(*args):
+            raise AssertionError("pencil path called")
+
+        monkeypatch.setattr(sym, "char_pencil", forbidden)
+        monkeypatch.setattr(th, "act", forbidden)
+        monkeypatch.setattr(th, "distance", forbidden)
+        for which in ("Stab_A", "Stab_C0", "HalfAptStab"):
+            rep = th.check_theorem(TrialConfig(n=3, trials=5, seed=1), which)
+            assert rep.ok, (which, rep.rows)
 
 
 # --- golden generator stream -------------------------------------------------------
@@ -381,6 +455,72 @@ class TestCli:
             f"error: cannot read {bad}: "
             "matrix must be a JSON list of rows, each a list of series strings"
         )
+
+    @pytest.mark.parametrize("command", ["dist", "retract", "overlap"])
+    def test_floored_file_is_undecided(self, files, tmp_path, command):
+        _, py, _ = files
+        floored = tmp_path / "floored.json"
+        floored.write_text(json.dumps([["1 + O(t^(1))", "0"], ["0", "1"]]))
+        args = [str(floored), str(py)] if command == "dist" else [str(floored)]
+        res = CliRunner().invoke(main, [command, *args])
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == (
+            f"undecided: {command}: {floored}: "
+            "determinant's t^0 coefficient masked by floor 1\n"
+        )
+
+    def test_seeded_bad_files_exit_0_2_or_3(self, tmp_path):
+        """Malformed, floored, singular and mismatched-size files through
+        dist, retract and overlap: exit 0, 2 (bad input) or 3 (undecided),
+        with one stderr line and empty stdout on 2 and 3, and never an
+        unhandled exception."""
+        runner = CliRunner()
+        seen = set()
+        for trial in range(24):
+            rng = trial_rng(5, "cli-bad-files", trial)
+            n = rng.choice([2, 3])
+            rows = {
+                "x": matrix_to_json(gen_point(rng, n)),
+                "y": matrix_to_json(gen_point(rng, n)),
+                "g": matrix_to_json(gen_group_elem(rng, n)),
+            }
+            kind = ("malformed", "floored", "singular", "mismatched")[trial % 4]
+            for name in ("x", "g"):
+                m = rows[name]
+                i, j = rng.randrange(n), rng.randrange(n)
+                if kind == "malformed":
+                    m[i][j] = rng.choice(["t^", "1/0", 7, "O(t)", "", None])
+                elif kind == "floored":
+                    floor = Fraction(rng.randint(-12, 12), 2)
+                    m[:] = [
+                        [fs.to_str(fs.with_floor(fs.parse(e), floor)) for e in row]
+                        for row in m
+                    ]
+                elif kind == "singular":
+                    m[i] = ["0"] * n
+                else:
+                    m.append(["0"] * n)
+            if kind == "mismatched":
+                rows["y"] = matrix_to_json(gen_point(rng, n + 1))
+            paths = {}
+            for name, m in rows.items():
+                paths[name] = tmp_path / f"{name}.json"
+                paths[name].write_text(json.dumps(m))
+            for args in (
+                ["dist", paths["x"], paths["y"]],
+                ["retract", paths["x"]],
+                ["overlap", paths["g"]],
+            ):
+                res = runner.invoke(main, [str(a) for a in args])
+                label = (trial, kind, args[0])
+                assert res.exit_code in (0, 2, 3), label
+                assert res.exception is None or isinstance(res.exception, SystemExit), label
+                if res.exit_code:
+                    (line,) = res.stderr.splitlines()
+                    prefix = "error: " if res.exit_code == 2 else f"undecided: {args[0]}: "
+                    assert line.startswith(prefix) and res.stdout == "", label
+                seen.add(res.exit_code)
+        assert seen == {0, 2, 3}
 
     def test_axioms_json_out(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -399,8 +399,8 @@ class TestDistance:
         uinv = fs.inv(u, Q(-12))
         # build an exact det-1 diagonal with unit entries via the adjugate trick
         y = sym.SPDPoint([[u, fs.ZERO], [fs.ZERO, uinv]], validate=False)
-        assert sym.equivalent(ident, _diag_point(0, 0))
-        assert not sym.equivalent(ident, _diag_point(2, -2))
+        assert sym.distance(ident, _diag_point(0, 0)) == LambdaVal.of(0)
+        assert sym.distance(ident, _diag_point(2, -2)) != LambdaVal.of(0)
         assert all(v == 0 for v in sym.cartan_valuations(ident, y))
 
 
