@@ -28,7 +28,7 @@ from .apartment import (
     difference_potentials,
     wconvex_to_json,
 )
-from .errors import AmbiguousWeyl, EnumerationBound, IdentityElement
+from .errors import AmbiguousWeyl, EnumerationBound, IdentityElement, PrecisionError
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
@@ -64,15 +64,24 @@ def trop(g):
     L is the lcm of the entries' exponent denominators e, and S[i][j] is the
     int k with negval(g_ij) = k / L, or None for an exact zero (Bottom).  A
     masked entry raises negval's PrecisionError, for the first one in
-    row-major order.
+    row-major order, its text led by the entry's 1-based row and column.
     """
     L = lcm(*(a.e for row in g.entries for a in row))
     # an entry with no visible term is an exact zero, whose negval is None
     # (Bottom), or masked, and then negval raises
-    return L, [
-        [a.pairs[0][0] * (L // a.e) if a.pairs else fs.negval(a) for a in row]
-        for row in g.entries
-    ]
+    try:
+        return L, [
+            [a.pairs[0][0] * (L // a.e) if a.pairs else fs.negval(a) for a in row]
+            for row in g.entries
+        ]
+    except PrecisionError as exc:
+        i, j = next(
+            (i, j)
+            for i, row in enumerate(g.entries, 1)
+            for j, a in enumerate(row, 1)
+            if not a.pairs and a.floor is not None
+        )
+        raise PrecisionError(f"row {i}, column {j}: {exc}") from exc
 
 
 def trop_radius(g):

@@ -54,10 +54,10 @@ from ..symspace import act, distance, matrix_to_json
 from ..valfield import series as fs
 from ..valfield.lam import ZERO
 from .generators import (
-    draw_group,
-    draw_point,
     gen_apartment_mu,
     gen_diagonal,
+    gen_group_elem,
+    gen_point,
     gen_root_elem,
     gen_unipotent,
     sample_in_region,
@@ -72,7 +72,7 @@ def _check_a1(cfg):
     rs = type_A(cfg.n - 1)
 
     def one(rng, _):
-        g = draw_group(rng, cfg)
+        g = gen_group_elem(rng, cfg.n)
         sigma = tuple(rng.sample(range(1, cfg.n + 1), cfg.n))
         c = gen_apartment_mu(rng, cfg.n)
         w = affine_from_mu(rs, sigma, list(c))
@@ -103,7 +103,7 @@ def _check_a2(cfg):
         # a one-point region is carried by many Weyl elements, so keep
         # drawing until the overlap holds at least two sampled points
         for _ in range(40):
-            g = draw_group(rng, cfg)
+            g = gen_group_elem(rng, cfg.n)
             try:
                 res = apartment_overlap(g)
             except AmbiguousWeyl:
@@ -133,7 +133,7 @@ def _check_a3r(cfg):
     zero = ApartmentVec.from_mu(rs, [Fraction(0)] * cfg.n)
 
     def one(rng, _):
-        h = draw_group(rng, cfg)
+        h = gen_group_elem(rng, cfg.n)
         nu = ApartmentVec.from_mu(rs, gen_apartment_mu(rng, cfg.n))
         base = distance(x_mu(zero), x_mu(nu))
         moved = distance(act(h, x_mu(zero)), act(h, x_mu(nu)))
@@ -154,7 +154,7 @@ def _check_a3r(cfg):
 
 def _check_ti(cfg):
     def one(rng, _):
-        x, y, z = (draw_point(rng, cfg) for _ in range(3))
+        x, y, z = (gen_point(rng, cfg.n) for _ in range(3))
         dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
         if dxy < ZERO or distance(x, x) != ZERO:
             return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "positivity"}
@@ -180,15 +180,13 @@ def _check_a4(cfg):
     stair = [Fraction(cfg.n - 1 - 2 * i) for i in range(cfg.n)]
 
     def one(rng, _):
-        span = cfg.exponent_magnitude_bound
-        denom = cfg.exponent_denominator_bound
-        u1 = gen_unipotent(rng, cfg.n, span=span, denom=denom)
-        a1 = gen_diagonal(rng, cfg.n, span=span, denom=denom)
+        u1 = gen_unipotent(rng, cfg.n)
+        a1 = gen_diagonal(rng, cfg.n)
         sigma = tuple(rng.sample(range(1, cfg.n + 1), cfg.n))
         w = affine_from_mu(rs, sigma, list(gen_apartment_mu(rng, cfg.n)))
         nw = normalizer_of(w, cfg.n)
-        u2 = gen_unipotent(rng, cfg.n, span=span, denom=denom)
-        a2 = gen_diagonal(rng, cfg.n, span=span, denom=denom)
+        u2 = gen_unipotent(rng, cfg.n)
+        a2 = gen_diagonal(rng, cfg.n)
         b1 = u1 @ a1
         g = b1 @ nw @ u2 @ a2
         # a chart containing deep subsectors of both sectors: the left
@@ -230,12 +228,7 @@ def _check_ec(cfg):
     rs = type_A(cfg.n - 1)
 
     def one(rng, _):
-        root_elem = gen_root_elem(
-            rng,
-            cfg.n,
-            cfg.exponent_magnitude_bound,
-            cfg.exponent_denominator_bound,
-        )
+        root_elem = gen_root_elem(rng, cfg.n)
         _, i, j, s = root_elem
         u = root_elem.as_group()
         ell = fs.negval(s)

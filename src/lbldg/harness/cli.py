@@ -96,9 +96,6 @@ def _suite_options(fn):
         click.option("--n", default=3, show_default=True),
         click.option("--trials", default=100, show_default=True),
         click.option("--seed", default=0, show_default=True),
-        click.option("--denominator-bound", default=2, show_default=True),
-        click.option("--magnitude-bound", default=4, show_default=True),
-        click.option("--factor-count", default=3, show_default=True),
         click.option("--json", "json_out", type=click.Path(), default=None),
     ):
         fn = deco(fn)
@@ -137,17 +134,17 @@ def _run_suites(kind, names, runner, which, cfg, json_out):
 
 @main.command()
 @_suite_options
-def axioms(which, n, trials, seed, denominator_bound, magnitude_bound, factor_count, json_out):
+def axioms(which, n, trials, seed, json_out):
     """Run axiom suites (A1, A2, A3r, TI, A4, EC)."""
-    cfg = TrialConfig(n, trials, seed, denominator_bound, magnitude_bound, factor_count)
+    cfg = TrialConfig(n, trials, seed)
     _run_suites("axioms", AXIOM_NAMES, check_axiom, which, cfg, json_out)
 
 
 @main.command()
 @_suite_options
-def theorems(which, n, trials, seed, denominator_bound, magnitude_bound, factor_count, json_out):
+def theorems(which, n, trials, seed, json_out):
     """Run theorem suites (stabilizers, retraction, germs, infinity)."""
-    cfg = TrialConfig(n, trials, seed, denominator_bound, magnitude_bound, factor_count)
+    cfg = TrialConfig(n, trials, seed)
     _run_suites("theorems", THEOREM_NAMES, check_theorem, which, cfg, json_out)
 
 

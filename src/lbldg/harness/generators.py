@@ -1,11 +1,10 @@
 """Seeded random generators for group elements, points, and root elements.
 
 Every generator takes an explicit random.Random so the harness can derive one
-deterministic stream per trial. Supports stay tiny: monomial entries with
-exponent denominators <= 2 and numerators bounded by 4, everything Exact.
-The group and root-element generators take span and denom, so a suite
-config can widen or narrow that lattice; gen_apartment_mu keeps the
-half-integer lattice, and gen_dominant_mu takes only denom.
+deterministic stream per trial. Supports stay tiny, everything Exact: the
+suites draw from the one lattice of SPAN, DENOM and FACTORS, and tests pass
+span, denom and factors to the group and root-element generators to narrow
+or widen it. gen_apartment_mu keeps the half-integer lattice.
 
 sample_in_region draws points of a type A overlap region by an exact walk
 on the 1/denom lattice: each move's feasible step is read off the region's
@@ -23,6 +22,12 @@ from ..linalg import mat_inv
 from ..symspace import GroupElem, SPDPoint, act
 from ..valfield import series as fs
 
+# the suites' draw lattice: exponent numerators in [-SPAN, SPAN] over
+# denominators 1..DENOM, and at most FACTORS factors per group element
+SPAN = 4
+DENOM = 2
+FACTORS = 3
+
 
 def trial_rng(seed, which, trial):
     """The per-trial stream: independent of execution order across trials."""
@@ -39,7 +44,7 @@ def _small_rational(rng):
     return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
 
-def gen_unipotent(rng, n, lower=False, span=4, denom=2, integral=False):
+def gen_unipotent(rng, n, lower=False, span=SPAN, denom=DENOM, integral=False):
     """Upper (or lower) unipotent with zero-or-monomial off-diagonal entries;
     integral keeps every exponent at or below zero, so the entries lie in O."""
     rows = [[fs.ONE if i == j else fs.ZERO for j in range(n)] for i in range(n)]
@@ -53,7 +58,7 @@ def gen_unipotent(rng, n, lower=False, span=4, denom=2, integral=False):
     return GroupElem(rows, validate=False)
 
 
-def gen_diagonal(rng, n, span=4, denom=2):
+def gen_diagonal(rng, n, span=SPAN, denom=DENOM):
     """Positive diagonal monomials with determinant exactly 1."""
     exps = [_exponent(rng, span, denom) for _ in range(n - 1)]
     exps.append(-sum(exps))
@@ -82,7 +87,7 @@ def gen_orthogonal(rng, n):
     return GroupElem(rows, validate=False)
 
 
-def gen_group_elem(rng, n, span=4, denom=2, factors=3):
+def gen_group_elem(rng, n, span=SPAN, denom=DENOM, factors=FACTORS):
     """Product of at most `factors` factors drawn from the three families.
     factors=0 returns the identity without consuming randomness."""
     g = GroupElem.identity(n)
@@ -100,22 +105,6 @@ def gen_group_elem(rng, n, span=4, denom=2, factors=3):
 
 def gen_point(rng, n):
     return act(gen_group_elem(rng, n), SPDPoint.basepoint(n))
-
-
-def draw_group(rng, cfg):
-    """gen_group_elem with a suite config's size, lattice bounds and factor cap."""
-    return gen_group_elem(
-        rng,
-        cfg.n,
-        cfg.exponent_magnitude_bound,
-        cfg.exponent_denominator_bound,
-        cfg.factor_count,
-    )
-
-
-def draw_point(rng, cfg):
-    """gen_point with a suite config's size, lattice bounds and factor cap."""
-    return act(draw_group(rng, cfg), SPDPoint.basepoint(cfg.n))
 
 
 def gen_diag_units(rng, n):
@@ -146,7 +135,7 @@ def gen_stab_elem(rng, n):
     return g
 
 
-def gen_root_elem(rng, n, span=4, denom=2):
+def gen_root_elem(rng, n, span=SPAN, denom=DENOM):
     """A root element: one monomial s at the 1-indexed (i, j), i != j."""
     i, j = rng.sample(range(1, n + 1), 2)
     c = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
@@ -161,10 +150,10 @@ def gen_apartment_mu(rng, n):
     return tuple(mu)
 
 
-def gen_dominant_mu(rng, n, denom):
+def gen_dominant_mu(rng, n):
     """Strictly dominant sum-zero tuple: every consecutive gap is positive,
-    on the 1/denom lattice and at most 3."""
-    gaps = [Fraction(rng.randint(1, 3 * denom), denom) for _ in range(n - 1)]
+    on the 1/DENOM lattice and at most 3."""
+    gaps = [Fraction(rng.randint(1, 3 * DENOM), DENOM) for _ in range(n - 1)]
     mu = [Fraction(0)]
     for g in gaps:
         mu.append(mu[-1] - g)

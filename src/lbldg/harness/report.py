@@ -11,7 +11,7 @@ a report either.
 import time
 from typing import NamedTuple
 
-from .generators import trial_rng
+from .generators import DENOM, FACTORS, SPAN, trial_rng
 
 SCHEMA = "lbldg-report/1"
 
@@ -87,7 +87,13 @@ def report_to_dict(report):
         "schema": SCHEMA,
         "kind": report.kind,
         "which": report.which,
-        "config": report.config._asdict(),
+        # the echo names the draw lattice too, as lbldg-report/1 always has
+        "config": dict(
+            report.config._asdict(),
+            exponent_denominator_bound=DENOM,
+            exponent_magnitude_bound=SPAN,
+            factor_count=FACTORS,
+        ),
         "checks": [
             {
                 "name": row.name,

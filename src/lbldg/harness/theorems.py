@@ -49,11 +49,14 @@ from ..symspace import (
 from ..valfield import series as fs
 from ..valfield.lam import ZERO
 from .generators import (
-    draw_group,
-    draw_point,
+    DENOM,
+    FACTORS,
+    SPAN,
     gen_apartment_mu,
     gen_diag_units,
     gen_dominant_mu,
+    gen_group_elem,
+    gen_point,
     gen_stab_elem,
     gen_unipotent,
 )
@@ -67,7 +70,7 @@ def _check_stab_o(cfg):
     o = SPDPoint.basepoint(cfg.n)
 
     def one(rng, _):
-        g = draw_group(rng, cfg)
+        g = gen_group_elem(rng, cfg.n)
         shape = stab_o(g)
         moved = distance(o, act(g, o))
         if shape != (moved == ZERO):
@@ -82,8 +85,8 @@ def _check_stab_o(cfg):
 
 def _probe_mus(cfg, rng, rs):
     """Two deep opposite staircases plus random points: depth clears every
-    exponent a product of factor_count factors can carry."""
-    k = cfg.factor_count * cfg.n * cfg.exponent_magnitude_bound + 1
+    exponent a product of FACTORS drawn factors can carry."""
+    k = FACTORS * cfg.n * SPAN + 1
     stair = [Fraction(k * (cfg.n - 1 - 2 * i)) for i in range(cfg.n)]
     mus = [stair, [-v for v in stair]]
     for _ in range(4):
@@ -95,7 +98,7 @@ def _check_stab_a(cfg):
     rs = type_A(cfg.n - 1)
 
     def one(rng, trial):
-        g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else draw_group(rng, cfg)
+        g = gen_diag_units(rng, cfg.n) if trial % 2 == 0 else gen_group_elem(rng, cfg.n)
         shape = stab_apartment(g)
         fixes = all(chart_image(g, mu) == mu for mu in _probe_mus(cfg, rng, rs))
         if shape != fixes:
@@ -110,14 +113,13 @@ def _check_stab_a(cfg):
 
 def _check_stab_c0(cfg):
     rs = type_A(cfg.n - 1)
-    denom = cfg.exponent_denominator_bound
 
     def positive(rng, _):
         g = gen_unipotent(rng, cfg.n, integral=True) @ gen_diag_units(rng, cfg.n)
         if not stab_chamber(g):
             return {"g": matrix_to_json(g), "kind": "shape rejected"}
         for _ in range(20):
-            mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n, denom))
+            mu = ApartmentVec.from_mu(rs, gen_dominant_mu(rng, cfg.n))
             if chart_image(g, mu) != mu:
                 return {"g": matrix_to_json(g), "mu": payload_strs(mu.to_mu())}
         return None
@@ -125,7 +127,7 @@ def _check_stab_c0(cfg):
     def negative(rng, _):
         g = gen_unipotent(rng, cfg.n, integral=True) @ gen_diag_units(rng, cfg.n)
         i, j = sorted(rng.sample(range(1, cfg.n + 1), 2))
-        ell = Fraction(rng.randint(1, 2 * denom), denom)
+        ell = Fraction(rng.randint(1, 2 * DENOM), DENOM)
         bad = g @ RootElem(cfg.n, i, j, fs.monomial(ell, Fraction(1))).as_group()
         if stab_chamber(bad):
             return {"g": matrix_to_json(bad), "kind": "shape accepted"}
@@ -149,15 +151,13 @@ def _check_stab_c0(cfg):
 
 def _check_half_apt(cfg):
     rs = type_A(cfg.n - 1)
-    denom = cfg.exponent_denominator_bound
-    span = cfg.exponent_magnitude_bound
 
     def _gap_points(rng, i, j, ell):
         """Points of {mu_i - mu_j >= ell}, the wall first."""
         out = []
-        for bump in (Fraction(0), Fraction(1, denom), Fraction(3), Fraction(7)):
+        for bump in (Fraction(0), Fraction(1, DENOM), Fraction(3), Fraction(7)):
             others = [
-                Fraction(rng.randint(-2 * denom, 2 * denom), denom)
+                Fraction(rng.randint(-2 * DENOM, 2 * DENOM), DENOM)
                 for _ in range(cfg.n - 2)
             ]
             gap = ell + bump
@@ -173,9 +173,9 @@ def _check_half_apt(cfg):
 
     def one(rng, _):
         i, j = rng.sample(range(1, cfg.n + 1), 2)
-        ell = Fraction(rng.randint(-span, span), denom)
+        ell = Fraction(rng.randint(-SPAN, SPAN), DENOM)
         target = HalfApartment(rs.alpha(i, j), ell)
-        depth = Fraction(rng.randint(0, 2 * denom), denom)
+        depth = Fraction(rng.randint(0, 2 * DENOM), DENOM)
         deep = RootElem(cfg.n, i, j, fs.monomial(ell - depth, Fraction(1)))
         g = gen_diag_units(rng, cfg.n) @ deep.as_group()
         if not stab_half_apartment(g, target):
@@ -184,7 +184,7 @@ def _check_half_apt(cfg):
             if chart_image(g, vec) != vec:
                 return {"g": matrix_to_json(g), "mu": payload_strs(vec.to_mu()), "kind": "moved"}
         shallow = RootElem(
-            cfg.n, i, j, fs.monomial(ell + Fraction(1, denom), Fraction(1))
+            cfg.n, i, j, fs.monomial(ell + Fraction(1, DENOM), Fraction(1))
         ).as_group()
         if stab_half_apartment(shallow, target):
             return {"g": matrix_to_json(shallow), "kind": "shape accepted"}
@@ -203,8 +203,8 @@ def _check_retract(cfg):
     rs = type_A(cfg.n - 1)
 
     def one(rng, _):
-        x = draw_point(rng, cfg)
-        y = draw_point(rng, cfg)
+        x = gen_point(rng, cfg.n)
+        y = gen_point(rng, cfg.n)
         if distance(x_mu(retract(x)), x_mu(retract(y))) > distance(x, y):
             return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "expanded"}
         for _ in range(2):
@@ -251,7 +251,7 @@ def _check_infinity_borel(cfg):
     base = GroupElem.identity(cfg.n)
 
     def one(rng, _):
-        g = draw_group(rng, cfg)
+        g = gen_group_elem(rng, cfg.n)
         shape = infinity_equal(g, base)
         sampled = sampled_infinity_equal(g, base)
         if shape != sampled:

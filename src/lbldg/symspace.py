@@ -80,7 +80,7 @@ def mat_mul(a, b):
 def _minors(m, ring, masks):
     """The minors of m named by masks, from one bottom-up table.
 
-    m has r <= c rows of c entries over the ring (zero, is_zero, dot), where
+    m has r <= c rows of c entries over the ring (is_zero, dot), where
     dot takes (a, b, negative) triples and returns the sum of a*b, or of
     -a*b where negative is set.  A mask with k set bits names the minor on
     the last k rows and the columns it sets: (1 << c) - 1 is the full minor of a square m, and
@@ -101,7 +101,7 @@ def _minors(m, ring, masks):
     lattice and each result becomes a canonical series once, after the
     table.
     """
-    _, is_zero, dot = ring
+    is_zero, dot = ring
     rows = len(m)
     # levels[k]: the wanted or reached minors on the last k rows
     levels = [set() for _ in range(rows + 1)]
@@ -284,11 +284,11 @@ def act(g, x):
 
 
 def _polynomials(ring):
-    """The ring (zero, is_zero, dot) of polynomials, tuples of coefficients
+    """The ring (is_zero, dot) of polynomials, tuples of coefficients
     low degree first, over the given coefficient ring.  dot makes one
     coefficient dot call per degree, on the products of the nonzero
     coefficients whose degrees sum to it."""
-    zero, is_zero, dot = ring
+    is_zero, dot = ring
 
     def poly_dot(terms):
         size = max([len(p) + len(q) - 1 for p, q, _ in terms], default=1)
@@ -305,7 +305,7 @@ def _polynomials(ring):
     def poly_is_zero(p):
         return all(is_zero(a) for a in p)
 
-    return (zero,), poly_is_zero, poly_dot
+    return poly_is_zero, poly_dot
 
 
 def char_pencil(x, y):

@@ -328,7 +328,7 @@ def from_lattice(e, scale, v):
 
 
 def lattice_ring(e):
-    """(zero, is_zero, dot) on lattice values over ramification index e.
+    """(is_zero, dot) on lattice values over ramification index e.
     dot takes (a, b, negative) triples whose products share one scale (the
     product of a's and b's) and returns the sum of a*b, or of -a*b where
     negative is set.  Its floor is the largest product floor, each product
@@ -336,7 +336,6 @@ def lattice_ring(e):
     exponents), so every result has the value and floor of the same sum of
     products in series: a term that add or mul would cut at an earlier,
     lower floor is cut at the final one as well."""
-    zero = ((), None)
 
     def is_zero(a):
         return not a[0] and a[1] is None
@@ -362,7 +361,7 @@ def lattice_ring(e):
             pairs = _above(pairs, e, floor)
         return pairs, floor
 
-    return zero, is_zero, lat_dot
+    return is_zero, lat_dot
 
 
 # --- valuation and order -------------------------------------------------------

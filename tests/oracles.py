@@ -80,6 +80,21 @@ def valuation(a):
     raise PrecisionError(f"negval masked by floor {a.floor}")
 
 
+def valuations(g):
+    """valuation of every entry of g, row by row; the first masked entry's
+    error is led by its 1-based row and column."""
+    rows = []
+    for i, row in enumerate(g.entries, 1):
+        out = []
+        for j, e in enumerate(row, 1):
+            try:
+                out.append(valuation(e))
+            except PrecisionError as exc:
+                raise PrecisionError(f"row {i}, column {j}: {exc}") from exc
+        rows.append(out)
+    return rows
+
+
 # --- Fraction linear algebra ----------------------------------------------------
 
 
@@ -204,7 +219,7 @@ def chart_image(g, mu):
     rs = mu.rs
     if g.n != rs.rank + 1:
         raise ValueError("chart size and apartment rank disagree")
-    T = [[valuation(e) for e in row] for row in g.entries]
+    T = valuations(g)
     mv = [Lam(m) for m in mu.to_mu()]
     r = []
     for row in T:

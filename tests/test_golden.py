@@ -416,8 +416,9 @@ def _chart_digest():
 
 
 # sha256 of the overlap JSON and the chart image of every _chart_inputs pair,
-# or "type: message" for the calls that raise, one per line
-CHART_DIGEST = "06290f262ecd2e98c2cddd36c4344ac2efcd7d6c22ac9a38aba87a2670f1d267"
+# or "type: message" for the calls that raise, one per line; a masked entry's
+# message is led by its row and column
+CHART_DIGEST = "74880bbd7b8dbbc46cefe60492a58137fe7f1f7aa5d582d0f4aa86dabd9e2dce"
 
 
 def test_overlap_and_chart_image_outputs():

@@ -16,6 +16,9 @@ from lbldg.harness import theorems as th
 from lbldg.harness.cli import main
 from lbldg.harness.config import TrialConfig
 from lbldg.harness.generators import (
+    DENOM,
+    FACTORS,
+    SPAN,
     gen_apartment_mu,
     gen_diag_units,
     gen_dominant_mu,
@@ -114,7 +117,14 @@ class TestReports:
         d = report_to_dict(rep)
         assert d["schema"] == SCHEMA == "lbldg-report/1"
         assert d["kind"] == "theorems" and d["which"] == "IwasawaO"
-        assert d["config"] == cfg._asdict()
+        assert cfg._fields == ("n", "trials", "seed")
+        # the echo names the fixed draw lattice as well
+        assert d["config"] == dict(
+            cfg._asdict(),
+            exponent_denominator_bound=DENOM,
+            exponent_magnitude_bound=SPAN,
+            factor_count=FACTORS,
+        )
         assert d["ok"] is True
         parsed = json.loads(json.dumps(report_to_dict(rep)))
         assert parsed["checks"][0]["trials"] == 3
@@ -181,12 +191,12 @@ class TestSuites:
 # --- "g fixes x_mu": the chart image against the pencil ---------------------------
 
 
-def _fixer_candidates(rng, n, denom):
+def _fixer_candidates(rng, n):
     """One g from each family the stabilizer suites draw or build: diagonal
     units, random products, integral elements, triangular integral
     products, and diagonal units times a root element."""
     i, j = rng.sample(range(1, n + 1), 2)
-    ell = Fraction(rng.randint(-2 * denom, 2 * denom), denom)
+    ell = Fraction(rng.randint(-2 * DENOM, 2 * DENOM), DENOM)
     root = RootElem(n, i, j, fs.monomial(ell, Fraction(1))).as_group()
     return [
         gen_diag_units(rng, n),
@@ -208,12 +218,10 @@ class TestFixedPoints:
         fixed = cases = 0
         for trial in range(4):
             rng = trial_rng(cfg.seed, "fixed-points", trial)
-            for g in _fixer_candidates(rng, n, cfg.exponent_denominator_bound):
+            for g in _fixer_candidates(rng, n):
                 mus = th._probe_mus(cfg, rng, rs)[:2] + [
                     ApartmentVec.from_mu(rs, gen_apartment_mu(rng, n)),
-                    ApartmentVec.from_mu(
-                        rs, gen_dominant_mu(rng, n, cfg.exponent_denominator_bound)
-                    ),
+                    ApartmentVec.from_mu(rs, gen_dominant_mu(rng, n)),
                 ]
                 for mu in mus:
                     by_pencil = distance(act(g, x_mu(mu)), x_mu(mu)) == LambdaVal.of(0)
@@ -469,6 +477,13 @@ class TestCli:
             "determinant's t^0 coefficient masked by floor 1\n"
         )
 
+    def test_masked_entry_is_named(self, tmp_path):
+        masked = tmp_path / "masked.json"
+        masked.write_text(json.dumps([["1", "0 + O(t^(-1))"], ["0", "1"]]))
+        res = CliRunner().invoke(main, ["overlap", str(masked)])
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == "undecided: overlap: row 1, column 2: negval masked by floor -1\n"
+
     def test_seeded_bad_files_exit_0_2_or_3(self, tmp_path):
         """Malformed, floored, singular and mismatched-size files through
         dist, retract and overlap: exit 0, 2 (bad input) or 3 (undecided),
@@ -541,6 +556,18 @@ class TestCli:
             main, ["theorems", "--which", "Stab_o", "--n", "2", "--trials", "5"]
         )
         assert res.exit_code == 0 and "PASS Stab_o:" in res.output
+
+    @pytest.mark.parametrize("command", ["axioms", "theorems"])
+    @pytest.mark.parametrize(
+        "option", ["--denominator-bound", "--magnitude-bound", "--factor-count"]
+    )
+    def test_lattice_options_are_gone(self, command, option):
+        """The draw lattice is fixed: click rejects the old options."""
+        value = "2" if option == "--factor-count" else "3"
+        res = CliRunner().invoke(main, [command, "--n", "2", "--trials", "1", option, value])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.startswith("Usage: ")
+        assert "No such option" in res.stderr and option in res.stderr
 
     def test_unknown_which_exits_2(self):
         res = CliRunner().invoke(main, ["axioms", "--which", "A9"])

@@ -168,8 +168,9 @@ class TestTrop:
     @settings(max_examples=400, deadline=None)
     def test_entrywise_negval_on_one_lattice(self, chart):
         g, _ = chart
-        # negval in row-major order: the first masked entry raises
-        want = _outcome(lambda: [[fs.negval(e) for e in row] for row in g.entries])
+        # valuations in row-major order: the first masked entry raises,
+        # named by its row and column
+        want = _outcome(lambda: [[t.v for t in row] for row in oracles.valuations(g)])
         got = _outcome(bd.trop, g)
         if want[0] != "ok":
             assert got == want
@@ -209,12 +210,12 @@ class TestChartImage:
         rows[1][0] = fs.with_floor(fs.ZERO, 2)
         g = sym.GroupElem(rows, validate=False)
         mu = ApartmentVec.from_mu(type_A(1), [0, 0])
-        with pytest.raises(PrecisionError, match="negval masked by floor 1"):
+        with pytest.raises(PrecisionError, match="^row 1, column 2: negval masked by floor 1$"):
             bd.chart_image(g, mu)
         # a row of exact zeros does not hide a masked entry further on
         rows[0] = [fs.ZERO, fs.ZERO]
         g = sym.GroupElem(rows, validate=False)
-        with pytest.raises(PrecisionError, match="negval masked by floor 2"):
+        with pytest.raises(PrecisionError, match="^row 2, column 1: negval masked by floor 2$"):
             bd.chart_image(g, mu)
 
 
@@ -260,7 +261,7 @@ class TestBottomOrder:
         got = (kind, oracles.Lam(value)) if kind == "ok" else (kind, value)
         assert got == _outcome(oracles.valuation, s)
         # trop: S_ij / L, None read as Bottom, or the first masked entry's error
-        want = _outcome(lambda: [oracles.valuation(e) for row in g.entries for e in row])
+        want = _outcome(lambda: [t for row in oracles.valuations(g) for t in row])
         got = _outcome(bd.trop, g)
         if got[0] == "ok":
             L, S = got[1]
