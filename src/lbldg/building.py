@@ -74,14 +74,15 @@ def trop(g):
             [a.pairs[0][0] * (L // a.e) if a.pairs else fs.negval(a) for a in row]
             for row in g.entries
         ]
-    except PrecisionError as exc:
-        i, j = next(
-            (i, j)
-            for i, row in enumerate(g.entries, 1)
-            for j, a in enumerate(row, 1)
-            if not a.pairs and a.floor is not None
-        )
-        raise PrecisionError(f"row {i}, column {j}: {exc}") from exc
+    except PrecisionError:
+        # off the hot path: let negval find the first masked entry again
+        for i, row in enumerate(g.entries, 1):
+            for j, a in enumerate(row, 1):
+                try:
+                    fs.negval(a)
+                except PrecisionError as exc:
+                    raise PrecisionError(f"row {i}, column {j}: {exc}") from exc
+        raise
 
 
 def trop_radius(g):

@@ -3,8 +3,8 @@
 Every generator takes an explicit random.Random so the harness can derive one
 deterministic stream per trial. Supports stay tiny, everything Exact: the
 suites draw from the one lattice of SPAN, DENOM and FACTORS, and tests pass
-span, denom and factors to the group and root-element generators to narrow
-or widen it. gen_apartment_mu keeps the half-integer lattice.
+span, denom and factors to gen_group_elem (which hands span and denom on to
+gen_unipotent and gen_diagonal) to narrow or widen it. gen_apartment_mu keeps the half-integer lattice.
 
 sample_in_region draws points of a type A overlap region by an exact walk
 on the 1/denom lattice: each move's feasible step is read off the region's
@@ -135,11 +135,11 @@ def gen_stab_elem(rng, n):
     return g
 
 
-def gen_root_elem(rng, n, span=SPAN, denom=DENOM):
+def gen_root_elem(rng, n):
     """A root element: one monomial s at the 1-indexed (i, j), i != j."""
     i, j = rng.sample(range(1, n + 1), 2)
     c = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
-    return RootElem(n, i, j, fs.monomial(_exponent(rng, span, denom), c))
+    return RootElem(n, i, j, fs.monomial(_exponent(rng, SPAN, DENOM), c))
 
 
 def gen_apartment_mu(rng, n):
