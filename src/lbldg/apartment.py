@@ -115,6 +115,10 @@ def affine_reflection(rs, alpha, ell):
 
 def apply_weyl(w, x):
     mu = x.mu
+    if len(w.perm) != len(mu):
+        raise ValueError(
+            f"affine element size {len(w.perm)} and point size {len(mu)} disagree"
+        )
     return ApartmentVec(x.rs, [c + mu[s - 1] for c, s in zip(w.translation.mu, w.perm)])
 
 
@@ -133,7 +137,10 @@ def difference_potentials(m, cons):
     Bellman-Ford from a virtual source joined to every node by a zero edge,
     so the result is the pointwise largest solution with every d_i <= 0.
     The ell payloads may be int or Fraction: the loop only adds, subtracts
-    and compares them.  With no constraints every d_i is int 0.
+    and compares them.  With no constraints every d_i is int 0.  Callers:
+    building.apartment_overlap (the regions of the optimal permutations),
+    wconvex_witness, and harness.generators.sample_in_region (one call per
+    drawn point).
     """
     d = [cons[0][2] * 0 if cons else 0] * m
     # edge i -> j with weight -ell encodes d_j <= d_i - ell
@@ -154,18 +161,12 @@ def difference_potentials(m, cons):
 
 def wconvex_witness(s):
     """A satisfying mu with sum zero, or None: difference_potentials on the
-    difference form, shifted to sum zero."""
-    cons = sorted(difference_form(s), key=lambda c: (c[0], c[1], c[2]))
-    m = s.rs.rank + 1
-    if not cons:
-        return tuple(Fraction(0) for _ in range(m))
-    d = difference_potentials(m, cons)
+    difference form, shifted to sum zero.  Its largest solution at or below
+    zero is unique, so the order of the constraints does not matter."""
+    d = difference_potentials(s.rs.rank + 1, difference_form(s))
     if d is None:
         return None
-    total = d[0]
-    for v in d[1:]:
-        total = total + v
-    shift = total / m
+    shift = Fraction(sum(d), len(d))
     return tuple(v - shift for v in d)
 
 

@@ -251,6 +251,18 @@ class TestAffineWeyl:
             assert composite.perm == tuple(s2[s1[i] - 1] for i in range(3))
             assert composite.translation.to_mu() == tuple(c1[i] + c2[s1[i] - 1] for i in range(3))
 
+    @pytest.mark.parametrize(
+        "w, x",
+        [
+            (apt.affine_from_mu(A3, (4, 3, 2, 1), [0, 0, 0, 0]), _mu(A1, 1, -1)),
+            (apt.affine_from_mu(A1, (2, 1), [0, 0]), _mu(A3, 1, -1, 0, 0)),
+        ],
+    )
+    def test_size_mismatch_is_a_value_error(self, w, x):
+        sizes = f"size {len(w.perm)} and point size {len(x.mu)}"
+        with pytest.raises(ValueError, match=sizes):
+            apt.apply_weyl(w, x)
+
     @pytest.mark.parametrize("sigma", [(0, 1, 2), (1, 2, 3, 4), (1, 2), (1, 1, 2)])
     def test_sigma_must_be_a_permutation(self, sigma):
         with pytest.raises(ValueError, match="not a permutation"):
@@ -277,6 +289,13 @@ class TestWConvex:
         w = apt.wconvex_witness(s)
         assert w == (Q(1), Q(0), Q(-1))
         assert w[0] - w[1] >= 1 and w[1] - w[2] >= 1 and sum(w) == 0
+
+    def test_int_threshold_gives_a_fraction_witness(self):
+        s = apt.WConvexSet(A2, (apt.HalfApartment((1, 2), 1),))
+        w = apt.wconvex_witness(s)
+        assert w == (Q(1, 3), Q(-2, 3), Q(1, 3))
+        assert all(isinstance(v, Q) for v in w)
+        assert apt.ApartmentVec.from_mu(A2, w).to_mu() == w
 
     def test_constraint_naming_no_root(self):
         for root in ((1, 1), (1, 4), (0, 2)):

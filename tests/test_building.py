@@ -543,45 +543,40 @@ class TestSampleInRegion:
     )
     @settings(max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("error:non-integer arguments to randrange:DeprecationWarning")
-    def test_points_lie_in_the_region_box_and_lattice(self, reg, count, denom, span, seed):
+    def test_points_are_distinct_region_points(self, reg, count, denom, span, seed):
         pts = sample_in_region(random.Random(seed), reg, count, denom, span)
         w = wconvex_witness(reg)
         if w is None:
             assert pts == []
             return
         assert pts[0] == ApartmentVec.from_mu(reg.rs, w)
-        # a stuck walk returns the witness alone; any other walk fills count
-        assert len(pts) in (1, count)
-        for p in pts:
-            assert in_wconvex(reg, p)
-            d = [a - b for a, b in zip(p.to_mu(), w)]
-            assert sum(d) == 0
-            assert all((x * denom).denominator == 1 for x in d)
-            assert all(abs(x) <= span for x in d[:-1])
+        assert 1 <= len(pts) <= count and len(set(pts)) == len(pts)
+        assert all(in_wconvex(reg, p) for p in pts)
         assert sample_in_region(random.Random(seed), reg, count, denom, span) == pts
 
     @given(_difference_systems(sizes=(3, 4)), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
-    def test_walk_covers_a_small_box(self, reg, seed):
-        """With a 3^(n-1) box, 1000 steps reach every region point in it."""
+    def test_draws_cover_a_small_box(self, reg, seed):
+        """With a 3^(n-1) box, 1000 draws reach every region point in it."""
         if wconvex_witness(reg) is None:
             return
         got = set(sample_in_region(random.Random(seed), reg, 1000, 1, 1))
-        assert got == _box_support(reg, 1, 1)
+        assert _box_support(reg, 1, 1) <= got
 
     def test_tied_coordinates_move_together(self):
-        # mu_1 = mu_2 = mu_3 = mu_4 and 0 <= mu_1 - mu_5 <= 5/2: one point
-        # besides the witness, 1 in 6561 of the box; every move must shift
-        # the four tied coordinates together
+        # mu_1 = mu_2 = mu_3 = mu_4 and 0 <= mu_1 - mu_5 <= 5/2: one box
+        # point besides the witness, 1 in 6561 of the box; a draw elsewhere
+        # lands on the segment, so 20 draws still reach it
         ties = [(1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0), (3, 4, 0), (4, 3, 0)]
         reg = _region(5, ties + [(1, 5, 0), (5, 1, "-5/2")])
         got = set(sample_in_region(random.Random(0), reg, 20))
-        assert got == _box_support(reg, 2, 2) and len(got) == 2
+        assert _box_support(reg, 2, 2) <= got
+        assert all(len(set(p.to_mu()[:4])) == 1 for p in got)
 
     def test_equality_pair(self):
         reg = _region(4, [(1, 2, "1/2"), (2, 1, "-1/2")])
         pts = sample_in_region(trial_rng(1, "thin", 0), reg, 20)
-        assert len(pts) == 20 and len(set(pts)) > 1
+        assert len(set(pts)) == len(pts) > 1
         assert all(b_ext(p, reg.rs.alpha(1, 2)) == Q(1, 2) for p in pts)
 
     def test_single_point_region_returns_the_witness(self):
