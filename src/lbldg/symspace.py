@@ -203,6 +203,9 @@ class GroupElem:
         return cls(mat_identity(n), validate=False)
 
     def __matmul__(self, other):
+        n, m = len(self.entries), len(other.entries)
+        if n != m:
+            raise ValueError(f"cannot multiply a {n} x {n} element by a {m} x {m} element")
         return GroupElem(mat_mul(self.entries, other.entries), validate=False)
 
     def inverse(self):

@@ -26,12 +26,13 @@ boundary: the arguments of ``from_terms``, the ``terms`` view, floors and the
 values of ``negval``, ``residue`` and ``coef_at``.
 
 Series text does not go through Fractions either. ``parse`` matches one term
-at a time with a compiled regex and hands the integers it reads to the same
-int-term builder as ``from_terms``; only text that it turns down is walked
-token by token, to name the error and its offset. ``to_str`` prints from
-``pairs``, reducing each coefficient and exponent by one gcd, and raises
-``DigitLimit`` for an integer with more digits than ``int()`` turns into
-text, which ``parse`` could not read back either.
+at a time with a compiled regex whose every token is a group of its own, and
+reads the groups in text order: the integers go to the same int-term builder
+as ``from_terms``, and the first token missing or out of range names the
+error and its offset. ``to_str`` prints from ``pairs``, reducing each
+coefficient and exponent by one gcd, and raises ``DigitLimit`` for an integer
+with more digits than ``int()`` turns into text, which ``parse`` could not
+read back either.
 
 Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
 matrix on one ramification index and one integer scale per row,
@@ -550,156 +551,32 @@ def to_str(a):
 # A term is a coefficient n or n/d, a power t, t^k or t^(n/d), or both joined
 # by '*'; whitespace may come before every token, but not inside an integer,
 # 'O(' or the tail's 't^('. \s is what str.isspace accepts and \d what int()
-# reads. No two \s* ever compete for one run of whitespace, so a failed match
-# takes time linear in it.
-_INT = r"([+-]?\d+)"
-_RAT = rf"{_INT}(?:\s*/\s*{_INT})?"
+# reads. Each token is an optional group of its own, so a _TERM match always
+# succeeds, as does a _TAIL match once '+ O(' opens it, and runs as far as the
+# grammar allows; parse reads the groups in text order and names the first one
+# missing. No two \s* ever compete for one run of whitespace, so a match takes
+# time linear in it.
+_INT = r"\s*([+-]?\d+)"
 _TERM = re.compile(
-    rf"\s*(?:([+-])\s*)?"  # 1: sign
-    rf"(?:{_RAT}(?:\s*(\*)\s*)?)?"  # 2, 3: coefficient; 4: '*'
-    rf"(?:(t)(?:\s*\^\s*(?:\(\s*{_RAT}\s*\)|{_INT}))?)?"  # 5: t; 6, 7: (n/d); 8: k
+    r"\s*(?:([+-])\s*)?"  # 1: sign
+    rf"(?:{_INT}(?:\s*(/)(?:{_INT})?)?(?:\s*(\*))?)?"  # 2: n; 3: '/'; 4: d; 5: '*'
+    r"(?:\s*(t)(?:\s*(\^)(?:\s*(\()"  # 6: t; 7: '^'; 8: '('
+    rf"(?:{_INT}(?:\s*(/)(?:{_INT})?)?(?:\s*(\)))?)?"  # 9: n; 10: '/'; 11: d; 12: ')'
+    rf"|{_INT})?)?)?"  # 13: k
 )
-_TAIL = re.compile(rf"\s*\+\s*O\(\s*t\^\(\s*{_RAT}\s*\)\s*\)\s*\Z")
+_TAIL = re.compile(
+    r"\s*\+\s*O\((?:\s*(t\^\()"  # 1: 't^('
+    rf"(?:{_INT}(?:\s*(/)(?:{_INT})?)?"  # 2: n; 3: '/'; 4: d
+    r"(?:\s*(\))(?:\s*(\))\s*)?)?)?)?"  # 5, 6: ')'
+)
 _END = re.compile(r"\s*\Z")
 _SPACE = re.compile(r"\s*")
-_DIGITS = re.compile(r"[+-]?\d+")
 
 
-def _read(text):
-    """The element text spells, or None when it breaks the grammar, repeats
-    an exponent or has a denominator below 1; int() raises ValueError for a
-    literal past its digit limit."""
-    terms = []
-    seen = set()
-    pos = 0
-    while True:
-        m = _TERM.match(text, pos)
-        sign, cn, cd, star, t, xn, xd, xk = m.groups()
-        # a bare coefficient, or a power of t with an optional coefficient
-        if (t is None) != (cn is not None and star is None) or (pos and sign is None):
-            return None
-        if t is None:
-            x, y = 0, 1
-        elif xk is not None:
-            x, y = int(xk), 1
-        elif xn is not None:
-            x, y = int(xn), int(xd) if xd else 1
-        else:
-            x, y = 1, 1
-        n, d = (int(cn), int(cd) if cd else 1) if cn is not None else (1, 1)
-        if y < 1 or d < 1:
-            return None
-        g = gcd(x, y)
-        key = (x // g, y // g)
-        if key in seen:
-            return None
-        seen.add(key)
-        terms.append((x, y, -n if sign == "-" else n, d))
-        pos = m.end()
-        if _END.match(text, pos):
-            return _from_ints(terms, None)
-        m = _TAIL.match(text, pos)
-        if m:
-            fn, fd = m.groups()
-            fd = int(fd) if fd else 1
-            if fd < 1:
-                return None
-            return _from_ints(terms, Fraction(int(fn), fd))
-
-
-def _reject(text):
-    """Raise the SeriesSyntaxError for text that _read turned down: walk its
-    tokens as the grammar reads them and report the first one out of place,
-    the first denominator below 1, integer past int()'s digit limit or
-    repeated exponent, at its offset."""
-    pos = 0
-
-    def skip():
-        nonlocal pos
-        pos = _SPACE.match(text, pos).end()
-
-    def at_end():
-        skip()
-        return pos == len(text)
-
-    def take(literal):
-        nonlocal pos
-        skip()
-        if text.startswith(literal, pos):
-            pos += len(literal)
-            return True
-        return False
-
-    def expect(literal):
-        if not take(literal):
-            raise SeriesSyntaxError(f"expected {literal!r}", pos)
-
-    def integer():
-        nonlocal pos
-        skip()
-        m = _DIGITS.match(text, pos)
-        if m is None:
-            raise SeriesSyntaxError("expected an integer", pos)
-        try:
-            value = int(m[0])
-        except ValueError:
-            raise SeriesSyntaxError("integer has too many digits", pos) from None
-        pos = m.end()
-        return value
-
-    def rational():
-        num = integer()
-        if not take("/"):
-            return Fraction(num)
-        start = pos
-        den = integer()
-        if den < 1:
-            raise SeriesSyntaxError("denominator must be positive", start)
-        return Fraction(num, den)
-
-    def power():
-        """The exponent after a 't'."""
-        if not take("^"):
-            return Fraction(1)
-        if take("("):
-            x = rational()
-            expect(")")
-            return x
-        return Fraction(integer())
-
-    seen = set()
-
-    def term():
-        where = pos
-        if take("t"):
-            x = power()
-        else:
-            rational()
-            x = Fraction(0)
-            if take("*"):
-                expect("t")
-                x = power()
-        if x in seen:
-            raise DuplicateExponent(f"exponent {x} appears twice", where)
-        seen.add(x)
-
-    if not take("-"):
-        take("+")
-    term()
-    while not at_end():
-        if take("+"):
-            if take("O("):
-                expect("t^(")
-                rational()
-                expect(")")
-                expect(")")
-                if not at_end():
-                    raise SeriesSyntaxError("text after O(...) tail", pos)
-                break
-        elif not take("-"):
-            raise SeriesSyntaxError("expected '+' or '-'", pos)
-        term()
-    raise AssertionError(f"parse turned down well-formed text {text!r}")
+def _expected(text, at, what):
+    """The SeriesSyntaxError for a missing token: what was expected, at the
+    first non-blank offset from at."""
+    return SeriesSyntaxError(f"expected {what}", _SPACE.match(text, at).end())
 
 
 def parse(text):
@@ -715,13 +592,98 @@ def parse(text):
     may appear twice.  Other text raises SeriesSyntaxError, or
     DuplicateExponent for a repeated exponent, with the offset of the first
     token out of place."""
+    terms = []
+    seen = set()
+    pos = 0
     try:
-        value = _read(text)
+        while True:
+            m = _TERM.match(text, pos)
+            sign, cn, cs, cd, star, t, caret, paren, xn, xs, xd, close, xk = m.groups()
+            if sign is None and pos:
+                raise _expected(text, pos, "'+' or '-'")
+            n = d = x = y = 1
+            end = m.end()
+            if cn is not None:
+                n = int(cn)
+                if cs:
+                    if cd is None:
+                        raise _expected(text, m.end(3), "an integer")
+                    d = int(cd)
+                    if d < 1:
+                        raise SeriesSyntaxError("denominator must be positive", m.end(3))
+                if star is None:
+                    # a bare coefficient: the term ends with it
+                    t = None
+                    end = m.end(4 if cs else 2)
+                elif t is None:
+                    raise _expected(text, m.end(5), "'t'")
+            elif t is None:
+                raise _expected(text, m.end(1) if sign else 0, "an integer")
+            if t is None:
+                x = 0
+            elif paren:
+                if xn is None:
+                    raise _expected(text, m.end(8), "an integer")
+                x = int(xn)
+                if xs:
+                    if xd is None:
+                        raise _expected(text, m.end(10), "an integer")
+                    y = int(xd)
+                    if y < 1:
+                        raise SeriesSyntaxError("denominator must be positive", m.end(10))
+                if close is None:
+                    raise _expected(text, m.end(11 if xs else 9), "')'")
+            elif xk is not None:
+                x = int(xk)
+            elif caret:
+                raise _expected(text, m.end(7), "an integer")
+            g = gcd(x, y)
+            key = (x // g, y // g)
+            if key in seen:
+                # the term starts after its '-', or after its '+' and the
+                # blanks that follow it
+                at = m.end(1) if sign == "-" else _SPACE.match(text, m.end(1)).end()
+                raise DuplicateExponent(f"exponent {Fraction(x, y)} appears twice", at)
+            seen.add(key)
+            terms.append((x, y, -n if sign == "-" else n, d))
+            if _END.match(text, end):
+                return _from_ints(terms, None)
+            m = _TAIL.match(text, end)
+            if m:
+                tp, fn, fs, fd, close, last = m.groups()
+                if tp is None:
+                    raise _expected(text, m.end(), "'t^('")
+                if fn is None:
+                    raise _expected(text, m.end(1), "an integer")
+                n = int(fn)
+                d = 1
+                if fs:
+                    if fd is None:
+                        raise _expected(text, m.end(3), "an integer")
+                    d = int(fd)
+                    if d < 1:
+                        raise SeriesSyntaxError("denominator must be positive", m.end(3))
+                if close is None:
+                    raise _expected(text, m.end(4 if fs else 2), "')'")
+                if last is None:
+                    raise _expected(text, m.end(5), "')'")
+                if m.end() < len(text):
+                    raise SeriesSyntaxError("text after O(...) tail", m.end())
+                return _from_ints(terms, Fraction(n, d))
+            pos = end
+    except SeriesSyntaxError:
+        raise
     except ValueError:
-        value = None
-    if value is None:
-        _reject(text)
-    return value
+        # int() turned down a literal past its digit limit.  The literals are
+        # the groups that end in a digit (\d is what str.isdecimal accepts),
+        # and every one before it in the match was read.
+        for i, s in enumerate(m.groups(), 1):
+            if s and s[-1].isdecimal():
+                try:
+                    int(s)
+                except ValueError:
+                    raise SeriesSyntaxError("integer has too many digits", m.start(i)) from None
+        raise
 
 
 ZERO = PuiseuxElem(1, 1, (), None)

@@ -72,6 +72,12 @@ class TestTypes:
                 g = gen_group_elem(rng, n)
                 assert g @ g.inverse() == sym.GroupElem.identity(n)
 
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+    def test_product_sizes_must_agree(self, n, m):
+        g, h = sym.GroupElem.identity(n), sym.GroupElem.identity(m)
+        with pytest.raises(ValueError, match=f"a {n} x {n} element by a {m} x {m} element"):
+            g @ h
+
     def test_json_round_trip(self):
         g = _g([["1", "t^(1/2)"], ["0", "1"]])
         data = sym.matrix_to_json(g)

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as Q
 
@@ -112,6 +113,63 @@ class TestParsePrint:
         with pytest.raises(SeriesSyntaxError) as ei:
             vf.parse(text)
         assert ei.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "text, error, message, offset",
+        [
+            ("", SeriesSyntaxError, "expected an integer", 0),
+            ("-", SeriesSyntaxError, "expected an integer", 1),
+            ("3/", SeriesSyntaxError, "expected an integer", 2),
+            ("3*t^", SeriesSyntaxError, "expected an integer", 4),
+            ("3*t^(", SeriesSyntaxError, "expected an integer", 5),
+            ("t^(1/", SeriesSyntaxError, "expected an integer", 5),
+            ("3/ 0", SeriesSyntaxError, "denominator must be positive", 2),
+            ("t^(1/-2)", SeriesSyntaxError, "denominator must be positive", 5),
+            ("3 *", SeriesSyntaxError, "expected 't'", 3),
+            ("t^(1", SeriesSyntaxError, "expected ')'", 4),
+            ("t 1", SeriesSyntaxError, "expected '+' or '-'", 2),
+            ("3t", SeriesSyntaxError, "expected '+' or '-'", 1),
+            ("t + O(", SeriesSyntaxError, "expected 't^('", 6),
+            ("t + O(t^(", SeriesSyntaxError, "expected an integer", 9),
+            ("t + O(t^(1/", SeriesSyntaxError, "expected an integer", 11),
+            ("t + O(t^(1/0))", SeriesSyntaxError, "denominator must be positive", 11),
+            ("t + O(t^(1", SeriesSyntaxError, "expected ')'", 10),
+            ("t + O(t^(1)", SeriesSyntaxError, "expected ')'", 11),
+            ("t + O(t^(1)) x", SeriesSyntaxError, "text after O(...) tail", 13),
+            ("BIG", SeriesSyntaxError, "integer has too many digits", 0),
+            ("1/BIG", SeriesSyntaxError, "integer has too many digits", 2),
+            ("t^(BIG)", SeriesSyntaxError, "integer has too many digits", 3),
+            ("t^(1/BIG)", SeriesSyntaxError, "integer has too many digits", 5),
+            ("t^BIG", SeriesSyntaxError, "integer has too many digits", 2),
+            ("t + O(t^(BIG))", SeriesSyntaxError, "integer has too many digits", 9),
+            ("t + O(t^(1/BIG))", SeriesSyntaxError, "integer has too many digits", 11),
+            ("t + t", DuplicateExponent, "exponent 1 appears twice", 4),
+            ("t - t", DuplicateExponent, "exponent 1 appears twice", 3),
+            ("1 - 2", DuplicateExponent, "exponent 0 appears twice", 3),
+        ],
+    )
+    def test_each_error_names_its_token_and_offset(self, text, error, message, offset):
+        """One text per way parse turns text down; BIG is a literal one
+        digit past int()'s limit."""
+        text = text.replace("BIG", "9" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(error) as ei:
+            vf.parse(text)
+        assert type(ei.value) is error
+        assert str(ei.value) == f"{message} (offset {offset})"
+        assert ei.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "head, offset", [("1/", 2), ("t ^", 3), ("t + O(t^(1", 10)]
+    )
+    def test_a_long_run_of_blanks_is_refused_in_linear_time(self, head, offset):
+        """A pattern in which two whitespace repeats competed for one run of
+        blanks would take minutes here."""
+        blanks = 200_000
+        start = time.perf_counter()
+        with pytest.raises(SeriesSyntaxError) as ei:
+            vf.parse(head + " " * blanks + "x")
+        assert time.perf_counter() - start < 2
+        assert ei.value.offset == offset + blanks
 
     @pytest.mark.parametrize(
         "text, printed", [("--3", "3"), ("t - -1", "t + 1"), ("+-3", "-3")]
