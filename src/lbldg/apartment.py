@@ -86,6 +86,8 @@ def in_half(h, x):
 
 
 def in_wconvex(s, x):
+    if len(x.mu) != s.rs.rank + 1:
+        raise ValueError(f"region size {s.rs.rank + 1} and point size {len(x.mu)} disagree")
     return all(in_half(h, x) for h in s.constraints)
 
 

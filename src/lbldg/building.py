@@ -8,10 +8,11 @@ apartment, the chamber C0 and a half-apartment.
 A chart is a group element g read as the map mu -> g . x_mu, where
 x_mu = diag(t^(2 mu_1), ..., t^(2 mu_n)) and mu has exact sum zero.  The
 standard apartment is the chart of the identity.  Everything here is exact:
-the only series operations used are negval, products by monomials, and the
-ring-membership tests.  trop reads a chart's negvals once, as ints on one
-lattice, for chart_image, apartment_overlap and trop_radius, and x_mu builds
-each monomial t^(k/e) from ints.  Apartment coordinates, thresholds and
+the only series operations used are negval, coef_at, the ring-membership
+tests and building monomials, so m_of refuses a parameter s whose -1/s is
+no monomial.  trop reads a chart's negvals once, as ints on one lattice, for
+chart_image, apartment_overlap and trop_radius, and x_mu builds each
+monomial t^(k/e) from ints.  Apartment coordinates, thresholds and
 valuations are plain Fractions, and the valuation of 0 (Bottom) is None.
 """
 
@@ -36,18 +37,13 @@ from .valfield import series as fs
 # Permutation enumeration stays exhaustive up to this matrix size.
 PERM_BOUND = 5
 
-# Lattice room kept past the pole when a reflection needs a truncated inverse.
-INV_TAIL = 6
-
 
 # --- charts and apartment points ----------------------------------------------
 
 
 def x_mu(mu):
-    """The apartment point diag(t^(2 mu_i)) as a symmetric-space point; mu
-    is an ApartmentVec or a list read by ApartmentVec.from_mu."""
-    if not isinstance(mu, ApartmentVec):
-        mu = ApartmentVec.from_mu(type_A(len(mu) - 1), mu)
+    """The apartment point diag(t^(2 mu_i)) of the ApartmentVec mu, as a
+    symmetric-space point."""
     n = mu.rs.rank + 1
     rows = [[fs.ZERO] * n for _ in range(n)]
     for i, m in enumerate(mu.to_mu()):
@@ -316,15 +312,15 @@ def fixed_set_root(u):
 
 
 def m_of(u):
-    """Rank-one reflection representative: embeds [[0, s], [-1/s, 0]] into
-    rows and columns (i, j) of the identity.
+    """Rank-one reflection representative: embeds the exact [[0, s],
+    [-1/s, 0]] into rows and columns (i, j) of the identity.
 
-    Returns (element, root, level), the level a Fraction.  The element is
-    exact when s is a monomial; otherwise the inverse is truncated INV_TAIL
-    lattice steps past what the level requires.  Its apartment action is
-    the affine reflection in the wall {mu_i - mu_j = level}: it fixes the
-    wall pointwise and swaps the two half-apartments.  A pair (i, j) that
-    names no root raises NotARoot before s is read.
+    Returns (element, root, level), the level a Fraction.  The parameter s
+    must be a monomial with no floor, so that -1/s is one too; any other s
+    raises ValueError.  The element's apartment action is the affine
+    reflection in the wall {mu_i - mu_j = level}: it fixes the wall
+    pointwise and swaps the two half-apartments.  A pair (i, j) that names
+    no root raises NotARoot before s is read.
     """
     n = u.n
     level = phi(u)
@@ -332,11 +328,9 @@ def m_of(u):
         raise IdentityElement("no reflection datum for the identity")
     root = (u.i, u.j)  # phi checked that it is a root
     s = u.s
-    if len(s.pairs) == 1 and s.floor is None:
-        c = fs.coef_at(s, level)
-        minus_sinv = fs.monomial(-level, Fraction(-1, 1) / c)
-    else:
-        minus_sinv = fs.neg(fs.inv(s, -level - INV_TAIL))
+    if len(s.pairs) != 1 or s.floor is not None:
+        raise ValueError(f"m(u) needs a monomial parameter with no floor, got {fs.to_str(s)}")
+    minus_sinv = fs.monomial(-level, Fraction(-1) / fs.coef_at(s, level))
     rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]
     i, j = u.i - 1, u.j - 1
     rows[i][i] = fs.ZERO

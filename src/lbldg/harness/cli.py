@@ -1,12 +1,13 @@
 """Command line interface.
 
 Point and group inputs are JSON files holding a square array of series
-strings. Exit codes: 0 on success, 1 when a suite reports failures, 2 for
-bad input or a bad configuration (a ValueError, malformed JSON and series
-text among them, a TypeError, an OSError or another lbldg.errors type), and
-3 when a PrecisionError, raised reading a truncated input or computing on
-it, leaves the answer undecided. Any other exception is a defect and
-propagates with its traceback.
+strings, at least 2 x 2; parse takes one series text, with no options, and
+prints its canonical form. Exit codes: 0 on success, 1 when a suite reports
+failures, 2 for bad input or a bad configuration (a ValueError, malformed
+JSON and series text among them, a TypeError, an OSError or another
+lbldg.errors type), and 3 when a PrecisionError, raised reading a truncated
+input or computing on it, leaves the answer undecided. Any other exception
+is a defect and propagates with its traceback.
 """
 
 import json
@@ -150,11 +151,9 @@ def theorems(which, n, trials, seed, json_out):
 
 # a leading minus belongs to the expression ("-t + 1" is canonical output)
 @main.command(context_settings={"ignore_unknown_options": True})
-@click.option("--check", is_flag=True, help="validate only; print nothing on success")
 @click.argument("expr")
-def parse(check, expr):
+def parse(expr):
     """Parse a series expression; echoes the canonical form."""
     with _exits("parse"):
         val = fs.parse(expr)
-    if not check:
-        click.echo(fs.to_str(val))
+    click.echo(fs.to_str(val))

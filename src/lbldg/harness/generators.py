@@ -88,11 +88,8 @@ def gen_orthogonal(rng, n):
 
 
 def gen_group_elem(rng, n, span=SPAN, denom=DENOM, factors=FACTORS):
-    """Product of at most `factors` factors drawn from the three families.
-    factors=0 returns the identity without consuming randomness."""
+    """Product of 1 to `factors` factors drawn from the three families."""
     g = GroupElem.identity(n)
-    if factors == 0:
-        return g
     kinds = [gen_unipotent, gen_diagonal, gen_orthogonal]
     for _ in range(rng.randint(1, factors)):
         kind = rng.choice(kinds)

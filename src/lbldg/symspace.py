@@ -438,12 +438,14 @@ def matrix_to_json(obj):
 
 def _rows_from_json(data):
     """Series rows of decoded JSON; ValueError unless it is a list of lists of
-    strings, and one naming the 1-based row and column of an entry that does
-    not parse."""
+    strings, for a 1 x 1 matrix (n must be at least 2), and one naming the
+    1-based row and column of an entry that does not parse."""
     if not isinstance(data, list) or not all(
         isinstance(row, list) and all(isinstance(s, str) for s in row) for row in data
     ):
         raise ValueError("matrix must be a JSON list of rows, each a list of series strings")
+    if len(data) == 1 and len(data[0]) == 1:
+        raise ValueError("matrix is 1 x 1, but n must be at least 2")
     rows = []
     for i, row in enumerate(data, 1):
         out = []

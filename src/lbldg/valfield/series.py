@@ -103,10 +103,7 @@ class PuiseuxElem:
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxElem):
-            if isinstance(other, (int, Fraction)):
-                other = from_rational(other)
-            else:
-                return NotImplemented
+            return NotImplemented
         return (
             self.pairs == other.pairs
             and self.e == other.e
@@ -589,9 +586,9 @@ def parse(text):
     coefficient's sign both apply: "--3" is 3, "t - -1" is t + 1 and "+-3"
     is -3.  Whitespace may come before any token, but not inside an
     integer, 'O(' or 't^('.  Denominators must be positive, and no exponent
-    may appear twice.  Other text raises SeriesSyntaxError, or
-    DuplicateExponent for a repeated exponent, with the offset of the first
-    token out of place."""
+    may appear twice.  Other text raises SeriesSyntaxError with the offset
+    of the first token out of place, or DuplicateExponent with the offset
+    of the repeated term's first token."""
     terms = []
     seen = set()
     pos = 0
@@ -640,9 +637,8 @@ def parse(text):
             g = gcd(x, y)
             key = (x // g, y // g)
             if key in seen:
-                # the term starts after its '-', or after its '+' and the
-                # blanks that follow it
-                at = m.end(1) if sign == "-" else _SPACE.match(text, m.end(1)).end()
+                # at the term's first token, after its sign and any blanks
+                at = _SPACE.match(text, m.end(1)).end()
                 raise DuplicateExponent(f"exponent {Fraction(x, y)} appears twice", at)
             seen.add(key)
             terms.append((x, y, -n if sign == "-" else n, d))

@@ -517,6 +517,7 @@ def parse_series(text):
             if not sc.at_end():
                 raise SeriesSyntaxError("text after O(...) tail", sc.pos)
             break
+        sc.skip_ws()
         where = sc.pos
         e, c = _parse_term(sc)
         record(e, sign * c, where)

@@ -200,7 +200,7 @@ def test_criterion_08_newton_polygon_oracle():
         rng = trial_rng(SEED, "c8", trial)
         k = gen_orthogonal(rng, 3)
         mu = sorted(gen_apartment_mu(rng, 3), reverse=True)
-        p = act(k, x_mu(mu))
+        p = act(k, x_mu(_vec(A2, mu)))
         got = list(cartan_valuations(o, p))
         assert got == mu
     print("criterion 8: 50 conjugated flats, eigen-valuations recovered sorted")

@@ -297,6 +297,21 @@ class TestWConvex:
         assert all(isinstance(v, Q) for v in w)
         assert apt.ApartmentVec.from_mu(A2, w).to_mu() == w
 
+    @pytest.mark.parametrize(
+        "s, x",
+        [
+            (apt.WConvexSet(A1, (apt.HalfApartment((1, 2), 1),)), _mu(A2, 2, 0, -2)),
+            (apt.WConvexSet(A2, (apt.HalfApartment((1, 3), 1),)), _mu(A1, 2, -2)),
+        ],
+        ids=["2-3", "3-2"],
+    )
+    def test_size_mismatch_is_a_value_error(self, s, x):
+        # named as a mismatch: neither answered on the shared roots nor a NotARoot
+        sizes = f"region size {s.rs.rank + 1} and point size {len(x.mu)} disagree"
+        with pytest.raises(ValueError, match=sizes) as ei:
+            apt.in_wconvex(s, x)
+        assert type(ei.value) is ValueError
+
     def test_constraint_naming_no_root(self):
         for root in ((1, 1), (1, 4), (0, 2)):
             s = apt.WConvexSet(A2, (apt.HalfApartment(root, Q(0)),))

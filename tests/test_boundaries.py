@@ -46,13 +46,13 @@ class TestReduce:
 
     def test_unit_entries_survive(self):
         r = bn.reduce(_g([["2", "0"], ["0", "1/2"]]))
-        assert r.entries == ((Q(2), Q(0)), (Q(0), Q(1, 2)))
+        assert r.entries == _g([["2", "0"], ["0", "1/2"]]).entries
 
     def test_mixed_entry(self):
         r = bn.reduce(
             _g([["1 + 3*t^(-1) + t^(-3/2)", "3 + t^(-1/2)"], ["t^(-1)", "1"]])
         )
-        assert r.entries == ((Q(1), Q(3)), (Q(0), Q(1)))
+        assert r.entries == _g([["1", "3"], ["0", "1"]]).entries
 
     def test_not_in_ring(self):
         with pytest.raises(NotInRing):
@@ -76,7 +76,7 @@ class TestReduce:
         for n in (2, 3, 4):
             for trial in range(20):
                 rng = trial_rng(11, f"reduce-det-{n}", trial)
-                assert mat_det(bn.reduce(gen_stab_elem(rng, n)).entries) == 1
+                assert mat_det(bn.reduce(gen_stab_elem(rng, n)).entries) == fs.ONE
 
     def test_inverse(self):
         # the residue group's inverse is the adjugate; reduction commutes with it
@@ -160,7 +160,7 @@ class TestGerms:
             k = gen_orthogonal(rng, 2)
             verdict = bn.germ_equal(k, GroupElem.identity(2))
             if verdict:
-                assert bn.reduce(k).entries[1][0] == 0
+                assert bn.reduce(k).entries[1][0] == fs.ZERO
             else:
                 hits += 1
         assert hits >= 10
@@ -187,7 +187,9 @@ class TestKernelRadius:
         # diagonal negval is 2 max mu = lam (n - 1)
         lam = Q(1, 2)
         for n in (2, 3, 4):
-            x = bd.x_mu([lam * Q(n - 1 - 2 * i, 2) for i in range(n)])
+            x = bd.x_mu(
+                ApartmentVec.from_mu(type_A(n - 1), [lam * Q(n - 1 - 2 * i, 2) for i in range(n)])
+            )
             top = max(fs.negval(x.entries[i][i]) for i in range(n))
             assert top == lam * (n - 1)
             mu = retract(x).to_mu()
@@ -213,7 +215,7 @@ class TestKernelRadius:
                 spread = sum(abs(a - b) for a in mu for b in mu)
                 if spread > lam:
                     mu = [x * lam / spread for x in mu]
-                p = bd.x_mu(mu)
+                p = bd.x_mu(ApartmentVec.from_mu(type_A(n - 1), mu))
                 assert distance(p, o) <= LambdaVal.of(lam)
                 q = act(gen_orthogonal(rng, n), p)
                 assert distance(act(ker, q), q) == LambdaVal.of(0)

@@ -41,7 +41,7 @@ from lbldg.harness.generators import (
     trial_rng,
 )
 from lbldg.rootsys import type_A
-from lbldg.symspace import GroupElem, SPDPoint, act, distance, retract
+from lbldg.symspace import GroupElem, SPDPoint, act, char_pencil, distance, retract
 from lbldg.valfield import series as fs
 from lbldg.valfield.lam import LambdaVal
 from oracles import BOTTOM, Lam, brute_membership, iwasawa_witness, valuation
@@ -837,13 +837,11 @@ class TestMOf:
             assert bd.phi(uprime) == -bd.phi(u)
             assert uprime.as_group() @ u.as_group() @ uprime.as_group() == m
 
-    def test_truncated_parameter(self):
-        s = fs.parse("t + 1")
-        m, root, ell = bd.m_of(bd.RootElem(2, 1, 2, s))
-        assert ell == Q(1)
-        prod = fs.mul(m.entries[0][1], m.entries[1][0])
-        # s * (-1/s) = -1 up to the kept precision: no visible terms remain
-        assert fs.add(prod, fs.ONE).terms == ()
+    @pytest.mark.parametrize("s", ["t + 1", "t + O(t^(-1))", "t^(1/2) - 2*t^(-3)"])
+    def test_non_monomial_parameter_is_refused(self, s):
+        # -1/s is an infinite series, or known only above a floor: no exact m(u)
+        with pytest.raises(ValueError, match=r"m\(u\) needs a monomial parameter with no floor"):
+            bd.m_of(bd.RootElem(2, 1, 2, fs.parse(s)))
 
 
 # --- stabilizer shape predicates --------------------------------------------------
@@ -879,18 +877,16 @@ class TestStabPredicates:
 
 class TestRealizations:
     def test_x_mu_basepoint(self):
-        assert bd.x_mu([0, 0, 0]) == SPDPoint.basepoint(3)
+        assert bd.x_mu(ApartmentVec.from_mu(A2, [0, 0, 0])) == SPDPoint.basepoint(3)
 
     def test_x_mu_sum_check(self):
         with pytest.raises(ValueError):
-            bd.x_mu([1, 1])
+            bd.x_mu(ApartmentVec.from_mu(A1, [1, 1]))
 
     @pytest.mark.parametrize("mu", [[1, -1.0], [0.5, -0.5], ["1", "-1"]])
     def test_x_mu_reads_lists_as_apartment_input(self, mu):
         with pytest.raises(TypeError, match="unsupported Lambda payload"):
-            bd.x_mu(mu)
-        with pytest.raises(TypeError, match="unsupported Lambda payload"):
-            ApartmentVec.from_mu(type_A(1), mu)
+            bd.x_mu(ApartmentVec.from_mu(A1, mu))
 
     def test_normalizer_action_matches_weyl(self):
         for trial in range(30):
@@ -983,3 +979,54 @@ class TestIwasawa:
             u, n, k = iwasawa_witness(g)
             o = SPDPoint.basepoint(2)
             assert distance(act(g, o), act(u @ n, o)) == LambdaVal.of(0)
+
+
+# --- inputs of two sizes -----------------------------------------------------------
+
+
+def _of_size(n):
+    """One input of size n for every entry point that takes two: a group
+    element, an apartment point, an affine Weyl element, a one-constraint
+    region and half-apartment on the root (1, n), and a point."""
+    rs = type_A(n - 1)
+    h = HalfApartment((1, n), Q(1))
+    return {
+        "n": n,
+        "g": GroupElem.identity(n),
+        "mu": ApartmentVec.from_mu(rs, [0] * n),
+        "w": affine_from_mu(rs, range(1, n + 1), [0] * n),
+        "region": WConvexSet(rs, (h,)),
+        "h": h,
+        "x": SPDPoint.basepoint(n),
+    }
+
+
+_TWO_SIZES = {
+    "chart_image": lambda a, b: bd.chart_image(a["g"], b["mu"]),
+    "apply_weyl": lambda a, b: apply_weyl(a["w"], b["mu"]),
+    "in_wconvex": lambda a, b: in_wconvex(a["region"], b["mu"]),
+    "act": lambda a, b: act(a["g"], b["x"]),
+    "char_pencil": lambda a, b: char_pencil(a["x"], b["x"]),
+    "GroupElem @": lambda a, b: a["g"] @ b["g"],
+    "normalizer_of": lambda a, b: bd.normalizer_of(a["w"], b["n"]),
+    "stab_half_apartment": lambda a, b: bd.stab_half_apartment(a["g"], b["h"]),
+    "distance": lambda a, b: distance(a["x"], b["x"]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        pytest.param(name, sizes, id=f"{name}-{sizes[0]}-{sizes[1]}")
+        for name in _TWO_SIZES
+        for sizes in ((2, 3), (3, 2))
+        # a half-apartment names only its root, and (1, 2) is a root at n = 3
+        if (name, sizes) != ("stab_half_apartment", (3, 2))
+    ],
+)
+def test_sizes_that_disagree_raise_a_typed_error(name, sizes):
+    """Inputs of sizes 2 and 3 give a ValueError (NotARoot among them):
+    never an IndexError and never an answer."""
+    a, b = (_of_size(n) for n in sizes)
+    with pytest.raises(ValueError):
+        _TWO_SIZES[name](a, b)

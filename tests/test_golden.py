@@ -124,7 +124,10 @@ CASES = {
         overlap_to_json(apartment_overlap(_mixed_g())), sort_keys=True
     ),
     "dist": lambda: str(
-        distance(x_mu([1, 0, -1]), x_mu([Q(1, 2), 0, Q(-1, 2)])).finite_value
+        distance(
+            x_mu(ApartmentVec.from_mu(type_A(2), [1, 0, -1])),
+            x_mu(ApartmentVec.from_mu(type_A(2), [Q(1, 2), 0, Q(-1, 2)])),
+        ).finite_value
     ),
     "point": lambda: json.dumps(matrix_to_json(gen_point(trial_rng(3, "golden", 1), 3))),
     "pencil": lambda: json.dumps(_pencil()),
@@ -449,23 +452,60 @@ TEXT_TOKENS = list("0123456789t^()/*+-O ") + [
 ]
 
 
-def _text_digest():
+def _text_lines():
+    """(text, outcome) for every series_texts string, the outcome the to_str
+    of the value or "type: message", then ("", to_str) for 3 000
+    random_series elements."""
     rng = random.Random(20261020)
-    lines = []
+    out = []
     for text in series_texts(rng, 6000, TEXT_TOKENS):
         try:
-            lines.append(fs.to_str(fs.parse(text)))
+            out.append((text, fs.to_str(fs.parse(text))))
         except Exception as exc:
-            lines.append(f"{type(exc).__name__}: {exc}")
-    lines.extend(fs.to_str(random_series(rng)) for _ in range(3000))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            out.append((text, f"{type(exc).__name__}: {exc}"))
+    out.extend(("", fs.to_str(random_series(rng))) for _ in range(3000))
+    return out
 
 
-# sha256 of the parse outcome of every series_texts string, as the to_str of
-# the value or "type: message", then the to_str of 3 000 random_series
-# elements, one per line
+_DUPLICATE = re.compile(r"DuplicateExponent: .* \(offset (\d+)\)")
+
+
+def _after_minus(text, line):
+    """The outcome with a DuplicateExponent offset that follows a '-' and
+    blanks moved back to just after the '-', where parse put it while a
+    '+' and a '-' placed it apart."""
+    m = _DUPLICATE.fullmatch(line)
+    if m:
+        at = int(m.group(1))
+        sign = len(text[:at].rstrip()) - 1
+        if sign < at - 1 and text[sign] == "-":
+            return f"{line[: m.start(1)]}{sign + 1})"
+    return line
+
+
+# sha256 of the _text_lines outcomes, one per line, each as _after_minus
+# gives it
 TEXT_DIGEST = "f7035d5c1519b278ad2f346e9c12bb39e28f8cbe7a6bc05c2ae82797a2f120d5"
+# the outcomes _after_minus moves, by line number: each offset is that of the
+# repeated term's first token
+TEXT_AT_TERM = [
+    (144, "DuplicateExponent: exponent 1 appears twice (offset 3)"),
+    (859, "DuplicateExponent: exponent 5 appears twice (offset 29)"),
+    (1359, "DuplicateExponent: exponent 1 appears twice (offset 5)"),
+    (2067, "DuplicateExponent: exponent 1 appears twice (offset 21)"),
+    (2956, "DuplicateExponent: exponent 0 appears twice (offset 5)"),
+    (3287, "DuplicateExponent: exponent 1 appears twice (offset 20)"),
+    (3329, "DuplicateExponent: exponent 1 appears twice (offset 14)"),
+    (3384, "DuplicateExponent: exponent 0 appears twice (offset 4)"),
+    (3815, "DuplicateExponent: exponent 0 appears twice (offset 28)"),
+    (5617, "DuplicateExponent: exponent 0 appears twice (offset 4)"),
+    (5897, "DuplicateExponent: exponent 1 appears twice (offset 25)"),
+]
 
 
 def test_series_text_outcomes():
-    assert _text_digest() == TEXT_DIGEST
+    outcomes = _text_lines()
+    was = [_after_minus(text, line) for text, line in outcomes]
+    assert _sha(was) == TEXT_DIGEST
+    moved = [(k, line) for k, ((_, line), w) in enumerate(zip(outcomes, was)) if line != w]
+    assert moved == TEXT_AT_TERM

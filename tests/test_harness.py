@@ -262,14 +262,6 @@ class TestGolden:
             ["0", "0", "1"],
         ]
 
-    def test_factor_count_zero_is_identity(self):
-        g = gen_group_elem(trial_rng(0, "golden", 0), 3, factors=0)
-        assert matrix_to_json(g) == [
-            ["1", "0", "0"],
-            ["0", "1", "0"],
-            ["0", "0", "1"],
-        ]
-
 
 # --- the exchange example ----------------------------------------------------------
 
@@ -314,8 +306,8 @@ def files(tmp_path):
     px = tmp_path / "x.json"
     py = tmp_path / "y.json"
     pg = tmp_path / "g.json"
-    px.write_text(json.dumps(matrix_to_json(x_mu([1, -1]))))
-    py.write_text(json.dumps(matrix_to_json(x_mu([0, 0]))))
+    px.write_text(json.dumps(matrix_to_json(x_mu(ApartmentVec.from_mu(type_A(1), [1, -1])))))
+    py.write_text(json.dumps(matrix_to_json(x_mu(ApartmentVec.from_mu(type_A(1), [0, 0])))))
     pg.write_text(json.dumps([["1", "t"], ["0", "1"]]))
     return px, py, pg
 
@@ -330,7 +322,7 @@ class TestCli:
     def test_dist_of_points_of_different_sizes(self, files, tmp_path, swap):
         px, _, _ = files
         p3 = tmp_path / "x3.json"
-        p3.write_text(json.dumps(matrix_to_json(x_mu([1, 0, -1]))))
+        p3.write_text(json.dumps(matrix_to_json(x_mu(ApartmentVec.from_mu(type_A(2), [1, 0, -1])))))
         args = [str(p3), str(px)] if swap else [str(px), str(p3)]
         sizes = ("3 x 3", "2 x 2") if swap else ("2 x 2", "3 x 3")
         res = CliRunner().invoke(main, ["dist", *args])
@@ -355,24 +347,24 @@ class TestCli:
         res = CliRunner().invoke(main, ["parse", "3/2*t^(-1/2) + t"])
         assert res.exit_code == 0 and res.output.strip() == "t + 3/2*t^(-1/2)"
 
-    def test_parse_check_silent(self):
-        res = CliRunner().invoke(main, ["parse", "--check", "t + 1"])
-        assert res.exit_code == 0 and res.output == ""
+    def test_parse_check_is_refused(self):
+        # parse has no options: "--check" is read as the expression, and the
+        # text after "--" is an argument too many
+        res = CliRunner().invoke(main, ["parse", "--check", "--", "t"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "Got unexpected extra argument (t)" in res.stderr
 
-    @pytest.mark.parametrize(
-        "args", [["-t + 1"], ["-1"], ["-t"], ["--check", "-t + 1"]], ids=" ".join
-    )
-    def test_parse_leading_minus(self, args):
+    @pytest.mark.parametrize("expr", ["-t + 1", "-1", "-t"])
+    def test_parse_leading_minus(self, expr):
         """A negative leading term is printed with a leading '-'; parse takes
         it as the expression, not as an option, and the output parses back."""
-        res = CliRunner().invoke(main, ["parse", *args])
-        expr = args[-1]
+        res = CliRunner().invoke(main, ["parse", expr])
         assert res.exit_code == 0, res.output
-        assert res.stdout == ("" if args[0] == "--check" else expr + "\n")
+        assert res.stdout == expr + "\n"
         assert fs.to_str(fs.parse(expr)) == expr
 
     def test_parse_error_exits_2(self):
-        res = CliRunner().invoke(main, ["parse", "--check", "3t^(-1)"])
+        res = CliRunner().invoke(main, ["parse", "3t^(-1)"])
         assert res.exit_code == 2
 
     def test_parse_fuzz(self):
@@ -463,6 +455,16 @@ class TestCli:
             f"error: cannot read {bad}: "
             "matrix must be a JSON list of rows, each a list of series strings"
         )
+
+    @pytest.mark.parametrize("command", ["dist", "retract", "overlap"])
+    def test_one_by_one_file_exits_2(self, tmp_path, command):
+        """Every command turns down a 1 x 1 matrix with the same message."""
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps([["1"]]))
+        args = [str(one), str(one)] if command == "dist" else [str(one)]
+        res = CliRunner().invoke(main, [command, *args])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == f"error: cannot read {one}: matrix is 1 x 1, but n must be at least 2\n"
 
     @pytest.mark.parametrize("command", ["dist", "retract", "overlap"])
     def test_floored_file_is_undecided(self, files, tmp_path, command):

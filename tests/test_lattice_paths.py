@@ -222,8 +222,8 @@ class TestChartImage:
 @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=4))
 def test_x_mu_entries_are_the_monomials(mu):
     mu = mu + [-sum(mu)]
-    x = bd.x_mu(mu)
     n = len(mu)
+    x = bd.x_mu(ApartmentVec.from_mu(type_A(n - 1), mu))
     assert x.entries == tuple(
         tuple(fs.monomial(2 * mu[i]) if i == j else fs.ZERO for j in range(n)) for i in range(n)
     )

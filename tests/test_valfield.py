@@ -144,8 +144,11 @@ class TestParsePrint:
             ("t + O(t^(BIG))", SeriesSyntaxError, "integer has too many digits", 9),
             ("t + O(t^(1/BIG))", SeriesSyntaxError, "integer has too many digits", 11),
             ("t + t", DuplicateExponent, "exponent 1 appears twice", 4),
-            ("t - t", DuplicateExponent, "exponent 1 appears twice", 3),
-            ("1 - 2", DuplicateExponent, "exponent 0 appears twice", 3),
+            ("t - t", DuplicateExponent, "exponent 1 appears twice", 4),
+            ("1 - 2", DuplicateExponent, "exponent 0 appears twice", 4),
+            ("t +  t", DuplicateExponent, "exponent 1 appears twice", 5),
+            ("t -  t", DuplicateExponent, "exponent 1 appears twice", 5),
+            ("1 - -2", DuplicateExponent, "exponent 0 appears twice", 4),
         ],
     )
     def test_each_error_names_its_token_and_offset(self, text, error, message, offset):
