@@ -31,12 +31,8 @@ from .rootsys import type_A
 from .symspace import GroupElem
 from .valfield import series as fs
 
-# germ sampling radii, largest first; the sampled germ relation is an
-# existential over these (a germ is an agreement on SOME small ball)
-GERM_RADII = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
-
-# rungs per ray: each radius is probed at these fractions of itself
-GERM_LADDER = (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5), Fraction(1))
+# the coordinate 1-norm of the germ probes; sampled_germ_equal says why one
+GERM_RADIUS = Fraction(1, 4)
 
 
 def reduce(g):
@@ -87,39 +83,36 @@ def chamber_rays(n):
 
 
 def sampled_germ_equal(g1, g2):
-    """Point-sampling oracle for the germ relation of the charts g1 and g2.
+    """Point-sampling oracle for the germ relation of the charts g1 and g2:
+    whether the transition element b = g2^(-1) g1 fixes the interior chamber
+    point GERM_RADIUS * ray for every ray of chamber_rays.
 
-    For each radius, the transition element is tested on a ladder of
-    interior chamber points with coordinate 1-norm at most that radius;
-    the germ relation holds when some radius is agreed on completely.
+    One radius suffices: Fix(b) = {mu : chart_image(b, mu) = mu} is
+    star-shaped about 0.  For mu in Fix(b) and t in [0, 1], the negvals T_ij
+    of b are at most 0 (b has entries in O), so r_i(t mu) <= t mu_i by
+    T_ij + t mu_j <= t (T_ij + mu_j) <= t mu_i, while det b = 1 forces
+    sum_i r_i(t mu) >= 0 = sum_i t mu_i; so r(t mu) = t mu.  A ball thus
+    agrees exactly when its outermost point on each ray is fixed, and any
+    radius that agrees makes GERM_RADIUS agree.
 
-    Both verdicts match the reduction predicate on elements whose
+    The verdict matches the reduction predicate on elements whose
     below-residue parts have negvals on the half-integer lattice: such a
     transition element factors as a rational upper-triangular matrix
     (fixing every interior point near o) times a reduction-kernel element
-    (fixing everything with coordinate gaps below 1/2, which covers the
-    smallest radius); conversely a nonzero below-diagonal residue entry
-    has negval 0, which exceeds mu_i - mu_j on every interior point, so
-    every sampled point moves at every radius.
+    (fixing everything with coordinate gaps below 1/2, which covers
+    GERM_RADIUS); conversely a nonzero below-diagonal residue entry has
+    negval 0, which exceeds mu_i - mu_j on every interior point, so every
+    probe moves.
     """
     b = g2.inverse() @ g1
     if not stab_o(b):
         raise NotInRing("sampled germs require base charts in O")
     rs = type_A(b.n - 1)
-    rays = chamber_rays(b.n)
-    for eps in GERM_RADII:
-        agreed = True
-        for ray in rays:
-            for rung in GERM_LADDER:
-                mu = ApartmentVec.from_mu(rs, [eps * rung * x for x in ray])
-                if chart_image(b, mu) != mu:
-                    agreed = False
-                    break
-            if not agreed:
-                break
-        if agreed:
-            return True
-    return False
+    for ray in chamber_rays(b.n):
+        mu = ApartmentVec.from_mu(rs, [GERM_RADIUS * x for x in ray])
+        if chart_image(b, mu) != mu:
+            return False
+    return True
 
 
 def infinity_equal(g1, g2):
@@ -156,19 +149,19 @@ def sampled_infinity_equal(g1, g2):
     strictly dominant direction with pairwise gaps at least r0, and r0
     exceeds twice any finite negval of the transition element, so in each
     row of the membership computation the leftmost finite entry dominates
-    outright.  Membership at two different depths then forces the leftmost
-    finite entries to sit at positions summing like a permutation (the
-    direction's coordinate sums are multiset-unique), and a depth-constant
-    shift forces that permutation to be the identity, i.e. nothing finite
-    below the diagonal.  Conversely an upper-triangular transition element
-    translates deep points by its diagonal negvals.
+    outright.  Membership at the two depths k = 0 and 1 then forces the
+    leftmost finite entries to sit at positions summing like a permutation
+    (the direction's coordinate sums are multiset-unique), and an equal shift
+    at both depths forces that permutation to be the identity, i.e. nothing
+    finite below the diagonal.  Conversely an upper-triangular transition
+    element translates deep points by its diagonal negvals.
     """
     b = g2.inverse() @ g1
     r0 = 2 * b.n * (1 + trop_radius(b))
     rs = type_A(b.n - 1)
     rho = _deep_direction(b.n)
     shift = None
-    for k in range(3):
+    for k in range(2):
         mu = ApartmentVec.from_mu(rs, [(r0 + k) * x for x in rho])
         nu = chart_image(b, mu)
         if nu is None:
@@ -185,13 +178,10 @@ def transitivity_witness(g1, g2):
     """Residue-group element carrying the germ of the chart g1 to that of g2.
 
     With r1, r2 the reductions of the two charts, h = r2 r1^(-1) maps the
-    first sector's germ to the second's, since the transition residue it
-    induces is the identity, which is upper triangular.  Residues have
-    determinant 1, so the inverse is the adjugate.
+    first sector's germ to the second's: the inverse is the adjugate, and
+    adj(B) B = det(B) I, so the transition residue r2^(-1) h r1 it induces
+    is det(r2) det(r1) I on every input, a scalar and so upper triangular.
+    The GermBorel suite checks the claim itself, germ_equal(h g1, g2).
     """
     r1 = reduce(g1)
-    r2 = reduce(g2)
-    h = r2 @ r1.inverse()
-    if not _is_upper(r2.inverse() @ h @ r1):
-        raise AssertionError("witness failed the Borel check")
-    return h
+    return reduce(g2) @ r1.inverse()

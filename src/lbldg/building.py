@@ -105,7 +105,7 @@ def chart_image(g, mu):
     rs = mu.rs
     n = rs.rank + 1
     if g.n != n:
-        raise ValueError("chart size and apartment rank disagree")
+        raise ValueError(f"chart size {g.n} and point size {n} disagree")
     L, S = trop(g)
     mv = mu.to_mu()
     scale = lcm(L, *[m.denominator for m in mv])
@@ -352,14 +352,13 @@ def _perm_sign(sigma):
     return sign
 
 
-def normalizer_of(w, n):
-    """Monomial matrix realizing an affine Weyl element: row i holds
-    +-t^(c_i) in column sigma(i), one sign flipped when sigma is odd so the
-    determinant is one.  Acting on x_mu points it implements
-    apply_weyl(w, .)."""
+def normalizer_of(w):
+    """Monomial matrix realizing an affine Weyl element, of size
+    n = len(w.perm): row i holds +-t^(c_i) in column sigma(i), one sign
+    flipped when sigma is odd so the determinant is one.  Acting on x_mu
+    points it implements apply_weyl(w, .)."""
     sigma = w.perm
-    if len(sigma) != n:
-        raise ValueError("affine element size and matrix size disagree")
+    n = len(sigma)
     c = [Fraction(v) for v in w.translation.to_mu()]
     sign = _perm_sign(sigma)
     rows = [[fs.ZERO] * n for _ in range(n)]

@@ -149,8 +149,21 @@ def theorems(which, n, trials, seed, json_out):
     _run_suites("theorems", THEOREM_NAMES, check_theorem, which, cfg, json_out)
 
 
-# a leading minus belongs to the expression ("-t + 1" is canonical output)
-@main.command(context_settings={"ignore_unknown_options": True})
+class _SeriesCommand(click.Command):
+    """parse's command: its one argument is series text and may start with
+    '-' ("-t + 1"). No series text starts with '--' and a letter, so that
+    argument, given first rather than after '--', is an unknown option."""
+
+    def parse_args(self, ctx, args):
+        first = list(args[:1])  # click consumes args as it parses
+        rest = super().parse_args(ctx, args)
+        expr = ctx.params.get("expr")
+        if first == [expr] and expr[:2] == "--" and expr[2:3].isalpha():
+            raise click.NoSuchOption(expr, ctx=ctx)
+        return rest
+
+
+@main.command(cls=_SeriesCommand, context_settings={"ignore_unknown_options": True})
 @click.argument("expr")
 def parse(expr):
     """Parse a series expression; echoes the canonical form."""

@@ -2,7 +2,6 @@
 
 from typing import NamedTuple
 
-from ..building import PERM_BOUND
 from ..errors import ConfigError
 
 
@@ -14,14 +13,9 @@ class TrialConfig(NamedTuple):
     trials: int = 100
     seed: int = 0
 
-    def validate(self, enumeration=False):
+    def validate(self):
         if self.n < 2:
             raise ConfigError("matrix size must be at least 2")
-        if enumeration and self.n > PERM_BOUND:
-            raise ConfigError(
-                "enumeration-backed checks support matrix sizes up to "
-                f"building.PERM_BOUND = {PERM_BOUND}"
-            )
         if self.trials < 1:
             raise ConfigError("trial count must be positive")
         if not 0 <= self.seed < 2**64:

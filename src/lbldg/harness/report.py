@@ -65,12 +65,12 @@ def run_check(name, cfg, stream, one):
     return CheckRow(name, cfg.trials, passed, failed, tuple(kept))
 
 
-def run_suite(kind, suites, cfg, which, enumeration=False):
+def run_suite(kind, suites, cfg, which):
     """Run the suite named which from the registry suites (name -> check
     function of a config) and time it; kind is "axioms" or "theorems"."""
     if which not in suites:
         raise KeyError(f"unknown {kind[:-1]} {which!r}")
-    cfg.validate(enumeration=enumeration)
+    cfg.validate()
     start = time.monotonic()
     rows = suites[which](cfg)
     elapsed = int((time.monotonic() - start) * 1000)

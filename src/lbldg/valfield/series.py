@@ -22,13 +22,13 @@ denominators of the visible terms (gcd(e, k, ...) = 1), and ``d`` is minimal
 hashing compare the ints directly. Each operation brings its operands to a
 common e (and, for addition, a common d) before the kernel call in
 ``_backend`` and divides the gcds out after it. Fractions appear only at the
-boundary: the arguments of ``from_terms``, the ``terms`` view, floors and the
-values of ``negval``, ``residue`` and ``coef_at``.
+boundary: constructor arguments, the ``terms`` view, floors and the values
+of ``negval``, ``residue`` and ``coef_at``.
 
 Series text does not go through Fractions either. ``parse`` matches one term
 at a time with a compiled regex whose every token is a group of its own, and
-reads the groups in text order: the integers go to the same int-term builder
-as ``from_terms``, and the first token missing or out of range names the
+reads the groups in text order: the integers go to the int-term builder
+``_from_ints``, and the first token missing or out of range names the
 error and its offset. ``to_str`` prints from ``pairs``, reducing each
 coefficient and exponent by one gcd, and raises ``DigitLimit`` for an integer
 with more digits than ``int()`` turns into text, which ``parse`` could not
@@ -72,7 +72,7 @@ class PuiseuxElem:
     __slots__ = ("e", "d", "pairs", "floor")
 
     def __init__(self, e, d, pairs, floor):
-        # Assumes canonical data; use from_terms for raw input.
+        # Assumes canonical data; parse, from_rational and monomial take raw input.
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "pairs", pairs)
@@ -80,15 +80,6 @@ class PuiseuxElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxElem is immutable")
-
-    @staticmethod
-    def from_terms(pairs, floor=None):
-        """Build from (exponent, coefficient) pairs, combining duplicates."""
-        terms = []
-        for x, c in pairs:
-            x, c = _q(x), _q(c)
-            terms.append((x.numerator, x.denominator, c.numerator, c.denominator))
-        return _from_ints(terms, None if floor is None else _q(floor))
 
     @property
     def terms(self):

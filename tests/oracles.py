@@ -218,7 +218,7 @@ def chart_image(g, mu):
     zero, else None."""
     rs = mu.rs
     if g.n != rs.rank + 1:
-        raise ValueError("chart size and apartment rank disagree")
+        raise ValueError(f"chart size {g.n} and point size {rs.rank + 1} disagree")
     T = valuations(g)
     mv = [Lam(m) for m in mu.to_mu()]
     r = []

@@ -45,7 +45,7 @@ from lbldg.symspace import (
 )
 from lbldg.valfield import series as vf
 from lbldg.valfield.lam import LambdaVal
-from oracles import brute_membership
+from oracles import brute_membership, series_from_terms
 
 A1 = type_A(1)
 A2 = type_A(2)
@@ -241,7 +241,7 @@ def _rand_exact(rng, max_terms=4):
         e = Q(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
         c = Q(rng.randint(-9, 9), rng.randint(1, 5))
         pairs.append((e, c))
-    return vf.PuiseuxElem.from_terms(pairs)
+    return series_from_terms(pairs)
 
 
 def _rand_nonzero(rng):

@@ -243,7 +243,7 @@ class TestAffineWeyl:
                 ws.append(apt.affine_from_mu(A2, tuple(sigma), c))
             w1, w2 = ws
             x = _rand_mu(rng, A2)
-            region, composite = apartment_overlap(normalizer_of(w1, 3) @ normalizer_of(w2, 3))
+            region, composite = apartment_overlap(normalizer_of(w1) @ normalizer_of(w2))
             assert region.constraints == ()
             assert apt.apply_weyl(composite, x) == apt.apply_weyl(w1, apt.apply_weyl(w2, x))
             s1, s2 = w1.perm, w2.perm

@@ -129,13 +129,42 @@ class TestGerms:
         assert bd.chart_image(s, _mu(A1, "1/4", "-1/4")) is None
 
     def test_radii_are_existential(self):
-        # fixes gaps up to 1/2 only: the radius-1 ladder moves, radius 1/2 agrees
+        # fixes gaps up to 1/2 only: radius 1 moves, while GERM_RADIUS = 1/4
+        # agrees, and so does the germ
         s = _deep_root(2, 2, 1, "-1/2")
         s0 = GroupElem.identity(2)
         assert bd.chart_image(s, _mu(A1, "1/2", "-1/2")) != _mu(A1, "1/2", "-1/2")
         assert bd.chart_image(s, _mu(A1, "1/4", "-1/4")) == _mu(A1, "1/4", "-1/4")
         assert bn.sampled_germ_equal(s, s0) is True
         assert bn.germ_equal(s, s0) is True
+
+    def test_fixed_probes_stay_fixed_toward_o(self):
+        """The star-shape lemma behind sampled_germ_equal's one radius: a
+        point fixed by b in SL(n, O) stays fixed at every fraction of it.
+        Probed at radii 1, 1/2 and 1/4 on each chamber ray and at k/5 of each
+        fixed probe; every other draw carries a deep lower root factor, so
+        some rays agree at 1/4 but not at 1."""
+        partial = 0
+        for n in (2, 3, 4, 5):
+            rs = type_A(n - 1)
+            for trial in range(40):
+                rng = trial_rng(11, f"star-{n}", trial)
+                b = gen_stab_elem(rng, n)
+                if trial % 2:
+                    j, i = sorted(rng.sample(range(1, n + 1), 2))
+                    b = b @ _deep_root(n, i, j, Q(-rng.randint(1, 4), 4))
+                for ray in bn.chamber_rays(n):
+                    fixed = set()
+                    for eps in (Q(1), Q(1, 2), Q(1, 4)):
+                        p = _mu(rs, *[eps * x for x in ray])
+                        agrees = bd.chart_image(b, p) == p
+                        fixed.add(agrees)
+                        if agrees:
+                            for k in range(1, 6):
+                                q = _mu(rs, *[Q(k, 5) * x for x in p.to_mu()])
+                                assert bd.chart_image(b, q) == q, (n, trial, ray, eps, k)
+                    partial += len(fixed) > 1
+        assert partial > 10
 
     def test_requires_stabilizer_charts(self):
         s = _g([["t", "0"], ["0", "t^(-1)"]])

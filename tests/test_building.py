@@ -896,7 +896,7 @@ class TestRealizations:
             sigma = tuple(rng.sample(range(1, n + 1), n))
             c = gen_apartment_mu(rng, n)
             w = affine_from_mu(rs, sigma, list(c))
-            nw = bd.normalizer_of(w, n)
+            nw = bd.normalizer_of(w)
             for k in range(4):
                 mu = _mu(rs, *gen_apartment_mu(rng, n))
                 assert act(nw, bd.x_mu(mu)) == bd.x_mu(apply_weyl(w, mu))
@@ -907,7 +907,7 @@ class TestRealizations:
             sigma = tuple(rng.sample(range(1, 4), 3))
             c = gen_apartment_mu(rng, 3)
             w = affine_from_mu(A2, sigma, list(c))
-            nw = bd.normalizer_of(w, 3)
+            nw = bd.normalizer_of(w)
             reg, got = bd.apartment_overlap(nw)
             assert reg.constraints == ()
             assert got.perm == sigma
@@ -991,7 +991,6 @@ def _of_size(n):
     rs = type_A(n - 1)
     h = HalfApartment((1, n), Q(1))
     return {
-        "n": n,
         "g": GroupElem.identity(n),
         "mu": ApartmentVec.from_mu(rs, [0] * n),
         "w": affine_from_mu(rs, range(1, n + 1), [0] * n),
@@ -1001,16 +1000,41 @@ def _of_size(n):
     }
 
 
+# each entry point taking inputs of two sizes, and its error text for the
+# sizes a and b
 _TWO_SIZES = {
-    "chart_image": lambda a, b: bd.chart_image(a["g"], b["mu"]),
-    "apply_weyl": lambda a, b: apply_weyl(a["w"], b["mu"]),
-    "in_wconvex": lambda a, b: in_wconvex(a["region"], b["mu"]),
-    "act": lambda a, b: act(a["g"], b["x"]),
-    "char_pencil": lambda a, b: char_pencil(a["x"], b["x"]),
-    "GroupElem @": lambda a, b: a["g"] @ b["g"],
-    "normalizer_of": lambda a, b: bd.normalizer_of(a["w"], b["n"]),
-    "stab_half_apartment": lambda a, b: bd.stab_half_apartment(a["g"], b["h"]),
-    "distance": lambda a, b: distance(a["x"], b["x"]),
+    "chart_image": (
+        lambda a, b: bd.chart_image(a["g"], b["mu"]),
+        "chart size {a} and point size {b} disagree",
+    ),
+    "apply_weyl": (
+        lambda a, b: apply_weyl(a["w"], b["mu"]),
+        "affine element size {a} and point size {b} disagree",
+    ),
+    "in_wconvex": (
+        lambda a, b: in_wconvex(a["region"], b["mu"]),
+        "region size {a} and point size {b} disagree",
+    ),
+    "act": (
+        lambda a, b: act(a["g"], b["x"]),
+        "cannot act by a {a} x {a} element on a {b} x {b} point",
+    ),
+    "char_pencil": (
+        lambda a, b: char_pencil(a["x"], b["x"]),
+        "the pencil needs points of one size, got {a} x {a} and {b} x {b}",
+    ),
+    "GroupElem @": (
+        lambda a, b: a["g"] @ b["g"],
+        "cannot multiply a {a} x {a} element by a {b} x {b} element",
+    ),
+    "stab_half_apartment": (
+        lambda a, b: bd.stab_half_apartment(a["g"], b["h"]),
+        "no root labelled (1, {b})",
+    ),
+    "distance": (
+        lambda a, b: distance(a["x"], b["x"]),
+        "the pencil needs points of one size, got {a} x {a} and {b} x {b}",
+    ),
 }
 
 
@@ -1025,8 +1049,10 @@ _TWO_SIZES = {
     ],
 )
 def test_sizes_that_disagree_raise_a_typed_error(name, sizes):
-    """Inputs of sizes 2 and 3 give a ValueError (NotARoot among them):
-    never an IndexError and never an answer."""
+    """Inputs of sizes 2 and 3 give a ValueError (NotARoot among them) that
+    names both sizes: never an IndexError and never an answer."""
     a, b = (_of_size(n) for n in sizes)
-    with pytest.raises(ValueError):
-        _TWO_SIZES[name](a, b)
+    call, text = _TWO_SIZES[name]
+    with pytest.raises(ValueError) as exc:
+        call(a, b)
+    assert str(exc.value) == text.format(a=sizes[0], b=sizes[1])

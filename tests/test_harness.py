@@ -153,6 +153,16 @@ class TestReports:
         assert ax.check_axiom(TrialConfig(n=5, trials=2, seed=3), "A4").ok
 
     @pytest.mark.parametrize("which", sorted(ax.ENUMERATION_BACKED))
+    def test_the_permutation_cap_comes_before_the_trial_count(self, which):
+        with pytest.raises(ConfigError) as exc:
+            ax.check_axiom(TrialConfig(n=PERM_BOUND + 1, trials=0), which)
+        assert str(exc.value) == (
+            "enumeration-backed checks support matrix sizes up to building.PERM_BOUND = 5"
+        )
+        with pytest.raises(KeyError):
+            ax.check_axiom(TrialConfig(n=PERM_BOUND + 1), which + "x")
+
+    @pytest.mark.parametrize("which", sorted(ax.ENUMERATION_BACKED))
     def test_enumeration_backed_at_n5(self, which):
         # the cap is building.PERM_BOUND = 5, not a second constant
         assert ax.check_axiom(TrialConfig(n=5, trials=3, seed=1), which).ok
@@ -353,6 +363,21 @@ class TestCli:
         res = CliRunner().invoke(main, ["parse", "--check", "--", "t"])
         assert res.exit_code == 2 and res.stdout == ""
         assert "Got unexpected extra argument (t)" in res.stderr
+
+    def test_parse_refuses_a_lone_option(self):
+        # no series text starts with '--' and a letter, so "--check" alone is
+        # an option parse does not have; after "--" it is the expression
+        res = CliRunner().invoke(main, ["parse", "--check"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "No such option '--check'" in res.stderr
+        res = CliRunner().invoke(main, ["parse", "--", "--check"])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr == "error: expected an integer (offset 1)\n"
+
+    @pytest.mark.parametrize("expr, out", [("--3", "3"), ("-t+1", "-t + 1")])
+    def test_parse_reads_signs_before_a_digit_or_t(self, expr, out):
+        res = CliRunner().invoke(main, ["parse", expr])
+        assert res.exit_code == 0 and res.stdout == out + "\n"
 
     @pytest.mark.parametrize("expr", ["-t + 1", "-1", "-t"])
     def test_parse_leading_minus(self, expr):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lbldg import symspace as sym
 from lbldg.harness.generators import gen_point, trial_rng
 from lbldg.valfield import series as fs
+from oracles import series_from_terms
 
 
 def _laplace(m, ring):
@@ -111,7 +112,7 @@ def _entries(draw):
     if draw(st.integers(0, 4)) == 0:
         return fs.ZERO
     terms = draw(st.lists(st.tuples(_EXP, _COEF), min_size=1, max_size=3))
-    a = fs.PuiseuxElem.from_terms(terms)
+    a = series_from_terms(terms)
     f = draw(_FLOOR)
     return a if f is None else fs.with_floor(a, f)
 
