@@ -10,6 +10,7 @@ nu_i = c_i + mu_{sigma(i)}, with sigma a permutation of 1..n.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 
@@ -27,10 +28,12 @@ class ApartmentVec:
     __slots__ = ("rs", "mu")
 
     def __init__(self, rs, mu):
-        mu = tuple(_pay(m) for m in mu)
+        mu = tuple([_pay(m) for m in mu])
         if len(mu) != rs.rank + 1:
             raise ValueError("mu-view length must be rank + 1")
-        if sum(mu) != 0:
+        # the sum in ints over the common denominator: no Fraction additions
+        den = lcm(*[m.denominator for m in mu])
+        if sum([m.numerator * (den // m.denominator) for m in mu]):
             raise ValueError("mu coordinates must sum to zero")
         self.rs = rs
         self.mu = mu

@@ -65,7 +65,10 @@ def germ_equal(g1, g2):
 
 
 def chamber_rays(n):
-    """A fixed set of interior chamber directions with coordinate 1-norm 1."""
+    """A fixed set of interior chamber directions with coordinate 1-norm 1;
+    ValueError for n below 2, where no chamber has an interior direction."""
+    if n < 2:
+        raise ValueError(f"chamber rays need n at least 2, got {n}")
     gap_rows = [(Fraction(1),) * (n - 1)]
     if n > 2:
         gap_rows.append((Fraction(2),) + (Fraction(1),) * (n - 2))

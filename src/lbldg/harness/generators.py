@@ -89,14 +89,15 @@ def gen_orthogonal(rng, n):
 
 def gen_group_elem(rng, n, span=SPAN, denom=DENOM, factors=FACTORS):
     """Product of 1 to `factors` factors drawn from the three families."""
-    g = GroupElem.identity(n)
+    g = None
     kinds = [gen_unipotent, gen_diagonal, gen_orthogonal]
     for _ in range(rng.randint(1, factors)):
         kind = rng.choice(kinds)
         if kind is gen_orthogonal:
-            g = g @ gen_orthogonal(rng, n)
+            f = gen_orthogonal(rng, n)
         else:
-            g = g @ kind(rng, n, span=span, denom=denom)
+            f = kind(rng, n, span=span, denom=denom)
+        g = f if g is None else g @ f
     return g
 
 
@@ -120,15 +121,16 @@ def gen_stab_elem(rng, n):
 
     Off-diagonal exponents stay on the half-integer lattice at or below
     zero, so any sub-residue part sits at depth 1/2 or more."""
-    g = GroupElem.identity(n)
+    g = None
     for _ in range(rng.randint(1, 3)):
         kind = rng.randint(0, 2)
         if kind == 0:
-            g = g @ gen_unipotent(rng, n, lower=rng.random() < 0.5, integral=True)
+            f = gen_unipotent(rng, n, lower=rng.random() < 0.5, integral=True)
         elif kind == 1:
-            g = g @ gen_diag_units(rng, n)
+            f = gen_diag_units(rng, n)
         else:
-            g = g @ gen_orthogonal(rng, n)
+            f = gen_orthogonal(rng, n)
+        g = f if g is None else g @ f
     return g
 
 

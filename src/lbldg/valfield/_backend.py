@@ -4,12 +4,14 @@ A term list is a tuple of (k, n) int pairs in strictly descending k with no
 zero n. It stands for the terms (n/d)*t^(k/e) of a series whose ramification
 index e and coefficient denominator d the caller keeps: both operands of
 ``kernel_add`` share one e and one d, both operands of ``kernel_mul`` share
-one e, and the product's denominator is the product of theirs.
+one e, and the product's denominator is the product of theirs. A
+one-term operand of ``kernel_mul`` shifts and scales the other list term
+by term; only longer operands go through its accumulator and sort.
 ``kernel_dot`` sums signed products whose operands all share one e and whose
 products share one d; it is what every minor table runs on. Results are
 term lists of the same form; dividing out common factors is the caller's
-job. These three functions carry essentially all the arithmetic load of the
-package.
+job. These three functions, with ``series.mul``'s product of two exact
+monomials, carry essentially all the arithmetic load of the package.
 """
 
 
@@ -43,6 +45,13 @@ def kernel_mul(a, b):
     """Convolve two term lists."""
     if not a or not b:
         return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # one term shifts and scales the other list, which stays descending
+        # with no zero coefficient
+        (ea, ca), = a
+        return tuple([(ea + eb, ca * cb) for eb, cb in b])
     acc = {}
     for ea, ca in a:
         for eb, cb in b:

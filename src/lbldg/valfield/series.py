@@ -21,7 +21,10 @@ denominators of the visible terms (gcd(e, k, ...) = 1), and ``d`` is minimal
 (gcd(d, n, ...) = 1); both are 1 without visible terms. So equality and
 hashing compare the ints directly. Each operation brings its operands to a
 common e (and, for addition, a common d) before the kernel call in
-``_backend`` and divides the gcds out after it. Fractions appear only at the
+``_backend`` and divides the gcds out after it. The one exception is ``mul``
+of two exact monomials, the suites' commonest product: it adds the exponents
+over the lcm of the two e, multiplies the coefficients, and reduces each by
+one gcd, with no kernel call. Fractions appear only at the
 boundary: constructor arguments, the ``terms`` view, floors and the values
 of ``negval``, ``residue`` and ``coef_at``.
 
@@ -65,7 +68,13 @@ LT, EQ, GT = -1, 0, 1
 
 
 def _q(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; TypeError unless it is an int or a Fraction, so a
+    float never becomes its binary expansion."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
 
 
 class PuiseuxElem:
@@ -259,9 +268,21 @@ def sub(a, b):
 
 
 def mul(a, b):
+    pa, pb = a.pairs, b.pairs
+    if len(pa) == 1 and len(pb) == 1 and a.floor is None and b.floor is None:
+        # two exact monomials: the canonical product needs one gcd per int
+        (ka, na), (kb, nb) = pa[0], pb[0]
+        e = a.e
+        if e == b.e:
+            k = ka + kb
+        else:
+            e = lcm(e, b.e)
+            k = ka * (e // a.e) + kb * (e // b.e)
+        n, d = na * nb, a.d * b.d
+        g, h = gcd(k, e), gcd(n, d)
+        return PuiseuxElem(e // g, d // h, ((k // g, n // h),), None)
     if a.is_zero or b.is_zero:
         return ZERO
-    pa, pb = a.pairs, b.pairs
     e = 1
     pairs = ()
     if pa and pb:

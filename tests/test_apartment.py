@@ -56,10 +56,16 @@ class TestCoordinates:
         assert apt.ApartmentVec.from_mu(A2, x.to_mu()) == x
 
     def test_mu_sum_must_vanish(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mu coordinates must sum to zero$"):
             _mu(A2, 1, 0, 0)
         with pytest.raises(ValueError):
             _mu(A2, 1, -1)
+        # mixed denominators, summed exactly
+        assert _mu(A2, Q(1, 3), Q(1, 6), Q(-1, 2)).to_mu() == (Q(1, 3), Q(1, 6), Q(-1, 2))
+        with pytest.raises(ValueError, match="^mu coordinates must sum to zero$"):
+            _mu(A2, Q(1, 3), Q(1, 6), Q(-1, 2) + Q(1, 10**30))
+        with pytest.raises(ValueError, match="^mu coordinates must sum to zero$"):
+            _mu(A2, 1, Q(-1, 2), Q(-1, 3))
 
     def test_b_ext_examples(self):
         d1 = _mu(A2, 1, -1, 0)

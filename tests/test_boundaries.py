@@ -166,6 +166,12 @@ class TestGerms:
                     partial += len(fixed) > 1
         assert partial > 10
 
+    def test_chamber_rays_need_n_at_least_two(self):
+        assert len(bn.chamber_rays(2)) == 1 and len(bn.chamber_rays(3)) == 3
+        for n in (-1, 0, 1):
+            with pytest.raises(ValueError, match=rf"^chamber rays need n at least 2, got {n}$"):
+                bn.chamber_rays(n)
+
     def test_requires_stabilizer_charts(self):
         s = _g([["t", "0"], ["0", "t^(-1)"]])
         s0 = GroupElem.identity(2)

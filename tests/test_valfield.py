@@ -318,6 +318,20 @@ class TestArithmetic:
         assert got.terms == _naive_terms(acc)
         _assert_canonical(got)
 
+    @given(_EXPS, _COEFS.filter(bool), _EXPS, _COEFS.filter(bool))
+    @settings(max_examples=200, deadline=None)
+    # exponents that cancel to 0 and coefficients whose gcd reduces d to 1
+    @example(Q(1, 2), Q(2, 3), Q(-1, 2), Q(3, 2))
+    # mixed e (3 and 6) that reduce to 2, and a d that only shrinks
+    @example(Q(1, 3), Q(5, 4), Q(1, 6), Q(2, 5))
+    @example(Q(0), Q(1), Q(-5, 6), Q(-7, 6))
+    def test_one_term_mul_matches_naive_product(self, ea, ca, eb, cb):
+        # exact monomials take mul's one-term path
+        got = vf.mul(vf.monomial(ea, ca), vf.monomial(eb, cb))
+        assert got.terms == ((ea + eb, ca * cb),)
+        assert got.floor is None
+        _assert_canonical(got)
+
     @given(_TERMS, _TERMS)
     @settings(max_examples=60, deadline=None)
     def test_add_matches_naive_sum(self, ta, tb):
@@ -329,6 +343,26 @@ class TestArithmetic:
         got = vf.add(a, b)
         assert got.terms == _naive_terms(acc)
         _assert_canonical(got)
+
+
+    @pytest.mark.parametrize("value, name", [(0.1, "float"), ("1/2", "str")])
+    def test_rationals_are_int_or_fraction(self, value, name):
+        # a float would become its binary expansion: monomial(0.1) would get
+        # the exponent 3602879701896397/36028797018963968
+        a = vf.parse("t + 1")
+        calls = [
+            lambda: vf.from_rational(value),
+            lambda: vf.monomial(value),
+            lambda: vf.monomial(1, value),
+            lambda: vf.with_floor(a, value),
+            lambda: vf.coef_at(a, value),
+            lambda: vf.inv(a, value),
+            lambda: vf.sqrt_pos(a, value),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=rf"^expected an int or a Fraction, not {name}$"):
+                call()
+        assert vf.monomial(Q(1, 10)).terms == ((Q(1, 10), Q(1)),)
 
 
 # --- valuation and order -----------------------------------------------------
@@ -615,6 +649,27 @@ def _dot_terms(draw):
 
 
 _DENSE = ((2, 3), (1, -1), (0, 2**70))
+
+
+def _dict_mul(a, b):
+    """kernel_mul's general path: accumulate every product, sort, drop zeros."""
+    acc = {}
+    for ea, ca in a:
+        for eb, cb in b:
+            acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+    return tuple(sorted(((k, n) for k, n in acc.items() if n), reverse=True))
+
+
+class TestKernelMul:
+    @given(_EXPONENTS, _NUMERATORS, _TERM_LISTS)
+    @settings(max_examples=200, deadline=None)
+    @example(0, 1, _DENSE)
+    @example(-3, -(2**70), ((5, 1),))
+    def test_one_term_operand_equals_the_dict_path(self, k, n, other):
+        one = ((k, n),)
+        want = _dict_mul(one, other)
+        assert kernel_mul(one, other) == want
+        assert kernel_mul(other, one) == want
 
 
 class TestKernelDot:
