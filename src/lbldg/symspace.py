@@ -10,12 +10,18 @@ Laplace expansion with each sub-minor computed once: the full minor for
 mat_det and char_pencil, all trailing principal minors for retract and for
 point validation (det = 1, then Sylvester's criterion), and a row's
 cofactors, from the matrix without that row, for mat_adjugate.  Each table
-runs on one integer lattice (series.to_lattice): one ramification index for
-the matrix and one integer scale per row, so every term of a minor shares
-exponent denominator and coefficient denominator, and the table builds each
-minor, a signed sum of products of bare integer pairs, with one kernel call
-(series.lattice_ring).  Each result is put in canonical form once, at the
-end (series.from_lattice), with the product of its rows' scales.
+runs on one integer lattice (series.to_lattice): one ramification index E
+for the matrix and one integer scale per row, so every term of a minor
+shares exponent denominator and coefficient denominator, and the table
+builds each minor, a signed sum of products of bare integer pairs, with one
+kernel call (series.lattice_ring).  Each result is put in canonical form
+once, at the end (series.from_lattice), with the product of its rows'
+scales; retract needs only the minors' lead exponents, ints over E, and
+reads them off the lattice instead.  char_pencil substitutes
+lambda = t^(B/E) in an exact pencil, so det(lambda*x - y) is one series
+determinant whose terms split back into the coefficients of lambda by
+exponent window; a floored pencil runs the table on polynomials in lambda
+over the lattice.
 """
 
 from fractions import Fraction
@@ -97,9 +103,9 @@ def _minors(m, ring, masks):
     grouped.
 
     The callers hand it series.lattice_ring on values from series.to_lattice
-    (or polynomials over it), so each minor is one kernel call on one
-    lattice and each result becomes a canonical series once, after the
-    table.
+    (or, for a floored pencil, polynomials over it), so each minor is one
+    kernel call on one lattice (one per degree on polynomials) and each
+    result is read once, after the table.
     """
     is_zero, dot = ring
     rows = len(m)
@@ -314,19 +320,53 @@ def _polynomials(ring):
 def char_pencil(x, y):
     """Coefficients of q(lambda) = det(lambda*x - y), low degree first.  Row
     i of y and row i of x share one lattice scale, the scale of row i of the
-    pencil."""
+    pencil.
+
+    An exact pencil is one series determinant (Kronecker substitution in
+    lambda alone; Harvey, J. Symbolic Comput. 44, 2009): lambda = t^(B/E),
+    B one more than the sum of the rows' exponent spans, puts entry (i, j)
+    at x_ij t^(B/E) - y_ij with the x terms above the y terms.  A product of
+    one entry per row then has its exponent in the window d*B + [lo, lo + B),
+    lo the sum of the row minima and d its degree in lambda, so the terms of
+    det split back into q's coefficients by d = (k - lo) // B.  The
+    substitution is a ring map and the windows are disjoint, so each
+    coefficient is the one a polynomial table would build, term for term.
+    A floored entry's floor bounds one lambda-coefficient only, so a floored
+    pencil runs the table on polynomials in lambda instead."""
     n = x.n
     if y.n != n:
         raise ValueError(f"the pencil needs points of one size, got {n} x {n} and {y.n} x {y.n}")
     e, scales, rows = fs.to_lattice([y.entries[i] + x.entries[i] for i in range(n)])
-    # entry (i, j) of the pencil is the polynomial (-y_ij, x_ij)
+    scale = prod(scales)
+    full = [(1 << n) - 1]
+    if any(f is not None for row in rows for _, f in row):
+        # entry (i, j) of the pencil is the polynomial (-y_ij, x_ij)
+        m = tuple(
+            tuple([((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])])
+            for row in rows
+        )
+        q = _minors(m, _polynomials(fs.lattice_ring(e)), full)[0]
+        return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
+    b, lo = 1, 0
+    for row in rows:
+        ks = [k for pairs, _ in row if pairs for k in (pairs[0][0], pairs[-1][0])]
+        if ks:
+            b += max(ks) - min(ks)
+            lo += min(ks)
     m = tuple(
-        tuple([((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])])
+        tuple(
+            [
+                (tuple([(k + b, c) for k, c in xp] + [(k, -c) for k, c in yp]), None)
+                for (yp, _), (xp, _) in zip(row, row[n:])
+            ]
+        )
         for row in rows
     )
-    q = _minors(m, _polynomials(fs.lattice_ring(e)), [(1 << n) - 1])[0]
-    scale = prod(scales)
-    return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
+    q = [[] for _ in range(n + 1)]
+    for k, c in _minors(m, fs.lattice_ring(e), full)[0][0]:
+        d = (k - lo) // b
+        q[d].append((k - d * b, c))
+    return tuple([fs.from_lattice(e, scale, (tuple(c), None)) for c in q])
 
 
 def _upper_concave_hull(points):
@@ -409,22 +449,27 @@ def distance(x, y):
 def retract(x):
     """Apartment coordinates of the upper-unipotent/diagonal factorization,
     read off trailing principal minors: mu_i = (negval M_i - negval M_{i+1})/2.
-    The mu sum to negval(det x)/2.  An exactly-zero minor or a determinant
-    that is not a unit, possible only on a point built without validation,
-    raises ValueError."""
+    The minors come from one table on one lattice, left there: each negval
+    is its lead exponent k_i, an int over the lattice's E, so mu_i is
+    (k_i - k_{i+1}) / 2E with k_n = 0.  The mu sum to negval(det x)/2.  An
+    exactly-zero minor or a determinant that is not a unit, possible only on
+    a point built without validation, raises ValueError; a minor whose
+    floor masks its lead raises PrecisionError, as negval does."""
     n = x.n
-    nv = []
-    for d in _trailing_minors(x.entries):
-        v = fs.negval(d)
-        if v is None:
-            raise ValueError(
-                "a trailing principal minor is zero, so the point is not positive definite"
-            )
-        nv.append(v)
-    if nv[0] != 0:
+    e, _, rows = fs.to_lattice(x.entries)
+    lead = []
+    for pairs, floor in _minors(rows, fs.lattice_ring(e), [(1 << n) - (1 << i) for i in range(n)]):
+        if not pairs:
+            if floor is None:
+                raise ValueError(
+                    "a trailing principal minor is zero, so the point is not positive definite"
+                )
+            raise PrecisionError(f"negval masked by floor {floor}")
+        lead.append(pairs[0][0])
+    if lead[0] != 0:
         raise ValueError("the determinant is not a unit, so the point does not have determinant 1")
-    nv.append(Fraction(0))
-    mu = [(nv[i] - nv[i + 1]) / 2 for i in range(n)]
+    lead.append(0)
+    mu = [Fraction(lead[i] - lead[i + 1], 2 * e) for i in range(n)]
     return ApartmentVec.from_mu(type_A(n - 1), mu)
 
 

@@ -9,6 +9,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from lbldg import symspace as sym
+from lbldg.errors import PrecisionError
 from lbldg.harness.generators import gen_point, trial_rng
 from lbldg.valfield import series as fs
 from oracles import series_from_terms
@@ -107,20 +108,24 @@ _FLOOR = st.one_of(st.none(), st.fractions(min_value=-9, max_value=6, max_denomi
 
 
 @st.composite
-def _entries(draw):
+def _entries(draw, floors=_FLOOR):
     """An exact zero, or up to three terms, possibly cut by with_floor."""
     if draw(st.integers(0, 4)) == 0:
         return fs.ZERO
     terms = draw(st.lists(st.tuples(_EXP, _COEF), min_size=1, max_size=3))
     a = series_from_terms(terms)
-    f = draw(_FLOOR)
+    f = draw(floors)
     return a if f is None else fs.with_floor(a, f)
 
 
-def _matrices(n):
-    return st.lists(st.lists(_entries(), min_size=n, max_size=n), min_size=n, max_size=n).map(
-        lambda rows: tuple(tuple(row) for row in rows)
-    )
+def _matrices(n, floors=_FLOOR):
+    return st.lists(
+        st.lists(_entries(floors), min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: tuple(tuple(row) for row in rows))
+
+
+def _floored(*ms):
+    return any(v.floor is not None for m in ms for row in m for v in row)
 
 
 _SIZED = st.integers(1, 5).flatmap(_matrices)
@@ -169,18 +174,108 @@ class TestAgainstLaplace:
                 # the adjugate is the transposed cofactor matrix
                 assert fs.to_str(got[j][i]) == fs.to_str(want)
 
-    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(_matrices(n), _matrices(n))))
+    # an exact pencil is one series determinant in t, with lambda = t^(B/E);
+    # a pencil with a floored entry runs the table on polynomials in lambda
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[_matrices(n, st.none())] * 2)))
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+    def test_char_pencil_exact(self, pair):
+        _assert_pencil(*pair)
+
+    @given(
+        st.integers(1, 5)
+        .flatmap(lambda n: st.tuples(_matrices(n), _matrices(n)))
+        .filter(lambda pair: _floored(*pair))
+    )
     @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     def test_char_pencil(self, pair):
-        xm, ym = pair
-        n = len(xm)
-        x, y = (sym.SPDPoint(m, validate=False) for m in pair)
-        pencil = tuple(
-            tuple((fs.neg(ym[i][j]), xm[i][j]) for j in range(n)) for i in range(n)
-        )
-        want = _laplace(pencil, _polynomials(_SERIES))
-        want = want + (fs.ZERO,) * (n + 1 - len(want))
-        assert [fs.to_str(v) for v in sym.char_pencil(x, y)] == [fs.to_str(v) for v in want]
+        _assert_pencil(*pair)
+
+    @pytest.mark.parametrize(
+        "xm, ym",
+        [
+            # the substituted exponents span about 8 000 lattice steps
+            ([["t^1000 + t^(-1000)", "1"], ["1", "2"]], [["1", "t^(-1000)"], ["t^(-1000)", "t^1000"]]),
+            # mixed ramification: the lattice is over E = 12
+            (
+                [["t^(1/4) - 2*t^(-3/4)", "t^(1/6)"], ["t^(1/6)", "3*t^(5/6)"]],
+                [["t^(-1/6)", "1/2*t^(3/4)"], ["1/2*t^(3/4)", "t^(1/4) + t^(-5/6)"]],
+            ),
+            # an exactly-zero row of the pencil: q is zero
+            (
+                [["t + 1", "2", "t^(-1)"], ["0", "0", "0"], ["1", "t", "3"]],
+                [["1", "t^2", "0"], ["0", "0", "0"], ["t^(1/2)", "1", "1"]],
+            ),
+            # an exactly-zero row of x alone: q has degree n - 1
+            (
+                [["t + 1", "2", "t^(-1)"], ["0", "0", "0"], ["1", "t", "3"]],
+                [["1", "t^2", "0"], ["t", "0", "-1"], ["t^(1/2)", "1", "1"]],
+            ),
+        ],
+    )
+    def test_char_pencil_cases(self, xm, ym):
+        x, y = (tuple(tuple(fs.parse(s) for s in row) for row in m) for m in (xm, ym))
+        _assert_pencil(x, y)
+
+
+def _assert_pencil(xm, ym):
+    """char_pencil of the unvalidated points xm and ym against the
+    recursive expansion of det(lambda*x - y) over polynomials in lambda."""
+    n = len(xm)
+    x, y = (sym.SPDPoint(m, validate=False) for m in (xm, ym))
+    pencil = tuple(tuple((fs.neg(ym[i][j]), xm[i][j]) for j in range(n)) for i in range(n))
+    want = _laplace(pencil, _polynomials(_SERIES))
+    want = want + (fs.ZERO,) * (n + 1 - len(want))
+    assert [fs.to_str(v) for v in sym.char_pencil(x, y)] == [fs.to_str(v) for v in want]
+
+
+def _retract_oracle(m):
+    """mu of the retraction of m from the recursive expansion: halved
+    differences of the trailing principal minors' negvals, with retract's
+    errors in retract's order."""
+    n = len(m)
+    nv = []
+    for i in range(n):
+        v = fs.negval(_det(tuple(row[i:] for row in m[i:])))
+        if v is None:
+            raise ValueError(
+                "a trailing principal minor is zero, so the point is not positive definite"
+            )
+        nv.append(v)
+    if nv[0] != 0:
+        raise ValueError("the determinant is not a unit, so the point does not have determinant 1")
+    nv.append(Q(0))
+    return [(nv[i] - nv[i + 1]) / 2 for i in range(n)]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, PrecisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def _retract_inputs(draw):
+    """A matrix with n = 2..4, about one entry in eight floored, whose first
+    row is rescaled where det has a visible lead: to lead exponent 0 three
+    times in four, which takes retract past the unit check to mu, and to
+    1/2 otherwise, so that the unit check meets later zero and masked
+    minors."""
+    m = draw(st.integers(2, 4).flatmap(lambda n: _matrices(n, st.one_of([st.none()] * 3 + [_FLOOR]))))
+    det = _det(m)
+    if det.pairs:
+        shift = fs.monomial(draw(st.sampled_from([0, 0, 0, Q(1, 2)])) - fs.negval(det))
+        m = (tuple([fs.mul(v, shift) for v in m[0]]),) + m[1:]
+    return m
+
+
+@given(_retract_inputs())
+@settings(max_examples=80, deadline=None, phases=_NO_SHRINK)
+def test_retract_against_laplace(m):
+    """retract reads the lead exponents off the lattice table; the oracle
+    canonicalises each minor of the recursive expansion and takes negval."""
+    got = _outcome(lambda: list(sym.retract(sym.SPDPoint(m, validate=False)).to_mu()))
+    assert got == _outcome(_retract_oracle, m)
 
 
 @given(st.integers(1, 4).flatmap(_matrices))
@@ -245,14 +340,19 @@ _DENSE5 = tuple(tuple(fs.from_rational(2 if i == j else 1) for j in range(5)) fo
 @pytest.fixture
 def counts(monkeypatch):
     """Counts the products of the ring each table runs on (the (v, w) pairs
-    passed to its dot), the series products (fs.mul) made anywhere, and the
+    passed to its dot), the kernel calls that build lattice sums
+    (kernel_dot), the series products (fs.mul) made anywhere, and the
     tables."""
-    seen = {"ring_mul": 0, "fs_mul": 0, "tables": 0}
-    mul, minors = fs.mul, sym._minors
+    seen = {"ring_mul": 0, "kernel_dot": 0, "fs_mul": 0, "tables": 0}
+    mul, kernel_dot, minors = fs.mul, fs.kernel_dot, sym._minors
 
     def counting_mul(a, b):
         seen["fs_mul"] += 1
         return mul(a, b)
+
+    def counting_kernel_dot(terms):
+        seen["kernel_dot"] += 1
+        return kernel_dot(terms)
 
     def counting_minors(m, ring, masks):
         seen["tables"] += 1
@@ -265,6 +365,7 @@ def counts(monkeypatch):
         return minors(m, (is_zero, counting_dot), masks)
 
     monkeypatch.setattr(fs, "mul", counting_mul)
+    monkeypatch.setattr(fs, "kernel_dot", counting_kernel_dot)
     monkeypatch.setattr(sym, "_minors", counting_minors)
     return seen
 
@@ -272,34 +373,47 @@ def counts(monkeypatch):
 class TestWorkCounts:
     """A dense 5 x 5 determinant takes sum_k C(5, k) * k = 75 ring products
     from the table; the recursive expansion took sum_k 5!/(k - 1)! = 205.
-    The tables run on the lattice ring, so no series product is made."""
+    On the lattice ring each of its sum_k C(5, k) = 26 minors on two or more
+    rows is one kernel_dot call, and no series product is made."""
 
     def test_mat_det(self, counts):
         sym.mat_det(_DENSE5)
-        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "kernel_dot": 26, "fs_mul": 0, "tables": 1}
 
     def test_retract_reads_one_table(self, counts):
         # the recursive expansion took 205 + 40 + 9 + 2 = 256 for the chain
         sym.retract(sym.SPDPoint(_DENSE5, validate=False))
-        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "kernel_dot": 26, "fs_mul": 0, "tables": 1}
 
     def test_char_pencil(self, counts):
-        # the table's ring is the polynomials: 75 polynomial products
+        # an exact pencil is one series determinant, lambda = t^(B/E): the
+        # table runs on the lattice ring, one kernel_dot call per minor
         x = sym.SPDPoint(_DENSE5, validate=False)
         sym.char_pencil(x, x)
-        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "kernel_dot": 26, "fs_mul": 0, "tables": 1}
+
+    def test_char_pencil_floored(self, counts):
+        # one floored entry puts the table on polynomials in lambda: 75
+        # polynomial products, and one kernel_dot call per degree of each
+        # minor, sum_k C(5, k) * (k + 1) = 101
+        rows = [list(row) for row in _DENSE5]
+        rows[4][4] = fs.with_floor(rows[4][4], -5)
+        x = sym.SPDPoint(rows, validate=False)
+        sym.char_pencil(x, x)
+        assert counts == {"ring_mul": 75, "kernel_dot": 101, "fs_mul": 0, "tables": 1}
 
     def test_mat_adjugate(self, counts):
         sym.mat_adjugate(_DENSE5)
-        # one 4 x 5 table per deleted row: sum_{k=2..4} C(5, k) * k each
-        assert counts == {"ring_mul": 5 * 70, "fs_mul": 0, "tables": 5}
+        # one 4 x 5 table per deleted row: sum_{k=2..4} C(5, k) * k each,
+        # from sum_{k=2..4} C(5, k) = 25 minors
+        assert counts == {"ring_mul": 5 * 70, "kernel_dot": 5 * 25, "fs_mul": 0, "tables": 5}
 
     def test_point_validation(self, counts):
         # det (for the det = 1 check) and the whole trailing chain come from
         # one table; the leading chain took 205 + 40 + 9 + 2 more products
         with pytest.raises(ValueError, match="determinant must be exactly 1"):
             sym.SPDPoint(_DENSE5)
-        assert counts == {"ring_mul": 75, "fs_mul": 0, "tables": 1}
+        assert counts == {"ring_mul": 75, "kernel_dot": 26, "fs_mul": 0, "tables": 1}
         entries = gen_point(trial_rng(7, "counts", 0), 5).entries
         counts["tables"] = 0
         sym.SPDPoint(entries)
