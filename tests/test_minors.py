@@ -193,7 +193,7 @@ class TestAgainstLaplace:
     @pytest.mark.parametrize(
         "xm, ym",
         [
-            # the substituted exponents span about 8 000 lattice steps
+            # rows spanning 2 000 each: B = 4 001 lattice steps
             ([["t^1000 + t^(-1000)", "1"], ["1", "2"]], [["1", "t^(-1000)"], ["t^(-1000)", "t^1000"]]),
             # mixed ramification: the lattice is over E = 12
             (
