@@ -321,6 +321,9 @@ def m_of(u):
     reflection in the wall {mu_i - mu_j = level}: it fixes the wall
     pointwise and swaps the two half-apartments.  A pair (i, j) that names
     no root raises NotARoot before s is read.
+
+    The element is built unvalidated: det [[0, s], [-1/s, 0]] = 1 for the
+    exact monomial s, and i != j puts that block in the identity.
     """
     n = u.n
     level = phi(u)
@@ -337,7 +340,7 @@ def m_of(u):
     rows[j][j] = fs.ZERO
     rows[i][j] = s
     rows[j][i] = minus_sinv
-    return GroupElem(rows), root, level
+    return GroupElem(rows, validate=False), root, level
 
 
 # --- normalizer realizations ------------------------------------------------------

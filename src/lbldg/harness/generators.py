@@ -8,8 +8,8 @@ gen_unipotent and gen_diagonal) to narrow or widen it. gen_apartment_mu keeps th
 
 sample_in_region draws points of a type A overlap region with one
 difference_potentials call per point: a random point of a box around the
-region's witness, pulled down onto the region, so no drawn point is ever
-tested and thrown away.
+region's witness, its size fixed by REGION_DENOM and REGION_SPAN, pulled
+down onto the region, so no drawn point is ever tested and thrown away.
 """
 
 import random
@@ -27,6 +27,10 @@ from ..valfield import series as fs
 SPAN = 4
 DENOM = 2
 FACTORS = 3
+
+# sample_in_region's box around a region's witness (see its docstring)
+REGION_DENOM = 2
+REGION_SPAN = 2
 
 
 def trial_rng(seed, which, trial):
@@ -160,30 +164,31 @@ def gen_dominant_mu(rng, n):
     return tuple(v - shift for v in mu)
 
 
-def sample_in_region(rng, region, count, denom=2, span=2):
+def sample_in_region(rng, region, count):
     """At most count distinct points of a type A region, the wconvex_witness
     point w first; [] when the region is empty.
 
-    Each of the count - 1 draws picks r = w + o/denom, with o integral, sum
-    zero and |o_k| <= span * denom for all but the last coordinate, and
-    keeps the region's largest point at or below r, shifted to sum zero: the
-    constraints shifted by r go to difference_potentials, which always
-    solves them when w exists.  An r inside the region comes back
-    unchanged, so every region point of the box can be drawn, and a draw
-    outside lands on a face of the region.  The arithmetic runs in integer
-    units of 1/L, L the lcm of denom and the denominators of w and the
-    thresholds, so only ints reach rng.  A point drawn twice is kept once.
+    Each of the count - 1 draws picks r = w + o/REGION_DENOM, with o
+    integral, sum zero and |o_k| <= REGION_SPAN * REGION_DENOM for all but
+    the last coordinate, and keeps the region's largest point at or below r,
+    shifted to sum zero: the constraints shifted by r go to
+    difference_potentials, which always solves them when w exists.  An r
+    inside the region comes back unchanged, so every region point of the
+    box can be drawn, and a draw outside lands on a face of the region.  The
+    arithmetic runs in integer units of 1/L, L the lcm of REGION_DENOM and
+    the denominators of w and the thresholds, so only ints reach rng.  A
+    point drawn twice is kept once.
     """
     w = wconvex_witness(region)
     if w is None or count < 1:
         return []
     form = difference_form(region)
     m = len(w)
-    L = lcm(denom, *(v.denominator for v in w), *(ell.denominator for _, _, ell in form))
+    L = lcm(REGION_DENOM, *(v.denominator for v in w), *(ell.denominator for _, _, ell in form))
     base = [int(v * L) for v in w]
     cons = [(i, j, int(ell * L)) for i, j, ell in form]
-    step = L // denom
-    bound = span * denom
+    step = L // REGION_DENOM
+    bound = REGION_SPAN * REGION_DENOM
     # each point as m * L * mu, an int tuple; w sums to zero already
     keys = dict.fromkeys([tuple(m * b for b in base)])
     for _ in range(count - 1):

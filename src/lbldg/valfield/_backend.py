@@ -4,14 +4,14 @@ A term list is a tuple of (k, n) int pairs in strictly descending k with no
 zero n. It stands for the terms (n/d)*t^(k/e) of a series whose ramification
 index e and coefficient denominator d the caller keeps: both operands of
 ``kernel_add`` share one e and one d, both operands of ``kernel_mul`` share
-one e, and the product's denominator is the product of theirs. A
-one-term operand of ``kernel_mul`` shifts and scales the other list term
-by term; only longer operands go through its accumulator and sort.
-``kernel_dot`` sums signed products whose operands all share one e and whose
-products share one d; it is what every minor table runs on. Results are
+one e, and the product's denominator is the product of theirs. The kernel is
+one merge, ``kernel_add``, and one convolution, ``kernel_dot``: a sum of
+signed products whose operands share one e and whose products share one d,
+which every minor table runs on. ``kernel_mul`` shifts and scales by a
+one-term operand and hands any longer product to ``kernel_dot``. Results are
 term lists of the same form; dividing out common factors is the caller's
-job. These three functions, with ``series.mul``'s product of two exact
-monomials, carry essentially all the arithmetic load of the package.
+job. These kernels, with ``series.mul``'s product of two exact monomials,
+carry essentially all the arithmetic load of the package.
 """
 
 
@@ -42,9 +42,8 @@ def kernel_add(a, b):
 
 
 def kernel_mul(a, b):
-    """Convolve two term lists."""
-    if not a or not b:
-        return ()
+    """The product of two term lists: a shift when one has a single term,
+    else one kernel_dot product."""
     if len(b) == 1:
         a, b = b, a
     if len(a) == 1:
@@ -52,16 +51,7 @@ def kernel_mul(a, b):
         # with no zero coefficient
         (ea, ca), = a
         return tuple([(ea + eb, ca * cb) for eb, cb in b])
-    acc = {}
-    for ea, ca in a:
-        for eb, cb in b:
-            e = ea + eb
-            prev = acc.get(e)
-            acc[e] = ca * cb if prev is None else prev + ca * cb
-    # a list, not a generator: see the note on term tuples in series
-    return tuple(
-        [(e, acc[e]) for e in sorted(acc.keys(), reverse=True) if acc[e]]
-    )
+    return kernel_dot(((a, b, False),))
 
 
 # kernel_dot accumulates in a list, one slot per exponent, while the span of

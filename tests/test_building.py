@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction as Q
 from itertools import permutations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from lbldg.harness.generators import (
     trial_rng,
 )
 from lbldg.rootsys import type_A
-from lbldg.symspace import GroupElem, SPDPoint, act, char_pencil, distance, retract
+from lbldg.symspace import GroupElem, SPDPoint, act, char_pencil, distance, mat_det, retract
 from lbldg.valfield import series as fs
 from lbldg.valfield.lam import LambdaVal
 from oracles import BOTTOM, Lam, brute_membership, iwasawa_witness, valuation
@@ -533,6 +534,11 @@ def _difference_systems(draw, sizes=(3, 4, 5)):
     return _region(n, cons)
 
 
+def _box(denom, span):
+    """sample_in_region with its box set to denom and span."""
+    return patch.multiple(generators, REGION_DENOM=denom, REGION_SPAN=span)
+
+
 class TestSampleInRegion:
     @given(
         _difference_systems(),
@@ -544,7 +550,9 @@ class TestSampleInRegion:
     @settings(max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("error:non-integer arguments to randrange:DeprecationWarning")
     def test_points_are_distinct_region_points(self, reg, count, denom, span, seed):
-        pts = sample_in_region(random.Random(seed), reg, count, denom, span)
+        with _box(denom, span):
+            pts = sample_in_region(random.Random(seed), reg, count)
+            again = sample_in_region(random.Random(seed), reg, count)
         w = wconvex_witness(reg)
         if w is None:
             assert pts == []
@@ -552,7 +560,7 @@ class TestSampleInRegion:
         assert pts[0] == ApartmentVec.from_mu(reg.rs, w)
         assert 1 <= len(pts) <= count and len(set(pts)) == len(pts)
         assert all(in_wconvex(reg, p) for p in pts)
-        assert sample_in_region(random.Random(seed), reg, count, denom, span) == pts
+        assert again == pts
 
     @given(_difference_systems(sizes=(3, 4)), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
@@ -560,7 +568,8 @@ class TestSampleInRegion:
         """With a 3^(n-1) box, 1000 draws reach every region point in it."""
         if wconvex_witness(reg) is None:
             return
-        got = set(sample_in_region(random.Random(seed), reg, 1000, 1, 1))
+        with _box(1, 1):
+            got = set(sample_in_region(random.Random(seed), reg, 1000))
         assert _box_support(reg, 1, 1) <= got
 
     def test_tied_coordinates_move_together(self):
@@ -570,7 +579,7 @@ class TestSampleInRegion:
         ties = [(1, 2, 0), (2, 1, 0), (2, 3, 0), (3, 2, 0), (3, 4, 0), (4, 3, 0)]
         reg = _region(5, ties + [(1, 5, 0), (5, 1, "-5/2")])
         got = set(sample_in_region(random.Random(0), reg, 20))
-        assert _box_support(reg, 2, 2) <= got
+        assert _box_support(reg, generators.REGION_DENOM, generators.REGION_SPAN) <= got
         assert all(len(set(p.to_mu()[:4])) == 1 for p in got)
 
     def test_equality_pair(self):
@@ -779,6 +788,13 @@ class TestMOf:
     def test_identity_rejected(self):
         with pytest.raises(IdentityElement):
             bd.m_of(bd.RootElem(2, 1, 2, fs.ZERO))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_determinant_is_one(self, n):
+        # m_of builds its element unvalidated; this is the check it skips
+        for trial in range(40):
+            m, _, _ = bd.m_of(gen_root_elem(trial_rng(4, "mof-det", trial), n))
+            assert mat_det(m.entries) == fs.ONE
 
     @pytest.mark.parametrize("i, j", [(1, 5), (1, 1), (0, 2), (4, 1)])
     def test_pair_that_names_no_root(self, i, j):

@@ -617,18 +617,6 @@ class TestFloorSoundness:
 # --- the signed sum-of-products kernel -------------------------------------------
 
 
-def _fold_dot(terms):
-    """kernel_dot's reference: each product by kernel_mul, negated where
-    asked, merged by kernel_add, in order."""
-    acc = ()
-    for a, b, negative in terms:
-        p = kernel_mul(a, b)
-        if negative:
-            p = tuple([(k, -n) for k, n in p])
-        acc = kernel_add(acc, p)
-    return acc
-
-
 # numerators past 2^64, exponents packed in a short span or spread out
 _NUMERATORS = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80)).filter(bool)
 _EXPONENTS = st.one_of(st.integers(-6, 6), st.integers(-(10**6), 10**6))
@@ -652,12 +640,41 @@ _DENSE = ((2, 3), (1, -1), (0, 2**70))
 
 
 def _dict_mul(a, b):
-    """kernel_mul's general path: accumulate every product, sort, drop zeros."""
+    """kernel_mul's reference: accumulate every product in a dict, sort, drop
+    zeros."""
     acc = {}
     for ea, ca in a:
         for eb, cb in b:
             acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
     return tuple(sorted(((k, n) for k, n in acc.items() if n), reverse=True))
+
+
+def _fold_dot(terms):
+    """kernel_dot's reference: each product by _dict_mul, negated where
+    asked, merged by kernel_add, in order."""
+    acc = ()
+    for a, b, negative in terms:
+        p = _dict_mul(a, b)
+        if negative:
+            p = tuple([(k, -n) for k, n in p])
+        acc = kernel_add(acc, p)
+    return acc
+
+
+# t^(10^6) + 1 and its square
+_SPARSE = ((10**6, 1), (0, 1))
+_SPARSE_SQUARE = ((2 * 10**6, 1), (10**6, 2), (0, 1))
+
+
+def _traced(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        got = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, peak
 
 
 class TestKernelMul:
@@ -671,6 +688,22 @@ class TestKernelMul:
         assert kernel_mul(one, other) == want
         assert kernel_mul(other, one) == want
 
+    @given(_TERM_LISTS, _TERM_LISTS)
+    @settings(max_examples=200, deadline=None)
+    @example(_DENSE, _DENSE)
+    # (t + 1)(t - 1): the t terms cancel
+    @example(((1, 1), (0, 1)), ((1, 1), (0, -1)))
+    def test_equals_the_dict_product(self, a, b):
+        want = _dict_mul(a, b)
+        assert kernel_mul(a, b) == want
+        assert kernel_mul(b, a) == want
+
+    def test_a_sparse_operand_allocates_no_dense_accumulator(self):
+        got, peak = _traced(kernel_mul, _SPARSE, _SPARSE)
+        assert got == _SPARSE_SQUARE
+        # a list over the span would take about 16 MB
+        assert peak < 64 * 1024
+
 
 class TestKernelDot:
     @given(_dot_terms())
@@ -681,13 +714,7 @@ class TestKernelDot:
         assert kernel_dot(terms) == _fold_dot(terms)
 
     def test_a_sparse_operand_allocates_no_dense_accumulator(self):
-        a = ((10**6, 1), (0, 1))
-        tracemalloc.start()
-        try:
-            got = kernel_dot([(a, a, False)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got == ((2 * 10**6, 1), (10**6, 2), (0, 1))
+        got, peak = _traced(kernel_dot, [(_SPARSE, _SPARSE, False)])
+        assert got == _SPARSE_SQUARE
         # a list over the span would take about 16 MB
         assert peak < 64 * 1024
