@@ -23,6 +23,7 @@ characterizations with the geometry they claim to summarize.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .apartment import ApartmentVec
 from .building import chart_image, stab_o, trop_radius
@@ -64,6 +65,7 @@ def germ_equal(g1, g2):
     return _is_upper(reduce(g2.inverse() @ g1))
 
 
+@cache
 def chamber_rays(n):
     """A fixed set of interior chamber directions with coordinate 1-norm 1;
     ValueError for n below 2, where no chamber has an interior direction."""
@@ -128,6 +130,7 @@ def infinity_equal(g1, g2):
     return _is_upper(g2.inverse() @ g1)
 
 
+@cache
 def _deep_direction(n):
     """Strictly dominant direction whose index multisets have unique sums.
 
@@ -138,7 +141,7 @@ def _deep_direction(n):
     """
     powers = [Fraction((n + 1) ** (n - 1 - i)) for i in range(n)]
     mean = sum(powers) / n
-    return [p - mean for p in powers]
+    return tuple([p - mean for p in powers])
 
 
 def sampled_infinity_equal(g1, g2):

@@ -150,8 +150,9 @@ def apartment_overlap(g):
     region(sigma) the row maxima sum to P + sum(mu) = 0, and for any other
     optimal tau the terms T_{i tau(i)} + mu_{tau(i)} also sum to 0 while
     each is bounded by the row maximum, forcing termwise equality; so mu
-    satisfies region(tau) as well.  The coverage check below verifies this
-    on computed witnesses instead of trusting the argument, and raises
+    satisfies region(tau) as well, and all optimal permutations share one
+    witness.  The coverage check below verifies this on each distinct
+    computed witness instead of trusting the argument, and raises
     AmbiguousWeyl on any counterexample.  The returned weyl element uses
     the lexicographically smallest optimal permutation.
 
@@ -201,7 +202,8 @@ def apartment_overlap(g):
         ]
         for sigma in opt
     ]
-    points = [d for d in (difference_potentials(n, cons) for cons in systems) if d is not None]
+    witnesses = (difference_potentials(n, cons) for cons in systems)
+    points = list(dict.fromkeys([tuple(d) for d in witnesses if d is not None]))
     if not points:
         raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
     for sigma, cons in zip(opt, systems):

@@ -77,10 +77,10 @@ def _check_a1(cfg):
         sigma = tuple(rng.sample(range(1, cfg.n + 1), cfg.n))
         c = gen_apartment_mu(rng, cfg.n)
         w = affine_from_mu(rs, sigma, list(c))
-        nw = normalizer_of(w)
+        gnw = g @ normalizer_of(w)
         for _ in range(4):
             mu = ApartmentVec.from_mu(rs, gen_apartment_mu(rng, cfg.n))
-            left = act(g @ nw, x_mu(mu))
+            left = act(gnw, x_mu(mu))
             right = act(g, x_mu(apply_weyl(w, mu)))
             if left != right:
                 return {

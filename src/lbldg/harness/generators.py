@@ -4,7 +4,13 @@ Every generator takes an explicit random.Random so the harness can derive one
 deterministic stream per trial. Supports stay tiny, everything Exact: the
 suites draw from the one lattice of SPAN, DENOM and FACTORS, and tests pass
 span, denom and factors to gen_group_elem (which hands span and denom on to
-gen_unipotent and gen_diagonal) to narrow or widen it. gen_apartment_mu keeps the half-integer lattice.
+gen_unipotent and gen_diagonal) to narrow or widen it. gen_apartment_mu keeps
+the half-integer lattice.
+
+Draws are built from the rng's ints: every series entry is one
+series.int_monomial call on the drawn numerators and denominators, and every
+apartment coordinate is one Fraction, made at the end.  gen_orthogonal
+inverts an int matrix with linalg.mat_inv.
 
 sample_in_region draws points of a type A overlap region with one
 difference_potentials call per point: a random point of a box around the
@@ -38,55 +44,70 @@ def trial_rng(seed, which, trial):
     return random.Random(f"{seed}:{which}:{trial}")
 
 
-def _exponent(rng, span, denom, integral=False):
-    """An exponent on the 1/denom lattice, at or below zero when integral."""
-    top = 0 if integral else span
-    return Fraction(rng.randint(-span, top), rng.choice(range(1, denom + 1)))
-
-
-def _small_rational(rng):
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-
-
 def gen_unipotent(rng, n, lower=False, span=SPAN, denom=DENOM, integral=False):
     """Upper (or lower) unipotent with zero-or-monomial off-diagonal entries;
-    integral keeps every exponent at or below zero, so the entries lie in O."""
+    integral keeps every exponent at or below zero, so the entries lie in O.
+    Each entry draws its coefficient c/d, c in [-3, 3] and d in {1, 2}, and
+    when c is nonzero its exponent on the 1/denom lattice."""
+    top = 0 if integral else span
+    choices = range(1, denom + 1)
     rows = [[fs.ONE if i == j else fs.ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             above = i < j if not lower else i > j
             if above and rng.random() < 0.7:
-                c = _small_rational(rng)
+                c = rng.randint(-3, 3)
+                d = rng.randint(1, 2)
                 if c:
-                    rows[i][j] = fs.monomial(_exponent(rng, span, denom, integral), c)
+                    x = rng.randint(-span, top)
+                    y = rng.choice(choices)
+                    rows[i][j] = fs.int_monomial(x, y, c, d)
     return GroupElem(rows, validate=False)
 
 
 def gen_diagonal(rng, n, span=SPAN, denom=DENOM):
-    """Positive diagonal monomials with determinant exactly 1."""
-    exps = [_exponent(rng, span, denom) for _ in range(n - 1)]
-    exps.append(-sum(exps))
-    coefs = [Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 1, 2])) for _ in range(n - 1)]
-    coefs.append(1 / prod(coefs))
-    rows = [
-        [fs.monomial(exps[i], coefs[i]) if i == j else fs.ZERO for j in range(n)]
-        for i in range(n)
-    ]
+    """Positive diagonal monomials with determinant exactly 1: n - 1
+    exponents on the 1/denom lattice, then n - 1 coefficients, and a last
+    entry that cancels both."""
+    choices = range(1, denom + 1)
+    exps = []
+    for _ in range(n - 1):
+        x = rng.randint(-span, span)
+        y = rng.choice(choices)
+        exps.append((x, y))
+    coefs = []
+    for _ in range(n - 1):
+        c = rng.choice([1, 1, 2, 3])
+        d = rng.choice([1, 1, 2])
+        coefs.append((c, d))
+    den = lcm(*[y for _, y in exps])
+    exps.append((-sum([x * (den // y) for x, y in exps]), den))
+    coefs.append((prod([d for _, d in coefs]), prod([c for c, _ in coefs])))
+    rows = [[fs.ZERO] * n for _ in range(n)]
+    for i, ((x, y), (c, d)) in enumerate(zip(exps, coefs)):
+        rows[i][i] = fs.int_monomial(x, y, c, d)
     return GroupElem(rows, validate=False)
 
 
 def gen_orthogonal(rng, n):
-    """Rational special orthogonal matrix: Cayley transform of a skew matrix."""
-    s = [[Fraction(0)] * n for _ in range(n)]
+    """Rational special orthogonal matrix: Cayley transform of a skew matrix
+    S with entries a/b, a in [-2, 2] and b in {1, 2}.
+
+    (I - S)(I + S)^-1 = 2(I + S)^-1 - I = 4 M^-1 - I for the int matrix
+    M = 2(I + S), so each entry of M^-1 gives one entry of the result from
+    its numerator and denominator."""
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            s[i][j], s[j][i] = v, -v
-    # (I - S)(I + S)^-1 = (2I - (I + S))(I + S)^-1 = 2(I + S)^-1 - I
-    inv = mat_inv([[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(s)])
+            a = rng.randint(-2, 2)
+            v = 2 * a // rng.randint(1, 2)
+            m[i][j], m[j][i] = v, -v
     rows = [
-        [fs.from_rational(2 * v - (i == j)) for j, v in enumerate(row)]
-        for i, row in enumerate(inv)
+        [
+            fs.int_monomial(0, 1, 4 * q.numerator - (i == j) * q.denominator, q.denominator)
+            for j, q in enumerate(row)
+        ]
+        for i, row in enumerate(mat_inv(m))
     ]
     return GroupElem(rows, validate=False)
 
@@ -111,12 +132,16 @@ def gen_point(rng, n):
 
 def gen_diag_units(rng, n):
     """Diagonal rational units (either sign) with determinant exactly 1."""
-    coefs = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2])) for _ in range(n - 1)]
-    coefs.append(1 / prod(coefs))
-    rows = [
-        [fs.from_rational(coefs[i]) if i == j else fs.ZERO for j in range(n)]
-        for i in range(n)
-    ]
+    coefs = []
+    for _ in range(n - 1):
+        c = rng.choice([1, -1, 2, 3])
+        d = rng.choice([1, 2])
+        coefs.append((c, d))
+    num, den = prod([d for _, d in coefs]), prod([c for c, _ in coefs])
+    coefs.append((num, den) if den > 0 else (-num, -den))
+    rows = [[fs.ZERO] * n for _ in range(n)]
+    for i, (c, d) in enumerate(coefs):
+        rows[i][i] = fs.int_monomial(0, 1, c, d)
     return GroupElem(rows, validate=False)
 
 
@@ -141,27 +166,30 @@ def gen_stab_elem(rng, n):
 def gen_root_elem(rng, n):
     """A root element: one monomial s at the 1-indexed (i, j), i != j."""
     i, j = rng.sample(range(1, n + 1), 2)
-    c = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
-    return RootElem(n, i, j, fs.monomial(_exponent(rng, SPAN, DENOM), c))
+    c = rng.choice([1, -1, 2, -2, 3])
+    d = rng.choice([1, 2])
+    x = rng.randint(-SPAN, SPAN)
+    y = rng.choice(range(1, DENOM + 1))
+    return RootElem(n, i, j, fs.int_monomial(x, y, c, d))
 
 
 def gen_apartment_mu(rng, n):
     """Sum-zero tuple on the half-integer lattice, entries but the last in
     [-3, 3], for mu-view sampling."""
-    mu = [Fraction(rng.randint(-6, 6), 2) for _ in range(n - 1)]
-    mu.append(-sum(mu))
-    return tuple(mu)
+    halves = [rng.randint(-6, 6) for _ in range(n - 1)]
+    halves.append(-sum(halves))
+    return tuple([Fraction(k, 2) for k in halves])
 
 
 def gen_dominant_mu(rng, n):
     """Strictly dominant sum-zero tuple: every consecutive gap is positive,
-    on the 1/DENOM lattice and at most 3."""
-    gaps = [Fraction(rng.randint(1, 3 * DENOM), DENOM) for _ in range(n - 1)]
-    mu = [Fraction(0)]
-    for g in gaps:
-        mu.append(mu[-1] - g)
-    shift = sum(mu) / n
-    return tuple(v - shift for v in mu)
+    on the 1/DENOM lattice and at most 3.  The walk down the gaps runs in
+    ints over DENOM, and recentring puts each coordinate over n * DENOM."""
+    walk = [0]
+    for _ in range(n - 1):
+        walk.append(walk[-1] - rng.randint(1, 3 * DENOM))
+    total = sum(walk)
+    return tuple([Fraction(n * k - total, n * DENOM) for k in walk])
 
 
 def sample_in_region(rng, region, count):

@@ -3,7 +3,9 @@
 mat_inv runs fraction-free Gauss-Jordan elimination on ints (Bareiss 1968,
 Math. Comp. 22): each row is scaled to ints once, and every elimination step
 divides exactly by the previous pivot, so no Fraction appears until the
-inverse is read off at the end.
+inverse is read off at the end.  Its one caller, gen_orthogonal, draws its
+matrix as ints and reads each entry of the inverse by numerator and
+denominator.
 """
 
 from fractions import Fraction
@@ -12,7 +14,8 @@ from math import lcm
 
 def mat_inv(m):
     """The inverse of a square matrix of ints or Fractions, as rows of
-    Fraction; raises ValueError on a singular matrix.
+    Fraction; raises ValueError on a singular matrix.  Entries are read
+    through .numerator and .denominator, which an int has too.
 
     Row i of m is scaled by the lcm s_i of its denominators, and the int
     system [S m | S] is reduced.  After step k every entry is a minor of
@@ -25,7 +28,6 @@ def mat_inv(m):
     n = len(m)
     a = []
     for i, row in enumerate(m):
-        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
         s = lcm(*[x.denominator for x in row])
         a.append([x.numerator * (s // x.denominator) for x in row] + [0] * n)
         a[i][n + i] = s

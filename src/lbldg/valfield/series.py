@@ -24,9 +24,10 @@ common e (and, for addition, a common d) before the kernel call in
 ``_backend`` and divides the gcds out after it. The one exception is ``mul``
 of two exact monomials, the suites' commonest product: it adds the exponents
 over the lcm of the two e, multiplies the coefficients, and reduces each by
-one gcd, with no kernel call. Fractions appear only at the
-boundary: constructor arguments, the ``terms`` view, floors and the values
-of ``negval``, ``residue`` and ``coef_at``.
+one gcd, with no kernel call. ``int_monomial`` builds a monomial from ints
+the same way, and ``monomial`` is its front end for Fractions. Fractions
+appear only at the boundary: constructor arguments, the ``terms`` view,
+floors and the values of ``negval``, ``residue`` and ``coef_at``.
 
 Series text does not go through Fractions either. ``parse`` matches one term
 at a time with a compiled regex whose every token is a group of its own, and
@@ -209,13 +210,18 @@ def from_rational(q):
     return PuiseuxElem(1, q.denominator, ((0, q.numerator),), None)
 
 
+def int_monomial(x, y, n, d):
+    """The exact monomial (n/d)*t^(x/y) for ints x, n and positive ints y,
+    d, reduced by one gcd for the exponent and one for the coefficient."""
+    if not n:
+        return ZERO
+    g, h = gcd(x, y), gcd(n, d)
+    return PuiseuxElem(y // g, d // h, ((x // g, n // h),), None)
+
+
 def monomial(exp, coef=1):
     exp, coef = _q(exp), _q(coef)
-    if not coef:
-        return ZERO
-    return PuiseuxElem(
-        exp.denominator, coef.denominator, ((exp.numerator, coef.numerator),), None
-    )
+    return int_monomial(exp.numerator, exp.denominator, coef.numerator, coef.denominator)
 
 
 def with_floor(a, f):

@@ -172,6 +172,14 @@ class TestGerms:
             with pytest.raises(ValueError, match=rf"^chamber rays need n at least 2, got {n}$"):
                 bn.chamber_rays(n)
 
+    def test_per_size_constants_are_shared_and_immutable(self):
+        # both are cached per n, so every caller gets the one object
+        for n in (2, 3, 5):
+            for build in (bn.chamber_rays, bn._deep_direction):
+                value = build(n)
+                assert build(n) is value
+                assert isinstance(value, tuple)
+
     def test_requires_stabilizer_charts(self):
         s = _g([["t", "0"], ["0", "t^(-1)"]])
         s0 = GroupElem.identity(2)

@@ -277,13 +277,14 @@ class TestGolden:
         ]
 
 
-    def test_seeded_draws_of_every_generator(self):
-        """Every generator's draws at n = 2..5, and where each leaves its
-        stream, as one line per draw: 25 streams per n, each drawing from
-        every generator in turn."""
+    @staticmethod
+    def _draw_lines(sizes, streams):
+        """Every generator's draws at each n of sizes, and where each leaves
+        its stream, as one line per draw: `streams` streams per n, each
+        drawing from every generator in turn."""
         lines = []
-        for n in range(2, 6):
-            for trial in range(25):
+        for n in sizes:
+            for trial in range(streams):
                 rng = trial_rng(trial, "draws", n)
                 for gen in (
                     gen_unipotent, gen_diagonal, gen_orthogonal, gen_group_elem,
@@ -295,8 +296,21 @@ class TestGolden:
                 for gen in (gen_apartment_mu, gen_dominant_mu):
                     lines.append(f"{gen.__name__} {[str(v) for v in gen(rng, n)]}")
                 lines.append(f"next {rng.getrandbits(32)}")
+        return lines
+
+    def test_seeded_draws_of_every_generator(self):
+        """25 streams at each n = 2..5."""
+        lines = self._draw_lines(range(2, 6), 25)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "0c3088bf3d65ab4997ebed6209a5495dbc0ae581af279cd645835e5ac9b6cc9e"
+
+    def test_seeded_draws_beyond_five(self):
+        """25 streams at n = 6 and 8 and 5 at n = 12, the sizes CI runs the
+        suites at: the larger draws' skew Cayley matrices and diagonal
+        products reach past what n <= 5 exercises."""
+        lines = self._draw_lines((6, 8), 25) + self._draw_lines((12,), 5)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "6e0d7a65a3d619817a453fa8bc1a66b1014d4a760d893b2aabd694b342a6076a"
 
 
 # --- the exchange example ----------------------------------------------------------

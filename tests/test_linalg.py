@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -66,6 +66,41 @@ def _sixths(draw):
 def test_inverse_matches_the_fraction_oracle(m):
     try:
         want = oracles.mat_inv(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            mat_inv(m)
+    else:
+        got = mat_inv(m)
+        assert got == want
+        assert all(type(v) is Q for row in got for v in row)
+
+
+@st.composite
+def _int_matrices(draw):
+    """Square int matrices up to 5x5 with about half their entries zero, so
+    that pivots often need a row swap; about a third get a last row that is
+    an int combination of two earlier ones (n > 2) or zero."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 2)) == 0:
+        if n > 2:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+        else:
+            m[-1] = [0] * n
+    return m
+
+
+@given(_int_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0]])
+def test_int_rows_match_fraction_rows(m):
+    # gen_orthogonal hands mat_inv int rows; they read as the same Fractions
+    try:
+        want = mat_inv([[Q(x) for x in row] for row in m])
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
             mat_inv(m)

@@ -332,6 +332,18 @@ class TestArithmetic:
         assert got.floor is None
         _assert_canonical(got)
 
+    @given(st.integers(-24, 24), st.integers(1, 12), st.integers(-36, 36), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    # a zero exponent reduces e to 1, and a zero coefficient gives ZERO
+    @example(0, 5, 3, 1)
+    @example(1, 1, 0, 3)
+    # both gcds above one
+    @example(6, 4, -4, 6)
+    def test_int_monomial_equals_monomial(self, x, y, n, d):
+        got = vf.int_monomial(x, y, n, d)
+        assert got == vf.monomial(Q(x, y), Q(n, d))
+        _assert_canonical(got)
+
     @given(_TERMS, _TERMS)
     @settings(max_examples=60, deadline=None)
     def test_add_matches_naive_sum(self, ta, tb):
