@@ -238,7 +238,8 @@ def _check_ec(cfg):
         bad = {"s": fs.to_str(s), "i": i, "j": j}
         ov12 = apartment_overlap(u)
         ov13 = apartment_overlap(opp)
-        ov23 = apartment_overlap(u.inverse() @ opp)
+        transition = u.inverse() @ opp
+        ov23 = apartment_overlap(transition)
         if ov12 is None or ov13 is None or ov23 is None:
             return dict(bad, kind="empty overlap")
         if any(len(res[0].constraints) != 1 for res in (ov12, ov13, ov23)):
@@ -271,7 +272,7 @@ def _check_ec(cfg):
         reflected = apply_weyl(affine_reflection(rs, root, level), plus)
         if chart_image(m, plus) != reflected or chart_image(m, wall) != wall:
             return dict(bad, kind="m(u) is not the wall reflection")
-        got = chart_image(u.inverse() @ opp, plus)
+        got = chart_image(transition, plus)
         if got != reflected or apply_weyl(ov23[1], plus) != reflected:
             return dict(bad, kind="transition is not the wall reflection")
         if apply_weyl(ov23[1], wall) != wall:

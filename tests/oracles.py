@@ -1,9 +1,10 @@
 """Reference oracles for the tests: a brute-force membership search, a
 greedy Iwasawa witness search, Fraction Gauss-Jordan elimination, the
-direct forms of act, the Newton polygon, chart_image and the half-apartment
-stabilizer shape that the package computes on lattice ints or with explicit
-None checks, and a character scanner and printer for series text on
-Fractions, each independent of the algorithm it checks.
+direct forms of act, the Newton polygon, chart_image, the overlap's
+difference systems and the half-apartment stabilizer shape that the package
+computes on lattice ints, from shared blocks or with explicit None checks,
+and a character scanner and printer for series text on Fractions, each
+independent of the algorithm it checks.
 
 Valuations here are Lam values: Lambda = Q with Bottom as a value of its
 own, below every finite value and absorbing under addition.  The package
@@ -23,7 +24,7 @@ making diag(t^peak) special and leaving the scaled rows over O.
 
 from fractions import Fraction
 from functools import total_ordering
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 from lbldg.apartment import ApartmentVec
@@ -234,6 +235,31 @@ def chart_image(g, mu):
     if total != Lam(Fraction(0)):
         return None
     return ApartmentVec.from_mu(rs, [v.v for v in r])
+
+
+def overlap_systems(S):
+    """The difference systems apartment_overlap solves for trop's int matrix
+    S (None for Bottom): when the tropical permanent is 0, one per optimal
+    permutation sigma in lex order, each built on its own as the triples
+    (sigma(i) + 1, j + 1, S_ij - S_i,sigma(i)) over rows i and then columns
+    j != sigma(i) with S_ij finite; otherwise none."""
+    tots = {}
+    for sigma in permutations(range(len(S))):
+        picked = [row[a] for row, a in zip(S, sigma)]
+        if None not in picked:
+            tots[sigma] = sum(picked)
+    if not tots or max(tots.values()) != 0:
+        return []
+    return [
+        [
+            (a + 1, j + 1, s - row[a])
+            for row, a in zip(S, sigma)
+            for j, s in enumerate(row)
+            if j != a and s is not None
+        ]
+        for sigma, tot in tots.items()
+        if tot == 0
+    ]
 
 
 def half_apartment_shape(g, root, ell):

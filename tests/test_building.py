@@ -45,7 +45,14 @@ from lbldg.rootsys import type_A
 from lbldg.symspace import GroupElem, SPDPoint, act, char_pencil, distance, mat_det, retract
 from lbldg.valfield import series as fs
 from lbldg.valfield.lam import LambdaVal
-from oracles import BOTTOM, Lam, brute_membership, iwasawa_witness, valuation
+from oracles import (
+    BOTTOM,
+    Lam,
+    brute_membership,
+    iwasawa_witness,
+    overlap_systems,
+    valuation,
+)
 
 A1 = type_A(1)
 A2 = type_A(2)
@@ -338,6 +345,20 @@ def _outcome(overlap, g):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _solved_systems(g):
+    """The difference systems apartment_overlap hands to
+    difference_potentials on g, in call order."""
+    calls = []
+
+    def recording(m, cons):
+        calls.append(cons)
+        return apt.difference_potentials(m, cons)
+
+    with patch.object(bd, "difference_potentials", recording):
+        _outcome(bd.apartment_overlap, g)
+    return calls
+
+
 def _monomials(rows):
     """Group element (not validated) from (exponent, coefficient) pairs;
     None is an exact zero."""
@@ -421,6 +442,7 @@ class TestOverlapOracle:
     def test_seeded_elements(self, n, denom):
         for g in _seeded(n, denom, 30 if n < 5 else 12):
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])
 
     @pytest.mark.parametrize("name", sorted(TIED))
     def test_tie_heavy_elements(self, name):
@@ -444,6 +466,7 @@ class TestOverlapOracle:
         assert any(e == fs.ZERO for g in elems for row in g.entries for e in row)
         for g in elems:
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])
 
     def test_negative_permanent_is_not_in_sl_n(self):
         g = _diagonal([-1, 0])
@@ -459,8 +482,9 @@ class TestOverlapOracle:
 
 class TestOverlapWorkCounts:
     """Deterministic counts on an all-tied n = 5 element: every permutation
-    is drawn once, only the returned region becomes a WConvexSet, and no
-    apartment membership test runs."""
+    is drawn once, only the returned region becomes a WConvexSet, no
+    apartment membership test runs, and the 120 optimal permutations'
+    systems share their row blocks."""
 
     def test_all_tied_element(self, monkeypatch):
         counts = {"perms": 0, "regions": 0}
@@ -485,6 +509,15 @@ class TestOverlapWorkCounts:
         reg, w = bd.apartment_overlap(TIED["units"])
         assert counts == {"perms": 120, "regions": 1}
         assert w.perm == (1, 2, 3, 4, 5) and len(reg.constraints) == 20
+
+    def test_all_tied_systems_share_row_blocks(self):
+        """All 120 permutations' systems come from the 5 x 5 row blocks of
+        4 triples each, and each equals its per-permutation build in order."""
+        g = TIED["units"]
+        systems = _solved_systems(g)
+        assert len(systems) == 120
+        assert len({id(t) for cons in systems for t in cons}) <= 100
+        assert systems == overlap_systems(bd.trop(g)[1])
 
 
 # --- sampling an overlap region -------------------------------------------------
