@@ -135,19 +135,27 @@ def difference_form(s):
     return [s.rs.alpha(*h.root) + (h.threshold,) for h in s.constraints]
 
 
+def int_difference_form(s):
+    """The difference form on ints: (L, [(i, j, L * ell)]), L the lcm of the
+    threshold denominators (1 with no constraints).  Int thresholds count
+    as denominator 1."""
+    form = difference_form(s)
+    L = lcm(*[ell.denominator for _, _, ell in form])
+    return L, [(i, j, ell.numerator * (L // ell.denominator)) for i, j, ell in form]
+
+
 def difference_potentials(m, cons):
     """Potentials d_1..d_m (as a list indexed from 0) with d_i - d_j >= ell
     for every (i, j, ell) in cons, or None when no such d exists.
 
     Bellman-Ford from a virtual source joined to every node by a zero edge,
     so the result is the pointwise largest solution with every d_i <= 0.
-    The ell payloads may be int or Fraction: the loop only adds, subtracts
-    and compares them.  With no constraints every d_i is int 0.  Callers:
+    Callers pass int thresholds and get int potentials:
     building.apartment_overlap (the regions of the optimal permutations),
-    wconvex_witness, and harness.generators.sample_in_region (one call per
-    drawn point).
+    and wconvex_witness and harness.generators.sample_in_region through
+    int_difference_form.
     """
-    d = [cons[0][2] * 0 if cons else 0] * m
+    d = [0] * m
     # edge i -> j with weight -ell encodes d_j <= d_i - ell
     for _ in range(m - 1):
         changed = False
@@ -166,13 +174,16 @@ def difference_potentials(m, cons):
 
 def wconvex_witness(s):
     """A satisfying mu with sum zero, or None: difference_potentials on the
-    difference form, shifted to sum zero.  Its largest solution at or below
-    zero is unique, so the order of the constraints does not matter."""
-    d = difference_potentials(s.rs.rank + 1, difference_form(s))
+    int difference form, shifted to sum zero, each coordinate one Fraction
+    (m d_i - sum d) / (m L).  Its largest solution at or below zero is
+    unique, so the order of the constraints does not matter."""
+    m = s.rs.rank + 1
+    L, cons = int_difference_form(s)
+    d = difference_potentials(m, cons)
     if d is None:
         return None
-    shift = Fraction(sum(d), len(d))
-    return tuple(v - shift for v in d)
+    total = sum(d)
+    return tuple([Fraction(m * v - total, m * L) for v in d])
 
 
 # --- JSON --------------------------------------------------------------------

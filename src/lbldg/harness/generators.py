@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from math import lcm, prod
 
-from ..apartment import ApartmentVec, difference_form, difference_potentials, wconvex_witness
+from ..apartment import ApartmentVec, difference_potentials, int_difference_form
 from ..building import RootElem
 from ..linalg import mat_inv
 from ..symspace import GroupElem, SPDPoint, act
@@ -204,21 +204,26 @@ def sample_in_region(rng, region, count):
     inside the region comes back unchanged, so every region point of the
     box can be drawn, and a draw outside lands on a face of the region.  The
     arithmetic runs in integer units of 1/L, L the lcm of REGION_DENOM and
-    the denominators of w and the thresholds, so only ints reach rng.  A
-    point drawn twice is kept once.
+    the threshold denominators, so only ints reach rng.  The box is centred
+    on the unshifted potentials d behind w: the region is closed under
+    adding a constant to every coordinate, so shifting each point to sum
+    zero at the end gives the points a box around w gives.  A point drawn
+    twice is kept once.
     """
-    w = wconvex_witness(region)
-    if w is None or count < 1:
+    m = region.rs.rank + 1
+    L, cons = int_difference_form(region)
+    d = difference_potentials(m, cons)
+    if d is None or count < 1:
         return []
-    form = difference_form(region)
-    m = len(w)
-    L = lcm(REGION_DENOM, *(v.denominator for v in w), *(ell.denominator for _, _, ell in form))
-    base = [int(v * L) for v in w]
-    cons = [(i, j, int(ell * L)) for i, j, ell in form]
+    scale = lcm(REGION_DENOM, L) // L
+    L *= scale
+    base = [v * scale for v in d]
+    cons = [(i, j, ell * scale) for i, j, ell in cons]
     step = L // REGION_DENOM
     bound = REGION_SPAN * REGION_DENOM
-    # each point as m * L * mu, an int tuple; w sums to zero already
-    keys = dict.fromkeys([tuple(m * b for b in base)])
+    # each point as m * L * mu, an int tuple, shifted to sum zero
+    total = sum(base)
+    keys = dict.fromkeys([tuple([m * b - total for b in base])])
     for _ in range(count - 1):
         o = [rng.randint(-bound, bound) * step for _ in range(m - 1)]
         o.append(-sum(o))

@@ -1,10 +1,10 @@
 """Reference oracles for the tests: a brute-force membership search, a
 greedy Iwasawa witness search, Fraction Gauss-Jordan elimination, the
 direct forms of act, the Newton polygon, chart_image, the overlap's
-difference systems and the half-apartment stabilizer shape that the package
-computes on lattice ints, from shared blocks or with explicit None checks,
-and a character scanner and printer for series text on Fractions, each
-independent of the algorithm it checks.
+difference systems, the region witness and the half-apartment stabilizer
+shape that the package computes on lattice ints, from shared blocks or with
+explicit None checks, and a character scanner and printer for series text on
+Fractions, each independent of the algorithm it checks.
 
 Valuations here are Lam values: Lambda = Q with Bottom as a value of its
 own, below every finite value and absorbing under addition.  The package
@@ -260,6 +260,23 @@ def overlap_systems(S):
         for sigma, tot in tots.items()
         if tot == 0
     ]
+
+
+def fraction_witness(s):
+    """wconvex_witness as the package computed it on Fraction thresholds:
+    Bellman-Ford from Fraction zeros on the region's (i, j, ell) triples,
+    then the potentials minus their mean, or None for an infeasible
+    region."""
+    m = s.rs.rank + 1
+    cons = [s.rs.alpha(*h.root) + (Fraction(h.threshold),) for h in s.constraints]
+    d = [Fraction(0)] * m
+    for _ in range(m):
+        for i, j, ell in cons:
+            d[j - 1] = min(d[j - 1], d[i - 1] - ell)
+    if any(d[i - 1] - d[j - 1] < ell for i, j, ell in cons):
+        return None
+    shift = Fraction(sum(d), m)
+    return tuple(v - shift for v in d)
 
 
 def half_apartment_shape(g, root, ell):

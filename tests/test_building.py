@@ -1,5 +1,6 @@
 """Building charts: tropical membership, overlaps, root subgroups, stabilizers."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
@@ -49,6 +50,7 @@ from oracles import (
     BOTTOM,
     Lam,
     brute_membership,
+    fraction_witness,
     iwasawa_witness,
     overlap_systems,
     valuation,
@@ -644,6 +646,76 @@ class TestSampleInRegion:
             if res is not None:
                 sampled += len(sample_in_region(rng, res[0], 20))
         assert sampled >= 100
+
+    def test_seeded_draws_of_overlap_regions(self):
+        """20-point draws over 25 seeded nonempty overlaps at each n = 3, 4
+        and 5, half of them on the 1/6 exponent lattice, and where each
+        draw leaves its stream: the exact points and their order."""
+        lines = []
+        for n in (3, 4, 5):
+            regions = 0
+            for trial in range(1000):
+                rng = trial_rng(trial, "sample-digest", n)
+                res = bd.apartment_overlap(gen_group_elem(rng, n, denom=6 if trial % 2 else 2))
+                if res is None:
+                    continue
+                pts = sample_in_region(rng, res[0], 20)
+                lines.append(f"{n} {trial} " + " ".join(",".join(map(str, p.to_mu())) for p in pts))
+                lines.append(f"next {rng.getrandbits(32)}")
+                regions += 1
+                if regions == 25:
+                    break
+        assert len(lines) == 150
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "b1bc989d1799bbd8723e34ad0f088a556c74114020d9b3ff002949e9e993d48f"
+
+
+@st.composite
+def _free_regions(draw, denoms):
+    """Regions with thresholds drawn freely over denoms; denominator 1 gives
+    a plain int threshold, as HalfApartment allows."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    rs = type_A(n - 1)
+    halves = []
+    for _ in range(draw(st.integers(0, n))):
+        i, j = draw(st.permutations(range(1, n + 1)))[:2]
+        ell, den = draw(st.integers(-6, 6)), draw(st.sampled_from(denoms))
+        halves.append(HalfApartment(rs.alpha(i, j), ell if den == 1 else Q(ell, den)))
+    return WConvexSet(rs, tuple(halves))
+
+
+class TestWitnessOracle:
+    """wconvex_witness solves on ints over the lcm of the threshold
+    denominators; a Bellman-Ford on Fractions is the reference."""
+
+    @given(
+        st.one_of(
+            _difference_systems(),
+            _free_regions((1,)),
+            _free_regions((1, 2, 3, 4, 5)),
+            st.sampled_from([_region(n, []) for n in (3, 4, 5)]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fraction_witness(self, reg):
+        w = wconvex_witness(reg)
+        assert w == fraction_witness(reg)
+        assert w is None or all(type(v) is Q for v in w)
+
+    def test_mixed_denominators_reach_bellman_ford_as_ints(self):
+        reg, _ = bd.apartment_overlap(TIED["units_mixed"])
+        assert {h.threshold.denominator for h in reg.constraints} == {1, 2, 3, 6}
+        seen, solve = [], apt.difference_potentials
+
+        def recording(m, cons):
+            seen.extend(ell for _, _, ell in cons)
+            return solve(m, cons)
+
+        with patch.object(apt, "difference_potentials", recording):
+            w = wconvex_witness(reg)
+        assert len(seen) == len(reg.constraints)
+        assert all(type(ell) is int for ell in seen)
+        assert w == fraction_witness(reg)
 
 
 # --- stabilizer of the base point ----------------------------------------------
