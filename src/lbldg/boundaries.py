@@ -83,7 +83,7 @@ def chamber_rays(n):
         mean = sum(mu) / n
         mu = [x - mean for x in mu]
         scale = sum(abs(x) for x in mu)
-        rays.append(tuple(x / scale for x in mu))
+        rays.append(tuple([x / scale for x in mu]))
     return tuple(rays)
 
 
@@ -172,7 +172,7 @@ def sampled_infinity_equal(g1, g2):
         nu = chart_image(b, mu)
         if nu is None:
             return False
-        delta = tuple(a - c for a, c in zip(nu.to_mu(), mu.to_mu()))
+        delta = tuple([a - c for a, c in zip(nu.to_mu(), mu.to_mu())])
         if shift is None:
             shift = delta
         elif delta != shift:

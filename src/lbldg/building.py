@@ -150,29 +150,24 @@ def apartment_overlap(g):
     region(sigma) the row maxima sum to P + sum(mu) = 0, and for any other
     optimal tau the terms T_{i tau(i)} + mu_{tau(i)} also sum to 0 while
     each is bounded by the row maximum, forcing termwise equality; so mu
-    satisfies region(tau) as well, and all optimal permutations share one
-    witness.  The coverage check below verifies this on each distinct
-    computed witness instead of trusting the argument, and raises
-    AmbiguousWeyl on any counterexample.  The returned weyl element uses
-    the lexicographically smallest optimal permutation.
+    satisfies region(tau) as well (Butkovic, Max-linear Systems, 2010).
+    So one point settles every optimal permutation: the region of the
+    lexicographically smallest optimal sigma is solved once, and the check
+    below verifies, instead of trusting the argument, that each optimal tau
+    attains every row maximum at that witness, which is exactly membership
+    in region(tau).  AmbiguousWeyl is raised when the region is infeasible
+    or some tau misses a row maximum.  The returned region and weyl element
+    are sigma's, the permutation a coverage test over every optimal region
+    would pick first, since sigma's own witness satisfies sigma's system.
 
     The search runs on trop's int matrix S = L T (None for Bottom).  Scaling
     by L > 0 keeps every sum, difference and comparison, so S has the same
     optimal permutations, and region(sigma) becomes the int difference
     system d_{sigma(i)} - d_j >= S_ij - S_{i sigma(i)}, whose Bellman-Ford
-    potentials are exactly L times the rational ones.  The coverage check
-    asks, for each optimal sigma in lex order, whether every witness
-    satisfies that system; this is the test in_wconvex(region(sigma), w) on
-    the rational witnesses, since shifting a witness to sum zero cancels in
-    every difference.  Only the returned permutation's system, divided by
-    L, and its affine map are built as apartment objects.
-
-    Row i contributes the triples (a + 1, j + 1, S_ij - S_ia) with
-    a = sigma(i), which depend on (i, a) only.  Each (row, column) block is
-    built on first use and kept per row, and each sigma's system is its n
-    blocks concatenated in row order: the same triples in the same order as
-    a per-sigma build, from at most n^2 (n - 1) tuples per call (100 at
-    n = 5, where a per-sigma build makes 2 400 when all 120 tie).
+    potentials d are exactly L times a rational witness; the row maxima
+    r_i = max_j (S_ij + d_j) are read on the same lattice.  Only sigma's
+    system, divided by L, and its affine map are built as apartment
+    objects.
     """
     n = g.n
     if n > PERM_BOUND:
@@ -199,34 +194,26 @@ def apartment_overlap(g):
         return None
     if best < 0:
         raise ValueError("the tropical permanent is negative, so g is not in SL(n)")
-    # region(sigma) as triples (i, j, ell): d_i - d_j >= ell, labels 1-based,
-    # concatenated from the per-row blocks described above
-    blocks = [{} for _ in range(n)]
-    systems = []
-    for sigma in opt:
-        cons = []
-        for row, a, built in zip(S, sigma, blocks):
-            block = built.get(a)
-            if block is None:
-                s_a = row[a]
-                block = built[a] = [
-                    (a + 1, j + 1, s - s_a) for j, s in enumerate(row) if j != a and s is not None
-                ]
-            cons += block
-        systems.append(cons)
-    witnesses = (difference_potentials(n, cons) for cons in systems)
-    points = list(dict.fromkeys([tuple(d) for d in witnesses if d is not None]))
-    if not points:
+    # region(sigma) as triples (i, j, ell): d_i - d_j >= ell, labels 1-based
+    sigma = opt[0]
+    cons = [
+        (a + 1, j + 1, s - row[a])
+        for row, a in zip(S, sigma)
+        for j, s in enumerate(row)
+        if j != a and s is not None
+    ]
+    d = difference_potentials(n, cons)
+    if d is None:
         raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
-    for sigma, cons in zip(opt, systems):
-        if all(d[i - 1] - d[j - 1] >= ell for d in points for i, j, ell in cons):
-            region = WConvexSet(
-                rs, tuple(HalfApartment(rs.alpha(i, j), Fraction(ell, L)) for i, j, ell in cons)
-            )
-            c = [Fraction(row[a], L) for row, a in zip(S, sigma)]
-            return region, affine_from_mu(rs, [a + 1 for a in sigma], c)
-    raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
-
+    # every row has a finite entry, since some permutation's product is finite
+    r = [max([s + v for s, v in zip(row, d) if s is not None]) for row in S]
+    if not all(row[a] + d[a] == top for tau in opt for row, a, top in zip(S, tau, r)):
+        raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
+    region = WConvexSet(
+        rs, tuple([HalfApartment(rs.alpha(i, j), Fraction(ell, L)) for i, j, ell in cons])
+    )
+    c = [Fraction(row[a], L) for row, a in zip(S, sigma)]
+    return region, affine_from_mu(rs, [a + 1 for a in sigma], c)
 
 def overlap_to_json(result):
     if result is None:

@@ -231,5 +231,5 @@ def sample_in_region(rng, region, count):
         d = difference_potentials(m, [(i, j, ell - r[i - 1] + r[j - 1]) for i, j, ell in cons])
         p = [x + y for x, y in zip(d, r)]
         total = sum(p)
-        keys[tuple(m * v - total for v in p)] = None
+        keys[tuple([m * v - total for v in p])] = None
     return [ApartmentVec.from_mu(region.rs, [Fraction(k, m * L) for k in key]) for key in keys]

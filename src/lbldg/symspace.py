@@ -53,7 +53,7 @@ def mat_from_rows(rows):
 
 def mat_identity(n):
     return tuple(
-        tuple(fs.ONE if i == j else fs.ZERO for j in range(n)) for i in range(n)
+        [tuple([fs.ONE if i == j else fs.ZERO for j in range(n)]) for i in range(n)]
     )
 
 
@@ -342,8 +342,10 @@ def char_pencil(x, y):
     if any(f is not None for row in rows for _, f in row):
         # entry (i, j) of the pencil is the polynomial (-y_ij, x_ij)
         m = tuple(
-            tuple([((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])])
-            for row in rows
+            [
+                tuple([((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])])
+                for row in rows
+            ]
         )
         q = _minors(m, _polynomials(fs.lattice_ring(e)), full)[0]
         return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
@@ -354,13 +356,15 @@ def char_pencil(x, y):
             b += max(ks) - min(ks)
             lo += min(ks)
     m = tuple(
-        tuple(
-            [
-                (tuple([(k + b, c) for k, c in xp] + [(k, -c) for k, c in yp]), None)
-                for (yp, _), (xp, _) in zip(row, row[n:])
-            ]
-        )
-        for row in rows
+        [
+            tuple(
+                [
+                    (tuple([(k + b, c) for k, c in xp] + [(k, -c) for k, c in yp]), None)
+                    for (yp, _), (xp, _) in zip(row, row[n:])
+                ]
+            )
+            for row in rows
+        ]
     )
     q = [[] for _ in range(n + 1)]
     for k, c in _minors(m, fs.lattice_ring(e), full)[0][0]:

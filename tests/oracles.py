@@ -238,11 +238,12 @@ def chart_image(g, mu):
 
 
 def overlap_systems(S):
-    """The difference systems apartment_overlap solves for trop's int matrix
-    S (None for Bottom): when the tropical permanent is 0, one per optimal
+    """The optimal permutations' difference systems for trop's int matrix S
+    (None for Bottom): when the tropical permanent is 0, one per optimal
     permutation sigma in lex order, each built on its own as the triples
     (sigma(i) + 1, j + 1, S_ij - S_i,sigma(i)) over rows i and then columns
-    j != sigma(i) with S_ij finite; otherwise none."""
+    j != sigma(i) with S_ij finite; otherwise none.  apartment_overlap
+    solves the first."""
     tots = {}
     for sigma in permutations(range(len(S))):
         picked = [row[a] for row, a in zip(S, sigma)]

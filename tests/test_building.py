@@ -444,7 +444,7 @@ class TestOverlapOracle:
     def test_seeded_elements(self, n, denom):
         for g in _seeded(n, denom, 30 if n < 5 else 12):
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
-            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])
+            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])[:1]
 
     @pytest.mark.parametrize("name", sorted(TIED))
     def test_tie_heavy_elements(self, name):
@@ -468,7 +468,7 @@ class TestOverlapOracle:
         assert any(e == fs.ZERO for g in elems for row in g.entries for e in row)
         for g in elems:
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
-            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])
+            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])[:1]
 
     def test_negative_permanent_is_not_in_sl_n(self):
         g = _diagonal([-1, 0])
@@ -485,8 +485,8 @@ class TestOverlapOracle:
 class TestOverlapWorkCounts:
     """Deterministic counts on an all-tied n = 5 element: every permutation
     is drawn once, only the returned region becomes a WConvexSet, no
-    apartment membership test runs, and the 120 optimal permutations'
-    systems share their row blocks."""
+    apartment membership test runs, and of the 120 optimal permutations
+    only the first one's system is solved."""
 
     def test_all_tied_element(self, monkeypatch):
         counts = {"perms": 0, "regions": 0}
@@ -512,14 +512,31 @@ class TestOverlapWorkCounts:
         assert counts == {"perms": 120, "regions": 1}
         assert w.perm == (1, 2, 3, 4, 5) and len(reg.constraints) == 20
 
-    def test_all_tied_systems_share_row_blocks(self):
-        """All 120 permutations' systems come from the 5 x 5 row blocks of
-        4 triples each, and each equals its per-permutation build in order."""
+    def test_all_tied_element_solves_one_system(self):
+        """One Bellman-Ford call, on the identity permutation's 20 triples
+        (a, j, 0): every entry of the element is a unit."""
         g = TIED["units"]
-        systems = _solved_systems(g)
-        assert len(systems) == 120
-        assert len({id(t) for cons in systems for t in cons}) <= 100
-        assert systems == overlap_systems(bd.trop(g)[1])
+        identity = [(a, j, 0) for a in range(1, 6) for j in range(1, 6) if j != a]
+        assert _solved_systems(g) == [identity]
+        assert overlap_systems(bd.trop(g)[1])[0] == identity
+
+
+class TestOverlapAmbiguity:
+    """Both AmbiguousWeyl raises, reached by replacing the Bellman-Ford
+    solve: the argument in apartment_overlap's docstring keeps either from
+    firing on a real element."""
+
+    def test_infeasible_region(self, monkeypatch):
+        monkeypatch.setattr(bd, "difference_potentials", lambda m, cons: None)
+        with pytest.raises(AmbiguousWeyl, match="^no feasible region despite a zero tropical"):
+            bd.apartment_overlap(TIED["units"])
+
+    def test_witness_off_a_row_maximum(self, monkeypatch):
+        """Every row maximum of the all-unit element at d = (-1, 0, 0, 0, 0)
+        is 0, which each permutation with tau(i) = 1 misses in row i."""
+        monkeypatch.setattr(bd, "difference_potentials", lambda m, cons: [-1, 0, 0, 0, 0])
+        with pytest.raises(AmbiguousWeyl, match="^no optimal permutation's region covers all"):
+            bd.apartment_overlap(TIED["units"])
 
 
 # --- sampling an overlap region -------------------------------------------------

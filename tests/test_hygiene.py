@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no package
-module imports another one's underscore names, and every public definition
-in the package is reachable from a suite, a command or a benchmark workload."""
+module imports another one's underscore names or builds a tuple from a
+generator, and every public definition in the package is reachable from a
+suite, a command or a benchmark workload."""
 
 import ast
 from pathlib import Path
@@ -74,6 +75,37 @@ def test_the_check_sees_a_private_import():
         "from ._backend import kernel_mul\n"
     )
     assert _private_imports(tree) == [(1, "_provably_zero"), (3, "_as_root")]
+
+
+def _tuple_generators(tree):
+    """Lines that build a tuple from a generator, tuple(x for x in xs):
+    series.py's convention builds every tuple from a list, since
+    tuple(generator) frees its result onto another length's free list."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_tuple_built_from_a_generator(path):
+    lines = _tuple_generators(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, ", ".join(f"line {line}: tuple(<generator>)" for line in lines)
+
+
+def test_the_check_sees_a_tuple_built_from_a_generator():
+    tree = ast.parse(
+        "a = tuple(x for x in range(3))\n"
+        "b = tuple([x for x in range(3)])\n"
+        "c = tuple(range(3))\n"
+        "d = sum(x for x in range(3))\n"
+        "e = [tuple(\n    y for y in row\n) for row in rows]\n"
+    )
+    assert _tuple_generators(tree) == [1, 5]
 
 
 # --- reachability -------------------------------------------------------------
