@@ -215,6 +215,7 @@ def apartment_overlap(g):
     c = [Fraction(row[a], L) for row, a in zip(S, sigma)]
     return region, affine_from_mu(rs, [a + 1 for a in sigma], c)
 
+
 def overlap_to_json(result):
     if result is None:
         return {"empty": True}
