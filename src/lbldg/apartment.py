@@ -150,10 +150,8 @@ def difference_potentials(m, cons):
 
     Bellman-Ford from a virtual source joined to every node by a zero edge,
     so the result is the pointwise largest solution with every d_i <= 0.
-    Callers pass int thresholds and get int potentials:
-    building.apartment_overlap (once per call, on the first optimal
-    permutation's region), and wconvex_witness and
-    harness.generators.sample_in_region through int_difference_form.
+    Callers pass int thresholds and get int potentials: wconvex_witness and
+    harness.generators.sample_in_region, through int_difference_form.
     """
     d = [0] * m
     # edge i -> j with weight -ell encodes d_j <= d_i - ell

@@ -12,8 +12,11 @@ the only series operations used are negval, coef_at, the ring-membership
 tests and building monomials, so m_of refuses a parameter s whose -1/s is
 no monomial.  trop reads a chart's negvals once, as ints on one lattice, for
 chart_image, apartment_overlap and trop_radius, and x_mu builds each
-monomial t^(k/e) from ints.  Apartment coordinates, thresholds and
-valuations are plain Fractions, and the valuation of 0 (Bottom) is None.
+monomial t^(k/e) from ints.  apartment_overlap searches all n!
+permutations (n <= PERM_BOUND) and returns the region every optimal one
+shares, with the lexicographically first one's Weyl element.  Apartment
+coordinates, thresholds and valuations are plain Fractions, and the
+valuation of 0 (Bottom) is None.
 """
 
 from fractions import Fraction
@@ -26,10 +29,9 @@ from .apartment import (
     HalfApartment,
     WConvexSet,
     affine_from_mu,
-    difference_potentials,
     wconvex_to_json,
 )
-from .errors import AmbiguousWeyl, EnumerationBound, IdentityElement, PrecisionError
+from .errors import EnumerationBound, IdentityElement, PrecisionError
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
@@ -151,21 +153,16 @@ def apartment_overlap(g):
     optimal tau the terms T_{i tau(i)} + mu_{tau(i)} also sum to 0 while
     each is bounded by the row maximum, forcing termwise equality; so mu
     satisfies region(tau) as well (Butkovic, Max-linear Systems, 2010).
-    So one point settles every optimal permutation: the region of the
-    lexicographically smallest optimal sigma is solved once, and the check
-    below verifies, instead of trusting the argument, that each optimal tau
-    attains every row maximum at that witness, which is exactly membership
-    in region(tau).  AmbiguousWeyl is raised when the region is infeasible
-    or some tau misses a row maximum.  The returned region and weyl element
-    are sigma's, the permutation a coverage test over every optimal region
-    would pick first, since sigma's own witness satisfies sigma's system.
+    Nor is it empty: the assignment problem's dual gives u and v with
+    T_ij + v_j <= u_i, equal on every optimal sigma (Kuhn, 1955), so v
+    shifted to sum zero lies in it.  So the overlap is region(sigma) for
+    any optimal sigma, and the one returned, with its weyl element, is the
+    lexicographically smallest.
 
     The search runs on trop's int matrix S = L T (None for Bottom).  Scaling
     by L > 0 keeps every sum, difference and comparison, so S has the same
-    optimal permutations, and region(sigma) becomes the int difference
-    system d_{sigma(i)} - d_j >= S_ij - S_{i sigma(i)}, whose Bellman-Ford
-    potentials d are exactly L times a rational witness; the row maxima
-    r_i = max_j (S_ij + d_j) are read on the same lattice.  Only sigma's
+    optimal permutations.  permutations yields sigma in lex order, so the
+    first to beat the running best is the lex-first optimal one.  Only its
     system, divided by L, and its affine map are built as apartment
     objects.
     """
@@ -174,43 +171,31 @@ def apartment_overlap(g):
         raise EnumerationBound(f"permutation enumeration capped at n = {PERM_BOUND}")
     rs = type_A(n - 1)
     L, S = trop(g)
-    best = None
-    opt = []
-    for sigma in permutations(range(n)):
+    best = sigma = None
+    for tau in permutations(range(n)):
         tot = 0
-        for row, a in zip(S, sigma):
+        for row, a in zip(S, tau):
             if row[a] is None:
                 break
             tot += row[a]
         else:
             if best is None or tot > best:
-                best = tot
-                opt = [sigma]
-            elif tot == best:
-                opt.append(sigma)
-    if not opt:
+                best, sigma = tot, tau
+    if sigma is None:
         raise ValueError("no permutation has a finite tropical product, so g is singular")
     if best > 0:
         return None
     if best < 0:
         raise ValueError("the tropical permanent is negative, so g is not in SL(n)")
-    # region(sigma) as triples (i, j, ell): d_i - d_j >= ell, labels 1-based
-    sigma = opt[0]
-    cons = [
-        (a + 1, j + 1, s - row[a])
-        for row, a in zip(S, sigma)
-        for j, s in enumerate(row)
-        if j != a and s is not None
-    ]
-    d = difference_potentials(n, cons)
-    if d is None:
-        raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
-    # every row has a finite entry, since some permutation's product is finite
-    r = [max([s + v for s, v in zip(row, d) if s is not None]) for row in S]
-    if not all(row[a] + d[a] == top for tau in opt for row, a, top in zip(S, tau, r)):
-        raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
+    # region(sigma): mu_{sigma(i)} - mu_j >= (S_ij - S_{i sigma(i)}) / L
     region = WConvexSet(
-        rs, tuple([HalfApartment(rs.alpha(i, j), Fraction(ell, L)) for i, j, ell in cons])
+        rs,
+        tuple([
+            HalfApartment(rs.alpha(a + 1, j + 1), Fraction(s - row[a], L))
+            for row, a in zip(S, sigma)
+            for j, s in enumerate(row)
+            if j != a and s is not None
+        ]),
     )
     c = [Fraction(row[a], L) for row, a in zip(S, sigma)]
     return region, affine_from_mu(rs, [a + 1 for a in sigma], c)

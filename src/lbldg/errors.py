@@ -47,9 +47,5 @@ class IdentityElement(ValueError):
     """Operation undefined for the identity root element."""
 
 
-class AmbiguousWeyl(RuntimeError):
-    """No single optimal permutation's region covered the overlap sample."""
-
-
 class ConfigError(ValueError):
     """Invalid harness configuration."""

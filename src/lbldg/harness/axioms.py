@@ -49,7 +49,7 @@ from ..building import (
     trop_radius,
     x_mu,
 )
-from ..errors import AmbiguousWeyl, ConfigError
+from ..errors import ConfigError
 from ..rootsys import type_A
 from ..symspace import act, distance, matrix_to_json
 from ..valfield import series as fs
@@ -105,10 +105,7 @@ def _check_a2(cfg):
         # drawing until the overlap holds at least two sampled points
         for _ in range(40):
             g = gen_group_elem(rng, cfg.n)
-            try:
-                res = apartment_overlap(g)
-            except AmbiguousWeyl:
-                return {"g": matrix_to_json(g), "ambiguous": True}
+            res = apartment_overlap(g)
             if res is not None:
                 points = sample_in_region(rng, res[0], 20)
                 if len(points) >= 2:

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import click
 
 from ..building import apartment_overlap, overlap_to_json
-from ..errors import AmbiguousWeyl, ConfigError, EnumerationBound, PrecisionError
+from ..errors import ConfigError, EnumerationBound, PrecisionError
 from ..symspace import distance, group_from_json, point_from_json, retract
 from ..valfield import series as fs
 from .axioms import AXIOM_NAMES, check_axiom
@@ -26,9 +26,10 @@ from .report import SCHEMA, format_lines, report_to_dict
 from .theorems import THEOREM_NAMES, check_theorem
 
 
-# bad input: what reading JSON and series text raises, and the package's own
-# error types; PrecisionError is caught before these
-_BAD_INPUT = (ValueError, TypeError, OSError, EnumerationBound, AmbiguousWeyl)
+# bad input: what reading JSON and series text raises, and EnumerationBound,
+# the one package error type that is no ValueError (overlap past
+# building.PERM_BOUND); PrecisionError is caught before these
+_BAD_INPUT = (ValueError, TypeError, OSError, EnumerationBound)
 
 
 @contextmanager

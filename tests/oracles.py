@@ -243,7 +243,8 @@ def overlap_systems(S):
     permutation sigma in lex order, each built on its own as the triples
     (sigma(i) + 1, j + 1, S_ij - S_i,sigma(i)) over rows i and then columns
     j != sigma(i) with S_ij finite; otherwise none.  apartment_overlap
-    solves the first."""
+    returns the first one's region, which every optimal system presents
+    (test_building.TestOptimalRegionsAgree)."""
     tots = {}
     for sigma in permutations(range(len(S))):
         picked = [row[a] for row, a in zip(S, sigma)]

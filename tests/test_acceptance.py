@@ -23,7 +23,6 @@ from lbldg.boundaries import (
     sampled_infinity_equal,
     transitivity_witness,
 )
-from lbldg.errors import AmbiguousWeyl
 from lbldg.harness.generators import (
     gen_apartment_mu,
     gen_group_elem,
@@ -125,7 +124,6 @@ def test_criterion_04_membership_vs_brute_force():
 
 
 def test_criterion_05_overlap_transport_100_charts():
-    ambiguous = 0
     found = 0
     trial = 0
     while found < 100:
@@ -133,11 +131,7 @@ def test_criterion_05_overlap_transport_100_charts():
         rng = trial_rng(SEED, "c5", trial)
         trial += 1
         g = gen_group_elem(rng, 3)
-        try:
-            res = apartment_overlap(g)
-        except AmbiguousWeyl:
-            ambiguous += 1
-            continue
+        res = apartment_overlap(g)
         if res is None:
             continue
         found += 1
@@ -145,8 +139,7 @@ def test_criterion_05_overlap_transport_100_charts():
         assert len(region.constraints) <= 6
         for mu in sample_in_region(rng, region, 20):
             assert chart_image(g, mu) == apply_weyl(w, mu)
-    assert ambiguous == 0
-    print(f"criterion 5: 100 nonempty overlaps transported, ambiguity count {ambiguous}")
+    print("criterion 5: 100 nonempty overlaps transported")
 
 
 def test_criterion_06_fixed_sets_on_grid():

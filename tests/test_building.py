@@ -25,7 +25,6 @@ from lbldg.apartment import (
     wconvex_witness,
 )
 from lbldg.errors import (
-    AmbiguousWeyl,
     EnumerationBound,
     IdentityElement,
     NotARoot,
@@ -308,7 +307,9 @@ def _oracle_region(rs, T, sigma):
 def _oracle_overlap(g):
     """The overlap by exhaustive search in Lambda, on valuations read entry
     by entry: every optimal permutation's region, a Bellman-Ford witness for
-    each, and the first region in lex order that contains every witness."""
+    each, and the first region in lex order that contains every witness.
+    The argument in apartment_overlap's docstring says that region exists;
+    AssertionError if it does not."""
     n = g.n
     rs = type_A(n - 1)
     T = [[valuation(e) for e in row] for row in g.entries]
@@ -331,12 +332,12 @@ def _oracle_overlap(g):
     witnesses = [wconvex_witness(reg) for _, reg in regions]
     points = [ApartmentVec.from_mu(rs, w) for w in witnesses if w is not None]
     if not points:
-        raise AmbiguousWeyl("no feasible region despite a zero tropical permanent")
+        raise AssertionError("no feasible region despite a zero tropical permanent")
     for sigma, reg in regions:
         if all(in_wconvex(reg, p) for p in points):
             c = [T[i][sigma[i] - 1].v for i in range(n)]
             return reg, affine_from_mu(rs, sigma, c)
-    raise AmbiguousWeyl("no optimal permutation's region covers all witnesses")
+    raise AssertionError("no optimal permutation's region covers all witnesses")
 
 
 def _outcome(overlap, g):
@@ -347,18 +348,20 @@ def _outcome(overlap, g):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _solved_systems(g):
-    """The difference systems apartment_overlap hands to
-    difference_potentials on g, in call order."""
+def _solve_count(g):
+    """How many difference_potentials calls apartment_overlap makes on g,
+    through the apartment module or a name bound in building."""
     calls = []
 
     def recording(m, cons):
         calls.append(cons)
-        return apt.difference_potentials(m, cons)
+        return solve(m, cons)
 
-    with patch.object(bd, "difference_potentials", recording):
+    solve = apt.difference_potentials
+    with patch.object(apt, "difference_potentials", recording), \
+            patch.object(bd, "difference_potentials", recording, create=True):
         _outcome(bd.apartment_overlap, g)
-    return calls
+    return len(calls)
 
 
 def _monomials(rows):
@@ -410,6 +413,17 @@ TIED = {
     "blocks_131_41": _block_diagonal([1, 3, 1]) @ _block_diagonal([4, 1]),
     "blocks_mixed": _scaled(MIXED, _block_diagonal([4, 1]) @ _block_diagonal([1, 4])),
 }
+# every TIED element's lex-first optimal permutation is the identity; six
+# seeded row permutations of each move it, so a rule that returned the
+# identity whenever it is optimal would fail
+ROW_PERMUTED = {
+    f"{name}_rows{k}": bd.normalizer_of(
+        affine_from_mu(type_A(4), trial_rng(11, f"tied-rows-{name}", k).sample(range(1, 6), 5),
+                       [0] * 5)
+    ) @ g
+    for name, g in TIED.items()
+    for k in range(6)
+}
 
 
 def _seeded(n, denom, count):
@@ -438,18 +452,35 @@ def _all_bottom(g):
     return all(any(S[i][s[i]] is None for i in range(g.n)) for s in permutations(range(g.n)))
 
 
+def _with_zeros(n):
+    """Seeded elements with exact zeros: unipotent, diagonal and root
+    elements, and the unvalidated monomial matrices with a finite
+    permutation."""
+    rng = trial_rng(11, "oracle-zeros", n)
+    elems = [gen_unipotent(rng, n), gen_unipotent(rng, n, lower=True),
+             gen_diagonal(rng, n), gen_root_elem(rng, n).as_group()]
+    return elems + [g for g in _unvalidated(n, 40) if not _all_bottom(g)]
+
+
 class TestOverlapOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("denom", [2, 6])
     def test_seeded_elements(self, n, denom):
         for g in _seeded(n, denom, 30 if n < 5 else 12):
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
-            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])[:1]
+            assert _solve_count(g) == 0
 
-    @pytest.mark.parametrize("name", sorted(TIED))
+    @pytest.mark.parametrize("name", sorted(TIED) + sorted(ROW_PERMUTED))
     def test_tie_heavy_elements(self, name):
-        g = TIED[name]
+        g = TIED[name] if name in TIED else ROW_PERMUTED[name]
         assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
+
+    def test_row_permuted_ties_leave_the_identity(self):
+        identity = tuple(range(1, 6))
+        assert all(bd.apartment_overlap(g)[1].perm == identity for g in TIED.values())
+        moved = [name for name, g in ROW_PERMUTED.items()
+                 if bd.apartment_overlap(g)[1].perm != identity]
+        assert len(moved) == 20
 
     def test_mixed_denominators(self):
         g = TIED["units_mixed"]
@@ -461,14 +492,11 @@ class TestOverlapOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exact_zeros(self, n):
-        rng = trial_rng(11, "oracle-zeros", n)
-        elems = [gen_unipotent(rng, n), gen_unipotent(rng, n, lower=True),
-                 gen_diagonal(rng, n), gen_root_elem(rng, n).as_group()]
-        elems += [g for g in _unvalidated(n, 40) if not _all_bottom(g)]
+        elems = _with_zeros(n)
         assert any(e == fs.ZERO for g in elems for row in g.entries for e in row)
         for g in elems:
             assert _outcome(bd.apartment_overlap, g) == _outcome(_oracle_overlap, g)
-            assert _solved_systems(g) == overlap_systems(bd.trop(g)[1])[:1]
+            assert _solve_count(g) == 0
 
     def test_negative_permanent_is_not_in_sl_n(self):
         g = _diagonal([-1, 0])
@@ -484,9 +512,8 @@ class TestOverlapOracle:
 
 class TestOverlapWorkCounts:
     """Deterministic counts on an all-tied n = 5 element: every permutation
-    is drawn once, only the returned region becomes a WConvexSet, no
-    apartment membership test runs, and of the 120 optimal permutations
-    only the first one's system is solved."""
+    is drawn once, only the returned region becomes a WConvexSet, and no
+    apartment membership test runs."""
 
     def test_all_tied_element(self, monkeypatch):
         counts = {"perms": 0, "regions": 0}
@@ -512,31 +539,35 @@ class TestOverlapWorkCounts:
         assert counts == {"perms": 120, "regions": 1}
         assert w.perm == (1, 2, 3, 4, 5) and len(reg.constraints) == 20
 
-    def test_all_tied_element_solves_one_system(self):
-        """One Bellman-Ford call, on the identity permutation's 20 triples
-        (a, j, 0): every entry of the element is a unit."""
-        g = TIED["units"]
-        identity = [(a, j, 0) for a in range(1, 6) for j in range(1, 6) if j != a]
-        assert _solved_systems(g) == [identity]
-        assert overlap_systems(bd.trop(g)[1])[0] == identity
 
 
-class TestOverlapAmbiguity:
-    """Both AmbiguousWeyl raises, reached by replacing the Bellman-Ford
-    solve: the argument in apartment_overlap's docstring keeps either from
-    firing on a real element."""
+OPTIMAL_DRAWS = {
+    **{f"seeded-{n}-{denom}": lambda n=n, denom=denom: _seeded(n, denom, 30 if n < 5 else 12)
+       for n in (2, 3, 4, 5) for denom in (2, 6)},
+    **{f"zeros-{n}": lambda n=n: _with_zeros(n) for n in (2, 3, 4, 5)},
+    "tied": lambda: list(TIED.values()),
+}
 
-    def test_infeasible_region(self, monkeypatch):
-        monkeypatch.setattr(bd, "difference_potentials", lambda m, cons: None)
-        with pytest.raises(AmbiguousWeyl, match="^no feasible region despite a zero tropical"):
-            bd.apartment_overlap(TIED["units"])
 
-    def test_witness_off_a_row_maximum(self, monkeypatch):
-        """Every row maximum of the all-unit element at d = (-1, 0, 0, 0, 0)
-        is 0, which each permutation with tau(i) = 1 misses in row i."""
-        monkeypatch.setattr(bd, "difference_potentials", lambda m, cons: [-1, 0, 0, 0, 0])
-        with pytest.raises(AmbiguousWeyl, match="^no optimal permutation's region covers all"):
-            bd.apartment_overlap(TIED["units"])
+class TestOptimalRegionsAgree:
+    """The argument apartment_overlap returns the first optimal region on:
+    the Bellman-Ford witness of every optimal permutation's difference
+    system exists and satisfies every other optimal system, over the
+    oracle tests' draws."""
+
+    @pytest.mark.parametrize("draws", sorted(OPTIMAL_DRAWS))
+    def test_each_witness_satisfies_every_optimal_system(self, draws):
+        pairs = 0
+        for g in OPTIMAL_DRAWS[draws]():
+            systems = overlap_systems(bd.trop(g)[1])
+            for cons in systems:
+                d = apt.difference_potentials(g.n, cons)
+                assert d is not None
+                for other in systems:
+                    assert all(d[i - 1] - d[j - 1] >= ell for i, j, ell in other)
+                pairs += len(systems) - 1
+        if draws == "tied":
+            assert pairs > 0
 
 
 # --- sampling an overlap region -------------------------------------------------
