@@ -12,15 +12,14 @@ the only series operations used are negval, coef_at, the ring-membership
 tests and building monomials, so m_of refuses a parameter s whose -1/s is
 no monomial.  trop reads a chart's negvals once, as ints on one lattice, for
 chart_image, apartment_overlap and trop_radius, and x_mu builds each
-monomial t^(k/e) from ints.  apartment_overlap searches all n!
-permutations (n <= PERM_BOUND) and returns the region every optimal one
-shares, with the lexicographically first one's Weyl element.  Apartment
-coordinates, thresholds and valuations are plain Fractions, and the
-valuation of 0 (Bottom) is None.
+monomial t^(k/e) from ints.  apartment_overlap finds the lexicographically
+first optimal permutation by one O(n^3) assignment solve and returns the
+region every optimal one shares, with that permutation's Weyl element.
+Apartment coordinates, thresholds and valuations are plain Fractions, and
+the valuation of 0 (Bottom) is None.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from typing import NamedTuple
 
@@ -31,13 +30,10 @@ from .apartment import (
     affine_from_mu,
     wconvex_to_json,
 )
-from .errors import EnumerationBound, IdentityElement, PrecisionError
+from .errors import IdentityElement, PrecisionError
 from .rootsys import type_A
 from .symspace import GroupElem, SPDPoint
 from .valfield import series as fs
-
-# Permutation enumeration stays exhaustive up to this matrix size.
-PERM_BOUND = 5
 
 
 # --- charts and apartment points ----------------------------------------------
@@ -127,6 +123,74 @@ def chart_image(g, mu):
     return ApartmentVec.from_mu(rs, [Fraction(v, scale) for v in r])
 
 
+def _lex_first_assignment(S):
+    """(total, sigma) for the lexicographically first permutation sigma of
+    largest total sum_i S[i][sigma(i)] over the finite entries of the int
+    matrix S, or None when every permutation meets a None.
+
+    One assignment solve on the cost c_ij = j n^(n-1-i) - S_ij n^n, whose
+    unique minimum is that sigma (see apartment_overlap): Kuhn's Hungarian
+    method by shortest augmenting paths with potentials (Kuhn, 1955), all
+    on ints, O(n^3).  Rows enter one at a time; each grows a Dijkstra tree
+    over the columns on the reduced costs c_ij - u_i - v_j >= 0 until it
+    reaches a free column, and a tree that stops short of one is a set of
+    rows with too few finite columns (Hall), so no perfect matching.
+    """
+    n = len(S)
+    top = n**n
+    cost = []
+    w = top
+    for row in S:
+        w //= n
+        cost.append([None if s is None else j * w - s * top for j, s in enumerate(row)])
+    cols = range(1, n + 1)
+    u = [0] * n  # row potentials
+    v = [0] * (n + 1)  # column potentials; column 0 is the entering row's root
+    owner = [-1] * (n + 1)  # the row matched to column j (1-based), -1 if free
+    way = [0] * (n + 1)  # the previous column on the shortest path to j
+    for i in range(n):
+        owner[0] = i
+        j0 = 0
+        dist = [None] * (n + 1)
+        tree = [0]
+        free = list(cols)
+        while True:
+            r = owner[j0]
+            row, ur = cost[r], u[r]
+            delta = None
+            for j in free:
+                c = row[j - 1]
+                if c is not None:
+                    c -= ur + v[j]
+                    if dist[j] is None or c < dist[j]:
+                        dist[j] = c
+                        way[j] = j0
+                d = dist[j]
+                if d is not None and (delta is None or d < delta):
+                    delta, j1 = d, j
+            if delta is None:
+                return None
+            for j in tree:
+                u[owner[j]] += delta
+                v[j] -= delta
+            for j in free:
+                if dist[j] is not None:
+                    dist[j] -= delta
+            free.remove(j1)
+            tree.append(j1)
+            j0 = j1
+            if owner[j0] < 0:
+                break
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    sigma = [0] * n
+    for j in cols:
+        sigma[owner[j]] = j - 1
+    return sum([row[a] for row, a in zip(S, sigma)]), tuple(sigma)
+
+
 def apartment_overlap(g):
     """Overlap of the chart of g with the standard apartment, as a pair
     (region, weyl), or None when they are disjoint.
@@ -159,30 +223,26 @@ def apartment_overlap(g):
     any optimal sigma, and the one returned, with its weyl element, is the
     lexicographically smallest.
 
-    The search runs on trop's int matrix S = L T (None for Bottom).  Scaling
+    The solve runs on trop's int matrix S = L T (None for Bottom).  Scaling
     by L > 0 keeps every sum, difference and comparison, so S has the same
-    optimal permutations.  permutations yields sigma in lex order, so the
-    first to beat the running best is the lex-first optimal one.  Only its
-    system, divided by L, and its affine map are built as apartment
+    optimal permutations.  _lex_first_assignment minimizes the perturbed
+    cost c_ij = j n^(n-1-i) - S_ij n^n over permutations, Bottom a
+    forbidden edge.  sigma's cost is its base-n number
+    sum_i sigma(i) n^(n-1-i), which lies in [0, n^n), minus n^n times its
+    total.  Totals are ints, so a larger total always costs less, and
+    between equal totals the lexicographically smaller sigma has the
+    smaller base-n number.  Distinct permutations have distinct base-n
+    numbers, so the minimum is attained once, by the lexicographically
+    first optimal sigma, whatever ties the solve meets on its way.  Only
+    its system, divided by L, and its affine map are built as apartment
     objects.
     """
-    n = g.n
-    if n > PERM_BOUND:
-        raise EnumerationBound(f"permutation enumeration capped at n = {PERM_BOUND}")
-    rs = type_A(n - 1)
+    rs = type_A(g.n - 1)
     L, S = trop(g)
-    best = sigma = None
-    for tau in permutations(range(n)):
-        tot = 0
-        for row, a in zip(S, tau):
-            if row[a] is None:
-                break
-            tot += row[a]
-        else:
-            if best is None or tot > best:
-                best, sigma = tot, tau
-    if sigma is None:
+    found = _lex_first_assignment(S)
+    if found is None:
         raise ValueError("no permutation has a finite tropical product, so g is singular")
+    best, sigma = found
     if best > 0:
         return None
     if best < 0:

@@ -39,10 +39,6 @@ class NotARoot(ValueError):
     """Index pair names no root of the system."""
 
 
-class EnumerationBound(RuntimeError):
-    """Permutation enumeration exceeded its size cap."""
-
-
 class IdentityElement(ValueError):
     """Operation undefined for the identity root element."""
 

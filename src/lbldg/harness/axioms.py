@@ -39,7 +39,6 @@ from ..apartment import (
     in_wconvex,
 )
 from ..building import (
-    PERM_BOUND,
     RootElem,
     apartment_overlap,
     chart_image,
@@ -49,7 +48,6 @@ from ..building import (
     trop_radius,
     x_mu,
 )
-from ..errors import ConfigError
 from ..rootsys import type_A
 from ..symspace import act, distance, matrix_to_json
 from ..valfield import series as fs
@@ -290,15 +288,8 @@ AXIOMS = {
 
 AXIOM_NAMES = tuple(AXIOMS)
 
-ENUMERATION_BACKED = {"A2", "EC"}
-
 
 def check_axiom(cfg, which):
-    """Run one axiom suite; returns a Report.  The suites that enumerate
-    permutations in apartment_overlap refuse sizes above PERM_BOUND."""
-    if which in ENUMERATION_BACKED and cfg.n > PERM_BOUND:
-        raise ConfigError(
-            "enumeration-backed checks support matrix sizes up to "
-            f"building.PERM_BOUND = {PERM_BOUND}"
-        )
+    """Run one axiom suite; returns a Report.  A2 and EC take any n, as the
+    other suites do: each overlap they read is one assignment solve."""
     return run_suite("axioms", AXIOMS, cfg, which)

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import click
 
 from ..building import apartment_overlap, overlap_to_json
-from ..errors import ConfigError, EnumerationBound, PrecisionError
+from ..errors import ConfigError, PrecisionError
 from ..symspace import distance, group_from_json, point_from_json, retract
 from ..valfield import series as fs
 from .axioms import AXIOM_NAMES, check_axiom
@@ -26,10 +26,10 @@ from .report import SCHEMA, format_lines, report_to_dict
 from .theorems import THEOREM_NAMES, check_theorem
 
 
-# bad input: what reading JSON and series text raises, and EnumerationBound,
-# the one package error type that is no ValueError (overlap past
-# building.PERM_BOUND); PrecisionError is caught before these
-_BAD_INPUT = (ValueError, TypeError, OSError, EnumerationBound)
+# bad input: what reading JSON and series text raises, and every package
+# error type but PrecisionError, which is caught before these (each of the
+# others is a ValueError)
+_BAD_INPUT = (ValueError, TypeError, OSError)
 
 
 @contextmanager

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from lbldg import symspace as sym
 from lbldg.apartment import ApartmentVec
-from lbldg.building import PERM_BOUND, RootElem, apartment_overlap, chart_image, x_mu
+from lbldg.building import RootElem, apartment_overlap, chart_image, x_mu
 from lbldg.errors import ConfigError
 from lbldg.harness import axioms as ax
 from lbldg.harness import theorems as th
@@ -148,28 +148,15 @@ class TestReports:
         with pytest.raises(ConfigError):
             ax.check_axiom(TrialConfig(n=1), "A1")
         with pytest.raises(ConfigError):
-            ax.check_axiom(TrialConfig(n=PERM_BOUND + 1), "A2")
-        with pytest.raises(ConfigError):
             th.check_theorem(TrialConfig(trials=0), "Stab_o")
         with pytest.raises(ConfigError):
             th.check_theorem(TrialConfig(seed=-1), "Stab_o")
-        # A4 is not enumeration-backed, so n=5 is allowed there
         assert ax.check_axiom(TrialConfig(n=5, trials=2, seed=3), "A4").ok
 
-    @pytest.mark.parametrize("which", sorted(ax.ENUMERATION_BACKED))
-    def test_the_permutation_cap_comes_before_the_trial_count(self, which):
-        with pytest.raises(ConfigError) as exc:
-            ax.check_axiom(TrialConfig(n=PERM_BOUND + 1, trials=0), which)
-        assert str(exc.value) == (
-            "enumeration-backed checks support matrix sizes up to building.PERM_BOUND = 5"
-        )
-        with pytest.raises(KeyError):
-            ax.check_axiom(TrialConfig(n=PERM_BOUND + 1), which + "x")
-
-    @pytest.mark.parametrize("which", sorted(ax.ENUMERATION_BACKED))
-    def test_enumeration_backed_at_n5(self, which):
-        # the cap is building.PERM_BOUND = 5, not a second constant
-        assert ax.check_axiom(TrialConfig(n=5, trials=3, seed=1), which).ok
+    @pytest.mark.parametrize("which", ["A2", "EC"])
+    def test_overlap_suites_at_n6_and_n8(self, which):
+        for n in (6, 8):
+            assert ax.check_axiom(TrialConfig(n=n, trials=3, seed=1), which).ok
 
 
 # --- suite registries -------------------------------------------------------------
