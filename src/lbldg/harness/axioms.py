@@ -51,7 +51,6 @@ from ..building import (
 from ..rootsys import type_A
 from ..symspace import act, distance, matrix_to_json
 from ..valfield import series as fs
-from ..valfield.lam import ZERO
 from .generators import (
     gen_apartment_mu,
     gen_diagonal,
@@ -152,7 +151,7 @@ def _check_ti(cfg):
     def one(rng, _):
         x, y, z = (gen_point(rng, cfg.n) for _ in range(3))
         dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
-        if dxy < ZERO or distance(x, x) != ZERO:
+        if dxy < 0 or distance(x, x) != 0:
             return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "positivity"}
         if dxy != distance(y, x):
             return {"x": matrix_to_json(x), "y": matrix_to_json(y), "kind": "symmetry"}

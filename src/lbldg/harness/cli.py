@@ -68,7 +68,7 @@ def dist(x, y):
     py = _load("dist", y, point_from_json)
     with _exits("dist"):
         d = distance(px, py)
-    click.echo(str(d.finite_value))
+    click.echo(str(d))
 
 
 @main.command(name="retract")

@@ -47,7 +47,6 @@ from ..symspace import (
     retract,
 )
 from ..valfield import series as fs
-from ..valfield.lam import ZERO
 from .generators import (
     DENOM,
     FACTORS,
@@ -73,7 +72,7 @@ def _check_stab_o(cfg):
         g = gen_group_elem(rng, cfg.n)
         shape = stab_o(g)
         moved = distance(o, act(g, o))
-        if shape != (moved == ZERO):
+        if shape != (moved == 0):
             return {"g": matrix_to_json(g), "shape": shape, "distance": str(moved)}
         return None
 

@@ -31,7 +31,6 @@ from .apartment import ApartmentVec
 from .errors import PrecisionError, SeriesSyntaxError
 from .rootsys import type_A
 from .valfield import series as fs
-from .valfield.lam import LambdaVal
 
 # --- series matrices ---------------------------------------------------------
 
@@ -209,6 +208,8 @@ class GroupElem:
         return cls(mat_identity(n), validate=False)
 
     def __matmul__(self, other):
+        if not isinstance(other, GroupElem):
+            return NotImplemented
         n, m = len(self.entries), len(other.entries)
         if n != m:
             raise ValueError(f"cannot multiply a {n} x {n} element by a {m} x {m} element")
@@ -277,6 +278,8 @@ def act(g, x):
     """g.x = g x g^T; preserves all point invariants exactly.  Entry (i, j)
     for i <= j is sum_p (g x)_ip g_jp, summed as mat_mul sums it, and entry
     (j, i) is the same series."""
+    if not (isinstance(g, GroupElem) and isinstance(x, SPDPoint)):
+        raise TypeError(f"cannot act by a {type(g).__name__} on a {type(x).__name__}")
     n = g.n
     if x.n != n:
         raise ValueError(f"cannot act by a {n} x {n} element on a {x.n} x {x.n} point")
@@ -437,14 +440,26 @@ def _hull_value_at(hull, k, e):
             return Fraction(y1 * (x2 - x1) + (y2 - y1) * (k - x1), e * (x2 - x1))
 
 
+class _Distance(Fraction):
+    """distance's value: a Fraction that is its own ``finite_value``."""
+
+    __slots__ = ()
+
+    @property
+    def finite_value(self):
+        return self
+
+
 def distance(x, y):
-    """Sum over ordered pairs i != j of |mu_i - mu_j|; a pseudo-distance.
-    The mu are sorted descending, so mu_i enters n - 1 - i pairs i < j with
-    sign + and i pairs j < i with sign -, twice each."""
+    """Sum over ordered pairs i != j of |mu_i - mu_j|; a pseudo-distance,
+    returned as a Fraction (Lambda = Q).  The mu are sorted descending, so
+    mu_i enters n - 1 - i pairs i < j with sign + and i pairs j < i with
+    sign -, twice each.  The Fraction subclass exists only for perfbench's
+    two ``finite_value`` reads."""
     mu = cartan_valuations(x, y)
     n = len(mu)
     total = sum([(n - 1 - 2 * i) * v for i, v in enumerate(mu)], Fraction(0))
-    return LambdaVal(2 * total)
+    return _Distance(2 * total)
 
 
 # --- Iwasawa retraction ------------------------------------------------------

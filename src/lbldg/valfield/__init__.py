@@ -1,6 +1,6 @@
-"""Valued field: truncated Puiseux series and the ordered value group.
+"""Valued field: truncated Puiseux series, imported as ``valfield.series``.
 
-Import the two layers as modules, ``valfield.series`` and ``valfield.lam``.
+The value group Lambda is Q, so values are plain Fractions.
 """
 
 # perfbench's tracer self-test reads valfield.mul to check that a function

@@ -4,7 +4,9 @@ direct forms of act, the Newton polygon, chart_image, the overlap's
 difference systems, the region witness and the half-apartment stabilizer
 shape that the package computes on lattice ints, from shared blocks or with
 explicit None checks, and a character scanner and printer for series text on
-Fractions, each independent of the algorithm it checks.
+Fractions, each independent of the algorithm it checks.  fractions is the
+one Hypothesis strategy here: st.fractions' draws, from strategies built
+once.
 
 Valuations here are Lam values: Lambda = Q with Bottom as a value of its
 own, below every finite value and absorbing under addition.  The package
@@ -26,6 +28,8 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import permutations, product
 from math import lcm
+
+from hypothesis import strategies as st
 
 from lbldg.apartment import ApartmentVec
 from lbldg.errors import DuplicateExponent, PrecisionError, SeriesSyntaxError
@@ -584,6 +588,18 @@ def random_terms(rng):
     if rng.random() < 0.4:
         floor = Fraction(rng.randint(-14, 6), rng.choice([1, 2, 3]))
     return pairs, floor
+
+
+def fractions(lo, hi, max_denominator):
+    """st.fractions(lo, hi, max_denominator=...) for int bounds, with the
+    same two draws: a denominator d, then a numerator between lo * d and
+    hi * d.  Hypothesis's own builds a new numerator strategy for every
+    value it draws and validates it again; these are built once."""
+    by_denominator = {
+        d: st.integers(lo * d, hi * d).map(lambda k, d=d: Fraction(k, d))
+        for d in range(1, max_denominator + 1)
+    }
+    return st.integers(1, max_denominator).flatmap(by_denominator.__getitem__)
 
 
 def random_series(rng):

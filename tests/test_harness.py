@@ -43,7 +43,6 @@ from lbldg.harness.report import (
 from lbldg.rootsys import type_A
 from lbldg.symspace import act, distance, matrix_to_json
 from lbldg.valfield import series as fs
-from lbldg.valfield.lam import LambdaVal
 
 
 # --- report plumbing -------------------------------------------------------------
@@ -188,6 +187,20 @@ class TestSuites:
                 rep = th.check_theorem(TrialConfig(n=n, trials=6, seed=13), which)
                 assert rep.ok, (which, n, rep.rows)
 
+    def test_stab_o_payload_prints_the_distance(self, monkeypatch):
+        """A Stab_o counterexample records the distance as bare Fraction
+        text, such as "2" or "3/2"."""
+        shape = th.stab_o
+        monkeypatch.setattr(th, "stab_o", lambda g: not shape(g))
+        cfg = TrialConfig(n=2, trials=6, seed=13)
+        (row,) = th.check_theorem(cfg, "Stab_o").rows
+        assert row.failed == cfg.trials and row.counterexamples
+        o = sym.SPDPoint.basepoint(2)
+        for ce in row.counterexamples:
+            text = ce["distance"]
+            assert str(Fraction(text)) == text
+            assert Fraction(text) == distance(o, act(sym.group_from_json(ce["g"]), o))
+
 
 # --- "g fixes x_mu": the chart image against the pencil ---------------------------
 
@@ -225,7 +238,7 @@ class TestFixedPoints:
                     ApartmentVec.from_mu(rs, gen_dominant_mu(rng, n)),
                 ]
                 for mu in mus:
-                    by_pencil = distance(act(g, x_mu(mu)), x_mu(mu)) == LambdaVal.of(0)
+                    by_pencil = distance(act(g, x_mu(mu)), x_mu(mu)) == 0
                     by_chart = chart_image(g, mu) == mu
                     assert by_pencil == by_chart, (matrix_to_json(g), mu.to_mu())
                     fixed += by_chart

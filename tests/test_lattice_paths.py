@@ -24,7 +24,7 @@ from lbldg.harness.generators import gen_diagonal, gen_group_elem, gen_unipotent
 from lbldg.rootsys import type_A
 from lbldg.valfield import series as fs
 
-_EXPONENT = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_EXPONENT = oracles.fractions(-4, 4, 4)
 _COEF = st.sampled_from((Q(1), Q(-1), Q(2), Q(-3, 2), Q(1, 3)))
 
 
@@ -44,6 +44,11 @@ def _series(draw, floored):
     return a
 
 
+# each strategy is built once: Hypothesis validates every new strategy
+# object, and building one per drawn entry took about half of the drawing time
+_SERIES = {floored: _series(floored) for floored in (False, True)}
+
+
 def _outcome(fn, *args):
     """The value of fn(*args), or the type and text of what it raised."""
     try:
@@ -53,11 +58,11 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def _matrix(draw, n, floored, symmetric=False):
+def _matrix(draw, n, floored, symmetric):
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i if symmetric else 0, n):
-            rows[i][j] = draw(_series(floored))
+            rows[i][j] = draw(_SERIES[floored])
             if symmetric:
                 rows[j][i] = rows[i][j]
     # a row of exact zeros: Bottom in every column
@@ -70,12 +75,20 @@ def _matrix(draw, n, floored, symmetric=False):
     return rows
 
 
+_MATRIX = {
+    (n, floored, symmetric): _matrix(n, floored, symmetric)
+    for n in range(2, 6)
+    for floored in (False, True)
+    for symmetric in (False, True)
+}
+
+
 @st.composite
 def _act_inputs(draw):
     n = draw(st.integers(2, 5))
     floored = draw(st.booleans())
-    g = sym.GroupElem(draw(_matrix(n, floored)), validate=False)
-    x = sym.SPDPoint(draw(_matrix(n, floored, symmetric=True)), validate=False)
+    g = sym.GroupElem(draw(_MATRIX[n, floored, False]), validate=False)
+    x = sym.SPDPoint(draw(_MATRIX[n, floored, True]), validate=False)
     return g, x, floored
 
 
@@ -110,7 +123,7 @@ def _pencils(draw):
     """Coefficient tuples of length n + 1: exact zeros, visible series and
     masked coefficients (a floor and no visible term) anywhere."""
     n = draw(st.integers(2, 5))
-    return tuple(draw(_series(floored=True)) for _ in range(n + 1))
+    return tuple(draw(_SERIES[True]) for _ in range(n + 1))
 
 
 class TestNewtonPolygon:
@@ -138,6 +151,9 @@ class TestNewtonPolygon:
         assert _outcome(oracles.pencil_valuations, q) == ("PrecisionError", want)
 
 
+_MU = oracles.fractions(-3, 3, 6)
+
+
 @st.composite
 def _charts(draw):
     """A chart of size 2..5, from a generator family or drawn entry by
@@ -147,7 +163,7 @@ def _charts(draw):
     family = draw(st.sampled_from(("group", "diagonal", "unipotent", "entries")))
     floored = draw(st.booleans())
     if family == "entries":
-        rows = draw(_matrix(n, floored))
+        rows = draw(_MATRIX[n, floored, False])
     else:
         rng = trial_rng(draw(st.integers(0, 10**6)), "chart-lattice", n)
         make = {"group": gen_group_elem, "diagonal": gen_diagonal, "unipotent": gen_unipotent}
@@ -158,7 +174,7 @@ def _charts(draw):
                 rows[i][j] = fs.with_floor(rows[i][j], draw(_EXPONENT))
         if draw(st.integers(0, 5)) == 0:
             rows[draw(st.integers(0, n - 1))] = [fs.ZERO] * n
-    mu = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=6)) for _ in range(n - 1)]
+    mu = [draw(_MU) for _ in range(n - 1)]
     vec = ApartmentVec.from_mu(type_A(n - 1), mu + [-sum(mu)])
     return sym.GroupElem(rows, validate=False), vec
 
@@ -219,7 +235,7 @@ class TestChartImage:
             bd.chart_image(g, mu)
 
 
-@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=4))
+@given(st.lists(oracles.fractions(-5, 5, 6), min_size=1, max_size=4))
 def test_x_mu_entries_are_the_monomials(mu):
     mu = mu + [-sum(mu)]
     n = len(mu)
@@ -239,14 +255,12 @@ def _half_apartment_cases(draw):
     n = draw(st.integers(2, 4))
     i, j = draw(st.permutations(range(1, n + 1)))[:2]
     if draw(st.booleans()):
-        rows = draw(_matrix(n, floored=True))
+        rows = draw(_MATRIX[n, True, False])
     else:
         rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]
-        rows[i - 1][j - 1] = draw(_series(floored=True))
+        rows[i - 1][j - 1] = draw(_SERIES[True])
         if draw(st.integers(0, 3)) == 0:
-            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
-                _series(floored=True)
-            )
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_SERIES[True])
     return sym.GroupElem(rows, validate=False), (i, j), draw(_EXPONENT)
 
 

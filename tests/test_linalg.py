@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from lbldg.linalg import mat_inv
-from oracles import identity, mat_mul, solve_combo
+from oracles import fractions, identity, mat_mul, solve_combo
 
-_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_ENTRIES = fractions(-3, 3, 3)
 
 
 @st.composite
@@ -49,15 +49,17 @@ def test_inverse_or_singular(m):
         assert mat_mul(mat_inv(m), m) == identity(len(m))
 
 
+_SIXTHS = fractions(-4, 4, 6)
+
+
 @st.composite
 def _sixths(draw):
     """Square matrices up to 5x5 with denominators up to 6; about a third
     get a last row that is a combination of two earlier ones."""
     n = draw(st.integers(1, 5))
-    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    m = [[draw(_SIXTHS) for _ in range(n)] for _ in range(n)]
     if n > 2 and draw(st.integers(0, 2)) == 0:
-        a, b = draw(entry), draw(entry)
+        a, b = draw(_SIXTHS), draw(_SIXTHS)
         m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
     return m
 
@@ -82,7 +84,7 @@ def _int_matrices(draw):
     an int combination of two earlier ones (n > 2) or zero."""
     n = draw(st.integers(1, 5))
     entry = st.one_of(st.just(0), st.integers(-4, 4))
-    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    m = [[draw(_SIXTHS) for _ in range(n)] for _ in range(n)]
     if draw(st.integers(0, 2)) == 0:
         if n > 2:
             a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))

@@ -22,7 +22,14 @@ from lbldg.errors import (
 )
 from lbldg.valfield import series as vf
 from lbldg.valfield._backend import kernel_add, kernel_dot, kernel_mul
-from oracles import parse_series, random_terms, series_from_terms, series_str, series_texts
+from oracles import (
+    fractions,
+    parse_series,
+    random_terms,
+    series_from_terms,
+    series_str,
+    series_texts,
+)
 
 # the distinguished element t
 T = vf.monomial(1)
@@ -46,10 +53,10 @@ def _rand_nonzero(rng):
 
 
 # Mixed lattices: exponent denominators 1-6.
-_EXPS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-_COEFS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_EXPS = fractions(-6, 6, 6)
+_COEFS = fractions(-9, 9, 6)
 _TERMS = st.lists(st.tuples(_EXPS, _COEFS), max_size=5)
-_FLOORS = st.fractions(min_value=-9, max_value=6, max_denominator=6)
+_FLOORS = fractions(-9, 6, 6)
 
 
 def _naive_terms(acc):
@@ -507,7 +514,7 @@ class TestInvSqrt:
 
 _MAYBE_FLOOR = st.one_of(st.none(), _FLOORS)
 # offsets from a leading exponent, for floors and targets near it
-_OFFSETS = st.fractions(min_value=-4, max_value=1, max_denominator=6)
+_OFFSETS = fractions(-4, 1, 6)
 _MAYBE_OFFSET = st.one_of(st.none(), _OFFSETS)
 
 
