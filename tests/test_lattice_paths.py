@@ -44,11 +44,6 @@ def _series(draw, floored):
     return a
 
 
-# each strategy is built once: Hypothesis validates every new strategy
-# object, and building one per drawn entry took about half of the drawing time
-_SERIES = {floored: _series(floored) for floored in (False, True)}
-
-
 def _outcome(fn, *args):
     """The value of fn(*args), or the type and text of what it raised."""
     try:
@@ -58,11 +53,11 @@ def _outcome(fn, *args):
 
 
 @st.composite
-def _matrix(draw, n, floored, symmetric):
+def _matrix(draw, n, floored, symmetric=False):
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i if symmetric else 0, n):
-            rows[i][j] = draw(_SERIES[floored])
+            rows[i][j] = draw(_series(floored))
             if symmetric:
                 rows[j][i] = rows[i][j]
     # a row of exact zeros: Bottom in every column
@@ -75,20 +70,12 @@ def _matrix(draw, n, floored, symmetric):
     return rows
 
 
-_MATRIX = {
-    (n, floored, symmetric): _matrix(n, floored, symmetric)
-    for n in range(2, 6)
-    for floored in (False, True)
-    for symmetric in (False, True)
-}
-
-
 @st.composite
 def _act_inputs(draw):
     n = draw(st.integers(2, 5))
     floored = draw(st.booleans())
-    g = sym.GroupElem(draw(_MATRIX[n, floored, False]), validate=False)
-    x = sym.SPDPoint(draw(_MATRIX[n, floored, True]), validate=False)
+    g = sym.GroupElem(draw(_matrix(n, floored)), validate=False)
+    x = sym.SPDPoint(draw(_matrix(n, floored, symmetric=True)), validate=False)
     return g, x, floored
 
 
@@ -123,7 +110,7 @@ def _pencils(draw):
     """Coefficient tuples of length n + 1: exact zeros, visible series and
     masked coefficients (a floor and no visible term) anywhere."""
     n = draw(st.integers(2, 5))
-    return tuple(draw(_SERIES[True]) for _ in range(n + 1))
+    return tuple(draw(_series(floored=True)) for _ in range(n + 1))
 
 
 class TestNewtonPolygon:
@@ -163,7 +150,7 @@ def _charts(draw):
     family = draw(st.sampled_from(("group", "diagonal", "unipotent", "entries")))
     floored = draw(st.booleans())
     if family == "entries":
-        rows = draw(_MATRIX[n, floored, False])
+        rows = draw(_matrix(n, floored))
     else:
         rng = trial_rng(draw(st.integers(0, 10**6)), "chart-lattice", n)
         make = {"group": gen_group_elem, "diagonal": gen_diagonal, "unipotent": gen_unipotent}
@@ -255,12 +242,14 @@ def _half_apartment_cases(draw):
     n = draw(st.integers(2, 4))
     i, j = draw(st.permutations(range(1, n + 1)))[:2]
     if draw(st.booleans()):
-        rows = draw(_MATRIX[n, True, False])
+        rows = draw(_matrix(n, floored=True))
     else:
         rows = [[fs.ONE if a == b else fs.ZERO for b in range(n)] for a in range(n)]
-        rows[i - 1][j - 1] = draw(_SERIES[True])
+        rows[i - 1][j - 1] = draw(_series(floored=True))
         if draw(st.integers(0, 3)) == 0:
-            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_SERIES[True])
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                _series(floored=True)
+            )
     return sym.GroupElem(rows, validate=False), (i, j), draw(_EXPONENT)
 
 

@@ -105,7 +105,6 @@ def _counted(det):
 _EXP = fractions(-4, 4, 6)
 _COEF = fractions(-3, 3, 6)
 _FLOOR = st.one_of(st.none(), fractions(-9, 6, 6))
-_TERMS = st.lists(st.tuples(_EXP, _COEF), min_size=1, max_size=3)
 
 
 @st.composite
@@ -113,7 +112,7 @@ def _entries(draw, floors=_FLOOR):
     """An exact zero, or up to three terms, possibly cut by with_floor."""
     if draw(st.integers(0, 4)) == 0:
         return fs.ZERO
-    terms = draw(_TERMS)
+    terms = draw(st.lists(st.tuples(_EXP, _COEF), min_size=1, max_size=3))
     a = series_from_terms(terms)
     f = draw(floors)
     return a if f is None else fs.with_floor(a, f)
@@ -129,13 +128,7 @@ def _floored(*ms):
     return any(v.floor is not None for m in ms for row in m for v in row)
 
 
-# one strategy per size and floor rule, built once: Hypothesis validates
-# every new strategy object, and a flatmap that built one per example spent
-# about half of its drawing time there
-_MATRICES = {n: _matrices(n) for n in range(1, 6)}
-_PAIRS = {n: st.tuples(m, m) for n, m in _MATRICES.items()}
-_EXACT_PAIRS = {n: st.tuples(*[_matrices(n, st.none())] * 2) for n in range(1, 6)}
-_SIZED = st.integers(1, 5).flatmap(_MATRICES.__getitem__)
+_SIZED = st.integers(1, 5).flatmap(_matrices)
 
 
 # a failing matrix is reported as drawn: shrinking tables of up to 5 x 5
@@ -183,13 +176,15 @@ class TestAgainstLaplace:
 
     # an exact pencil is one series determinant in t, with lambda = t^(B/E);
     # a pencil with a floored entry runs the table on polynomials in lambda
-    @given(st.integers(1, 5).flatmap(_EXACT_PAIRS.__getitem__))
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[_matrices(n, st.none())] * 2)))
     @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     def test_char_pencil_exact(self, pair):
         _assert_pencil(*pair)
 
     @given(
-        st.integers(1, 5).flatmap(_PAIRS.__getitem__).filter(lambda pair: _floored(*pair))
+        st.integers(1, 5)
+        .flatmap(lambda n: st.tuples(_matrices(n), _matrices(n)))
+        .filter(lambda pair: _floored(*pair))
     )
     @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     def test_char_pencil(self, pair):
@@ -259,12 +254,6 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-_SPARSE_SIZED = st.integers(2, 4).flatmap(
-    {n: _matrices(n, st.one_of([st.none()] * 3 + [_FLOOR])) for n in range(2, 5)}.__getitem__
-)
-_SHIFTS = st.sampled_from([0, 0, 0, Q(1, 2)])
-
-
 @st.composite
 def _retract_inputs(draw):
     """A matrix with n = 2..4, about one entry in eight floored, whose first
@@ -272,10 +261,10 @@ def _retract_inputs(draw):
     times in four, which takes retract past the unit check to mu, and to
     1/2 otherwise, so that the unit check meets later zero and masked
     minors."""
-    m = draw(_SPARSE_SIZED)
+    m = draw(st.integers(2, 4).flatmap(lambda n: _matrices(n, st.one_of([st.none()] * 3 + [_FLOOR]))))
     det = _det(m)
     if det.pairs:
-        shift = fs.monomial(draw(_SHIFTS) - fs.negval(det))
+        shift = fs.monomial(draw(st.sampled_from([0, 0, 0, Q(1, 2)])) - fs.negval(det))
         m = (tuple([fs.mul(v, shift) for v in m[0]]),) + m[1:]
     return m
 
@@ -289,7 +278,7 @@ def test_retract_against_laplace(m):
     assert got == _outcome(_retract_oracle, m)
 
 
-@given(st.integers(1, 4).flatmap(_MATRICES.__getitem__))
+@given(st.integers(1, 4).flatmap(_matrices))
 @settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
 def test_lattice_round_trip(m):
     """Every entry comes back from the lattice over its row's scale."""
