@@ -54,6 +54,15 @@ def _is_upper(g):
     return all(fs.provably_zero(g.entries[i][j]) for i in range(g.n) for j in range(i))
 
 
+def _transition(g1, g2):
+    """The transition element g2^(-1) g1 of two charts; TypeError unless
+    both are GroupElems."""
+    if not (isinstance(g1, GroupElem) and isinstance(g2, GroupElem)):
+        names = f"{type(g1).__name__} and a {type(g2).__name__}"
+        raise TypeError(f"charts are GroupElems, not a {names}")
+    return g2.inverse() @ g1
+
+
 def germ_equal(g1, g2):
     """Whether the sectors of the charts g1 and g2, based at o, agree on
     some ball around o: whether they have one germ.
@@ -62,7 +71,7 @@ def germ_equal(g1, g2):
     triangular, i.e. lies in the Borel subgroup of the residue group,
     which is exactly the germ stabilizer of the standard sector.
     """
-    return _is_upper(reduce(g2.inverse() @ g1))
+    return _is_upper(reduce(_transition(g1, g2)))
 
 
 @cache
@@ -109,7 +118,7 @@ def sampled_germ_equal(g1, g2):
     negval 0, which exceeds mu_i - mu_j on every interior point, so every
     probe moves.
     """
-    b = g2.inverse() @ g1
+    b = _transition(g1, g2)
     if not stab_o(b):
         raise NotInRing("sampled germs require base charts in O")
     rs = type_A(b.n - 1)
@@ -127,7 +136,7 @@ def infinity_equal(g1, g2):
     Operationally: the transition element is upper triangular over the
     series field, i.e. every entry below the diagonal is exactly zero.
     """
-    return _is_upper(g2.inverse() @ g1)
+    return _is_upper(_transition(g1, g2))
 
 
 @cache
@@ -162,7 +171,7 @@ def sampled_infinity_equal(g1, g2):
     finite below the diagonal.  Conversely an upper-triangular transition
     element translates deep points by its diagonal negvals.
     """
-    b = g2.inverse() @ g1
+    b = _transition(g1, g2)
     r0 = 2 * b.n * (1 + trop_radius(b))
     rs = type_A(b.n - 1)
     rho = _deep_direction(b.n)

@@ -45,11 +45,14 @@ def x_mu(mu):
     n = mu.rs.rank + 1
     rows = [[fs.ZERO] * n for _ in range(n)]
     for i, m in enumerate(mu.to_mu()):
-        # t^(2 m) = t^(k/e) in lowest terms, for m = p/q in lowest terms
-        p, q = m.numerator, m.denominator
-        e, k = (q // 2, p) if q % 2 == 0 else (q, 2 * p)
-        rows[i][i] = fs.PuiseuxElem(e, 1, ((k, 1),), None)
+        rows[i][i] = fs.int_monomial(2 * m.numerator, m.denominator, 1, 1)
     return SPDPoint(rows, validate=False)
+
+
+def _check_chart(g):
+    """TypeError unless g is a GroupElem; a point would pass every test here."""
+    if not isinstance(g, GroupElem):
+        raise TypeError(f"a chart is a GroupElem, not a {type(g).__name__}")
 
 
 def trop(g):
@@ -60,6 +63,7 @@ def trop(g):
     masked entry raises negval's PrecisionError, for the first one in
     row-major order, its text led by the entry's 1-based row and column.
     """
+    _check_chart(g)
     L = lcm(*(a.e for row in g.entries for a in row))
     # an entry with no visible term is an exact zero, whose negval is None
     # (Bottom), or masked, and then negval raises
@@ -279,12 +283,14 @@ def overlap_to_json(result):
 
 def stab_o(g):
     """True iff g fixes the base point: every entry lies in O."""
+    _check_chart(g)
     return all(fs.in_O(e) for row in g.entries for e in row)
 
 
 def _stab_shape(g, off_diagonal):
     """Row-major scan: diagonal entries are units, and off_diagonal(i, j, e)
     holds for every other entry (0-based i, j)."""
+    _check_chart(g)
     for i, row in enumerate(g.entries):
         for j, e in enumerate(row):
             if not (fs.is_unit(e) if i == j else off_diagonal(i, j, e)):

@@ -1,11 +1,10 @@
 """Seeded random generators for group elements, points, and root elements.
 
 Every generator takes an explicit random.Random so the harness can derive one
-deterministic stream per trial. Supports stay tiny, everything Exact: the
-suites draw from the one lattice of SPAN, DENOM and FACTORS, and tests pass
-span, denom and factors to gen_group_elem (which hands span and denom on to
-gen_unipotent and gen_diagonal) to narrow or widen it. gen_apartment_mu keeps
-the half-integer lattice.
+deterministic stream per trial. Supports stay tiny, everything Exact: every
+draw comes from the one lattice of SPAN, DENOM and FACTORS, read when the
+generator runs, so a test narrows or widens it by patching those constants.
+gen_apartment_mu keeps the half-integer lattice.
 
 Draws are built from the rng's ints: every series entry is one
 series.int_monomial call on the drawn numerators and denominators, and every
@@ -44,13 +43,13 @@ def trial_rng(seed, which, trial):
     return random.Random(f"{seed}:{which}:{trial}")
 
 
-def gen_unipotent(rng, n, lower=False, span=SPAN, denom=DENOM, integral=False):
+def gen_unipotent(rng, n, lower=False, integral=False):
     """Upper (or lower) unipotent with zero-or-monomial off-diagonal entries;
     integral keeps every exponent at or below zero, so the entries lie in O.
     Each entry draws its coefficient c/d, c in [-3, 3] and d in {1, 2}, and
-    when c is nonzero its exponent on the 1/denom lattice."""
-    top = 0 if integral else span
-    choices = range(1, denom + 1)
+    when c is nonzero its exponent on the 1/DENOM lattice."""
+    top = 0 if integral else SPAN
+    choices = range(1, DENOM + 1)
     rows = [[fs.ONE if i == j else fs.ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -59,30 +58,30 @@ def gen_unipotent(rng, n, lower=False, span=SPAN, denom=DENOM, integral=False):
                 c = rng.randint(-3, 3)
                 d = rng.randint(1, 2)
                 if c:
-                    x = rng.randint(-span, top)
+                    x = rng.randint(-SPAN, top)
                     y = rng.choice(choices)
                     rows[i][j] = fs.int_monomial(x, y, c, d)
     return GroupElem(rows, validate=False)
 
 
-def gen_diagonal(rng, n, span=SPAN, denom=DENOM):
+def _cancelling_coefs(rng, n, cs, ds):
+    """n coefficients c/d with product 1: n - 1 drawn as c from cs, then d
+    from ds, and a last one that cancels them, its denominator positive."""
+    coefs = [(rng.choice(cs), rng.choice(ds)) for _ in range(n - 1)]
+    num, den = prod([d for _, d in coefs]), prod([c for c, _ in coefs])
+    coefs.append((num, den) if den > 0 else (-num, -den))
+    return coefs
+
+
+def gen_diagonal(rng, n):
     """Positive diagonal monomials with determinant exactly 1: n - 1
-    exponents on the 1/denom lattice, then n - 1 coefficients, and a last
+    exponents on the 1/DENOM lattice, then n - 1 coefficients, and a last
     entry that cancels both."""
-    choices = range(1, denom + 1)
-    exps = []
-    for _ in range(n - 1):
-        x = rng.randint(-span, span)
-        y = rng.choice(choices)
-        exps.append((x, y))
-    coefs = []
-    for _ in range(n - 1):
-        c = rng.choice([1, 1, 2, 3])
-        d = rng.choice([1, 1, 2])
-        coefs.append((c, d))
+    choices = range(1, DENOM + 1)
+    exps = [(rng.randint(-SPAN, SPAN), rng.choice(choices)) for _ in range(n - 1)]
+    coefs = _cancelling_coefs(rng, n, [1, 1, 2, 3], [1, 1, 2])
     den = lcm(*[y for _, y in exps])
     exps.append((-sum([x * (den // y) for x, y in exps]), den))
-    coefs.append((prod([d for _, d in coefs]), prod([c for c, _ in coefs])))
     rows = [[fs.ZERO] * n for _ in range(n)]
     for i, ((x, y), (c, d)) in enumerate(zip(exps, coefs)):
         rows[i][i] = fs.int_monomial(x, y, c, d)
@@ -112,18 +111,18 @@ def gen_orthogonal(rng, n):
     return GroupElem(rows, validate=False)
 
 
-def gen_group_elem(rng, n, span=SPAN, denom=DENOM, factors=FACTORS):
-    """Product of 1 to `factors` factors drawn from the three families."""
+def _product(rng, n, kinds):
+    """Product of 1 to FACTORS factors, each drawn from a family in kinds."""
     g = None
-    kinds = [gen_unipotent, gen_diagonal, gen_orthogonal]
-    for _ in range(rng.randint(1, factors)):
-        kind = rng.choice(kinds)
-        if kind is gen_orthogonal:
-            f = gen_orthogonal(rng, n)
-        else:
-            f = kind(rng, n, span=span, denom=denom)
+    for _ in range(rng.randint(1, FACTORS)):
+        f = rng.choice(kinds)(rng, n)
         g = f if g is None else g @ f
     return g
+
+
+def gen_group_elem(rng, n):
+    """Product of 1 to FACTORS factors drawn from the three families."""
+    return _product(rng, n, [gen_unipotent, gen_diagonal, gen_orthogonal])
 
 
 def gen_point(rng, n):
@@ -132,35 +131,24 @@ def gen_point(rng, n):
 
 def gen_diag_units(rng, n):
     """Diagonal rational units (either sign) with determinant exactly 1."""
-    coefs = []
-    for _ in range(n - 1):
-        c = rng.choice([1, -1, 2, 3])
-        d = rng.choice([1, 2])
-        coefs.append((c, d))
-    num, den = prod([d for _, d in coefs]), prod([c for c, _ in coefs])
-    coefs.append((num, den) if den > 0 else (-num, -den))
+    coefs = _cancelling_coefs(rng, n, [1, -1, 2, 3], [1, 2])
     rows = [[fs.ZERO] * n for _ in range(n)]
     for i, (c, d) in enumerate(coefs):
         rows[i][i] = fs.int_monomial(0, 1, c, d)
     return GroupElem(rows, validate=False)
 
 
+def _integral_unipotent(rng, n):
+    """gen_unipotent with O entries, upper or lower by a fair coin."""
+    return gen_unipotent(rng, n, lower=rng.random() < 0.5, integral=True)
+
+
 def gen_stab_elem(rng, n):
     """Base-point stabilizer element: product of O-entry factors.
 
-    Off-diagonal exponents stay on the half-integer lattice at or below
-    zero, so any sub-residue part sits at depth 1/2 or more."""
-    g = None
-    for _ in range(rng.randint(1, 3)):
-        kind = rng.randint(0, 2)
-        if kind == 0:
-            f = gen_unipotent(rng, n, lower=rng.random() < 0.5, integral=True)
-        elif kind == 1:
-            f = gen_diag_units(rng, n)
-        else:
-            f = gen_orthogonal(rng, n)
-        g = f if g is None else g @ f
-    return g
+    Off-diagonal exponents stay on the 1/DENOM lattice at or below zero, so
+    any sub-residue part sits at depth 1/DENOM or more."""
+    return _product(rng, n, [_integral_unipotent, gen_diag_units, gen_orthogonal])
 
 
 def gen_root_elem(rng, n):

@@ -180,6 +180,10 @@ def _trailing_minors(m):
 
 
 def _is_one(d):
+    """Whether the determinant d counts as 1: d - 1 has no visible term and
+    no floor at t^0 or above.  An unknown tail below t^0 is accepted, so
+    1 + O(t^(-1)) counts as 1; a floor at t^0 or above masks the t^0
+    coefficient and raises PrecisionError."""
     r = fs.sub(d, fs.ONE)
     if r.pairs:
         return False
@@ -192,6 +196,10 @@ def _is_one(d):
 
 
 class GroupElem:
+    """An SL(n) element: an n x n series matrix whose determinant, when
+    validate is set, counts as 1 by _is_one: exactly 1, or 1 + O(t^f) with
+    f < 0."""
+
     __slots__ = ("entries",)
 
     def __init__(self, entries, validate=True):
@@ -232,6 +240,10 @@ class GroupElem:
 
 
 class SPDPoint:
+    """A point: a symmetric positive definite n x n series matrix whose
+    determinant, when validate is set, counts as 1 as for GroupElem:
+    exactly 1, or 1 + O(t^f) with f < 0."""
+
     __slots__ = ("entries",)
 
     def __init__(self, entries, validate=True):
@@ -336,6 +348,9 @@ def char_pencil(x, y):
     coefficient is the one a polynomial table would build, term for term.
     A floored entry's floor bounds one lambda-coefficient only, so a floored
     pencil runs the table on polynomials in lambda instead."""
+    if not (isinstance(x, SPDPoint) and isinstance(y, SPDPoint)):
+        names = f"{type(x).__name__} and a {type(y).__name__}"
+        raise TypeError(f"the pencil needs two points, not a {names}")
     n = x.n
     if y.n != n:
         raise ValueError(f"the pencil needs points of one size, got {n} x {n} and {y.n} x {y.n}")
@@ -474,6 +489,8 @@ def retract(x):
     exactly-zero minor or a determinant that is not a unit, possible only on
     a point built without validation, raises ValueError; a minor whose
     floor masks its lead raises PrecisionError, as negval does."""
+    if not isinstance(x, SPDPoint):
+        raise TypeError(f"retract takes a point, not a {type(x).__name__}")
     n = x.n
     e, _, rows = fs.to_lattice(x.entries)
     lead = []

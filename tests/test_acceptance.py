@@ -6,6 +6,7 @@ reproducible run to run.
 import random
 import time
 from fractions import Fraction as Q
+from unittest.mock import patch
 
 from lbldg.apartment import ApartmentVec, apply_weyl, in_half
 from lbldg.building import (
@@ -23,6 +24,7 @@ from lbldg.boundaries import (
     sampled_infinity_equal,
     transitivity_witness,
 )
+from lbldg.harness import generators
 from lbldg.harness.generators import (
     gen_apartment_mu,
     gen_group_elem,
@@ -115,7 +117,8 @@ def test_criterion_04_membership_vs_brute_force():
     for trial in range(10):
         rng = trial_rng(SEED, "c4-sl3", trial)
         # small exponent lattice keeps the brute-force search box desk scale
-        g = gen_group_elem(rng, 3, span=2, denom=2, factors=2)
+        with patch.multiple(generators, SPAN=2, DENOM=2, FACTORS=2):
+            g = gen_group_elem(rng, 3)
         for mu in grid3:
             assert (chart_image(g, mu) is not None) == brute_membership(g, mu)
     print("criterion 4: brute-force membership agreement, 25 SL2 + 10 SL3 charts")

@@ -7,7 +7,7 @@ import pytest
 
 from lbldg import boundaries as bn
 from lbldg import building as bd
-from lbldg.apartment import ApartmentVec, in_half
+from lbldg.apartment import ApartmentVec, HalfApartment, in_half
 from lbldg.errors import NotInRing, PrecisionError
 from lbldg.harness.generators import (
     gen_group_elem,
@@ -16,7 +16,16 @@ from lbldg.harness.generators import (
     trial_rng,
 )
 from lbldg.rootsys import type_A
-from lbldg.symspace import GroupElem, SPDPoint, act, distance, mat_det, retract
+from lbldg.symspace import (
+    GroupElem,
+    SPDPoint,
+    act,
+    cartan_valuations,
+    char_pencil,
+    distance,
+    mat_det,
+    retract,
+)
 from lbldg.valfield import series as fs
 
 A1 = type_A(1)
@@ -353,3 +362,44 @@ class TestTransitivity:
         s1 = _g([["1", "t^(-1)"], ["0", "1"]])
         s0 = GroupElem.identity(2)
         assert bn.transitivity_witness(s1, s0) == GroupElem.identity(2)
+
+
+# --- operands of the wrong type ----------------------------------------------------
+
+
+def _wrong_operands():
+    """Two seeded n = 3 charts g, h and a seeded point x."""
+    rng = trial_rng(1, "wrong-type", 0)
+    g, h = gen_group_elem(rng, 3), gen_group_elem(rng, 3)
+    return g, h, act(g, SPDPoint.basepoint(3))
+
+
+# each call hands a chart where a point belongs or a point where a chart
+# belongs; every one of these computed an answer, or raised AttributeError,
+# before the operands were checked
+WRONG_TYPE_CALLS = {
+    "distance": lambda g, h, x: distance(g, h),
+    "cartan_valuations": lambda g, h, x: cartan_valuations(x, g),
+    "char_pencil": lambda g, h, x: char_pencil(g, x),
+    "retract": lambda g, h, x: retract(g),
+    "trop": lambda g, h, x: bd.trop(x),
+    "trop_radius": lambda g, h, x: bd.trop_radius(x),
+    "chart_image": lambda g, h, x: bd.chart_image(x, _mu(type_A(2), 0, 0, 0)),
+    "apartment_overlap": lambda g, h, x: bd.apartment_overlap(x),
+    "stab_o": lambda g, h, x: bd.stab_o(x),
+    "stab_apartment": lambda g, h, x: bd.stab_apartment(x),
+    "stab_chamber": lambda g, h, x: bd.stab_chamber(x),
+    "stab_half_apartment": lambda g, h, x: bd.stab_half_apartment(
+        x, HalfApartment(type_A(2).alpha(1, 2), Q(0))
+    ),
+    "germ_equal": lambda g, h, x: bn.germ_equal(g, x),
+    "sampled_germ_equal": lambda g, h, x: bn.sampled_germ_equal(g, x),
+    "infinity_equal": lambda g, h, x: bn.infinity_equal(g, x),
+    "sampled_infinity_equal": lambda g, h, x: bn.sampled_infinity_equal(h, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE_CALLS))
+def test_operands_of_the_wrong_type_raise_type_error(name):
+    with pytest.raises(TypeError, match=r"not a (GroupElem|SPDPoint)"):
+        WRONG_TYPE_CALLS[name](*_wrong_operands())

@@ -421,8 +421,8 @@ ROW_PERMUTED = {
 
 
 def _seeded(n, denom, count):
-    return [gen_group_elem(trial_rng(11, f"oracle-{n}-{denom}", k), n, denom=denom)
-            for k in range(count)]
+    with patch.object(generators, "DENOM", denom):
+        return [gen_group_elem(trial_rng(11, f"oracle-{n}-{denom}", k), n) for k in range(count)]
 
 
 def _unvalidated(n, count):
@@ -736,7 +736,9 @@ class TestSampleInRegion:
             regions = 0
             for trial in range(1000):
                 rng = trial_rng(trial, "sample-digest", n)
-                res = bd.apartment_overlap(gen_group_elem(rng, n, denom=6 if trial % 2 else 2))
+                with patch.object(generators, "DENOM", 6 if trial % 2 else 2):
+                    g = gen_group_elem(rng, n)
+                res = bd.apartment_overlap(g)
                 if res is None:
                     continue
                 pts = sample_in_region(rng, res[0], 20)

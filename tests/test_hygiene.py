@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no package
-module imports another one's underscore names or builds a tuple from a
-generator, and every public definition in the package is reachable from a
-suite, a command or a benchmark workload."""
+module imports another one's underscore names, builds a tuple from a
+generator or calls the series constructor outside series.py, and every
+public definition in the package is reachable from a suite, a command or a
+benchmark workload."""
 
 import ast
 from pathlib import Path
@@ -106,6 +107,42 @@ def test_the_check_sees_a_tuple_built_from_a_generator():
         "e = [tuple(\n    y for y in row\n) for row in rows]\n"
     )
     assert _tuple_generators(tree) == [1, 5]
+
+
+def _constructor_calls(tree):
+    """Lines that call PuiseuxElem, by name or as a module attribute: the
+    constructor takes canonical data unchecked, so only series.py, which
+    canonicalizes, may build one; the rest of the package goes through
+    series' builders (int_monomial, monomial, parse and the like)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "PuiseuxElem")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "PuiseuxElem")
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in PACKAGE if p != ROOT / "src" / "lbldg" / "valfield" / "series.py"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_series_built_by_its_constructor(path):
+    lines = _constructor_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, ", ".join(f"line {line}: PuiseuxElem(...)" for line in lines)
+
+
+def test_the_check_sees_a_constructor_call():
+    tree = ast.parse(
+        "a = fs.PuiseuxElem(1, 1, ((0, 1),), None)\n"
+        "b = PuiseuxElem(1, 1, (), 0)\n"
+        "c = fs.int_monomial(0, 1, 1, 1)\n"
+        "d = isinstance(c, fs.PuiseuxElem)\n"
+    )
+    assert _constructor_calls(tree) == [1, 2]
 
 
 # --- reachability -------------------------------------------------------------
