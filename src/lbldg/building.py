@@ -104,6 +104,7 @@ def chart_image(g, mu):
     entry raises trop's PrecisionError, and a row of exact zeros makes r_i
     Bottom, so the point lies outside.
     """
+    _check_chart(g)
     rs = mu.rs
     n = rs.rank + 1
     if g.n != n:
@@ -241,6 +242,7 @@ def apartment_overlap(g):
     its system, divided by L, and its affine map are built as apartment
     objects.
     """
+    _check_chart(g)
     rs = type_A(g.n - 1)
     L, S = trop(g)
     found = _lex_first_assignment(S)
@@ -315,6 +317,7 @@ def stab_half_apartment(g, h):
     half-apartment h: unit diagonal, and off it only the entry on h's root,
     of negval at most h's threshold.  A root that is not one of
     type_A(n - 1) raises NotARoot."""
+    _check_chart(g)
     i, j = type_A(g.n - 1).alpha(*h.root)
     ell = h.threshold
     wall = (i - 1, j - 1)

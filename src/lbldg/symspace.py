@@ -13,19 +13,29 @@ cofactors, from the matrix without that row, for mat_adjugate.  Each table
 runs on one integer lattice (series.to_lattice): one ramification index E
 for the matrix and one integer scale per row, so every term of a minor
 shares exponent denominator and coefficient denominator, and the table
-builds each minor, a signed sum of products of bare integer pairs, with one
-kernel call (series.lattice_ring).  Each result is put in canonical form
-once, at the end (series.from_lattice), with the product of its rows'
-scales; retract needs only the minors' lead exponents, ints over E, and
-reads them off the lattice instead.  char_pencil substitutes
-lambda = t^(B/E) in an exact pencil, so det(lambda*x - y) is one series
-determinant whose terms split back into the coefficients of lambda by
-exponent window; a floored pencil runs the table on polynomials in lambda
-over the lattice.
+builds each minor, a signed sum of products, with one kernel call.  The
+pass that builds the lattice also picks the ring, once per table: with no
+floored entry the values are bare term lists and the ring is (no terms,
+kernel_dot), kernel_dot itself taking the table's (a, b, negative) triples;
+with one, the values carry their floors and the ring is
+series.lattice_ring.  Each result is put in canonical form once, at the
+end (series.from_lattice), with the product of its rows' scales; retract
+needs only the minors' lead exponents, ints over E, and reads them off the
+lattice instead.
+
+char_pencil substitutes lambda = t^(B/E) in an exact pencil, so
+det(lambda*x - y) is one series determinant whose terms split back into the
+coefficients of lambda by exponent window; a floored pencil runs the table
+on polynomials in lambda over the lattice.  cartan_valuations builds the
+same determinant on an exact pair and reads each window's lead exponent,
+the first term the descending term list has in the window, as a
+Newton-polygon point, with no coefficient put back into series form; a
+floored pair goes through char_pencil.
 """
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import not_
 
 from .apartment import ApartmentVec
 from .errors import PrecisionError, SeriesSyntaxError
@@ -101,9 +111,10 @@ def _minors(m, ring, masks):
     sum of products is the largest product floor, however the sum is
     grouped.
 
-    The callers hand it series.lattice_ring on values from series.to_lattice
-    (or, for a floored pencil, polynomials over it), so each minor is one
-    kernel call on one lattice (one per degree on polynomials) and each
+    The callers hand it the ring series.to_lattice picked for m: bare term
+    lists under kernel_dot, or series.lattice_ring on (pairs, floor) values
+    (for a floored pencil, polynomials over it).  So each minor is one
+    kernel call on one lattice (one per degree on polynomials), and each
     result is read once, after the table.
     """
     is_zero, dot = ring
@@ -138,13 +149,22 @@ def _minors(m, ring, masks):
     return [table[mask] for mask in masks]
 
 
+def _lattice_minors(m, masks):
+    """(E, scales, minors): the minors of the series matrix m named by masks,
+    from one table on one lattice, each a lattice value (pairs, floor).  The
+    table runs on bare term lists and kernel_dot itself unless an entry of m
+    has a floor, and on series.lattice_ring then."""
+    e, scales, rows, floored = fs.to_lattice(m)
+    if floored:
+        return e, scales, _minors(rows, fs.lattice_ring(e), masks)
+    return e, scales, [(v, None) for v in _minors(rows, (not_, fs.kernel_dot), masks)]
+
+
 def _series_minors(m, masks):
-    """The minors of the series matrix m named by masks, from one table on
-    one lattice.  A minor on the last k rows has the product of those rows'
-    scales as its scale."""
-    e, scales, rows = fs.to_lattice(m)
-    minors = _minors(rows, fs.lattice_ring(e), masks)
-    r = len(rows)
+    """The minors of the series matrix m named by masks, as series.  A minor
+    on the last k rows has the product of those rows' scales as its scale."""
+    e, scales, minors = _lattice_minors(m, masks)
+    r = len(m)
     return [
         fs.from_lattice(e, prod(scales[r - mask.bit_count() :]), v)
         for mask, v in zip(masks, minors)
@@ -332,10 +352,41 @@ def _polynomials(ring):
     return poly_is_zero, poly_dot
 
 
+def _pencil_rows(x, y):
+    """Row i of the pencil's matrix: row i of y, then row i of x, so that
+    both share one lattice scale, the scale of row i of the pencil."""
+    if not (isinstance(x, SPDPoint) and isinstance(y, SPDPoint)):
+        names = f"{type(x).__name__} and a {type(y).__name__}"
+        raise TypeError(f"the pencil needs two points, not a {names}")
+    n = x.n
+    if y.n != n:
+        raise ValueError(f"the pencil needs points of one size, got {n} x {n} and {y.n} x {y.n}")
+    return [y.entries[i] + x.entries[i] for i in range(n)]
+
+
+def _kronecker_det(rows):
+    """(B, lo, det) for the exact pencil whose lattice rows are rows: det is
+    the term list of det(lambda*x - y) at lambda = t^(B/E), and its terms of
+    degree d in lambda are those in the window d*B + [lo, lo + B)."""
+    n = len(rows)
+    b, lo = 1, 0
+    for row in rows:
+        ks = [k for pairs in row if pairs for k in (pairs[0][0], pairs[-1][0])]
+        if ks:
+            b += max(ks) - min(ks)
+            lo += min(ks)
+    m = [
+        [
+            tuple([(k + b, c) for k, c in xp] + [(k, -c) for k, c in yp])
+            for yp, xp in zip(row, row[n:])
+        ]
+        for row in rows
+    ]
+    return b, lo, _minors(m, (not_, fs.kernel_dot), [(1 << n) - 1])[0]
+
+
 def char_pencil(x, y):
-    """Coefficients of q(lambda) = det(lambda*x - y), low degree first.  Row
-    i of y and row i of x share one lattice scale, the scale of row i of the
-    pencil.
+    """Coefficients of q(lambda) = det(lambda*x - y), low degree first.
 
     An exact pencil is one series determinant (Kronecker substitution in
     lambda alone; Harvey, J. Symbolic Comput. 44, 2009): lambda = t^(B/E),
@@ -348,44 +399,20 @@ def char_pencil(x, y):
     coefficient is the one a polynomial table would build, term for term.
     A floored entry's floor bounds one lambda-coefficient only, so a floored
     pencil runs the table on polynomials in lambda instead."""
-    if not (isinstance(x, SPDPoint) and isinstance(y, SPDPoint)):
-        names = f"{type(x).__name__} and a {type(y).__name__}"
-        raise TypeError(f"the pencil needs two points, not a {names}")
-    n = x.n
-    if y.n != n:
-        raise ValueError(f"the pencil needs points of one size, got {n} x {n} and {y.n} x {y.n}")
-    e, scales, rows = fs.to_lattice([y.entries[i] + x.entries[i] for i in range(n)])
+    e, scales, rows, floored = fs.to_lattice(_pencil_rows(x, y))
+    n = len(rows)
     scale = prod(scales)
-    full = [(1 << n) - 1]
-    if any(f is not None for row in rows for _, f in row):
+    if floored:
         # entry (i, j) of the pencil is the polynomial (-y_ij, x_ij)
-        m = tuple(
-            [
-                tuple([((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])])
-                for row in rows
-            ]
-        )
-        q = _minors(m, _polynomials(fs.lattice_ring(e)), full)[0]
-        return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
-    b, lo = 1, 0
-    for row in rows:
-        ks = [k for pairs, _ in row if pairs for k in (pairs[0][0], pairs[-1][0])]
-        if ks:
-            b += max(ks) - min(ks)
-            lo += min(ks)
-    m = tuple(
-        [
-            tuple(
-                [
-                    (tuple([(k + b, c) for k, c in xp] + [(k, -c) for k, c in yp]), None)
-                    for (yp, _), (xp, _) in zip(row, row[n:])
-                ]
-            )
+        m = [
+            [((tuple([(k, -c) for k, c in yp]), yf), xv) for (yp, yf), xv in zip(row, row[n:])]
             for row in rows
         ]
-    )
+        q = _minors(m, _polynomials(fs.lattice_ring(e)), [(1 << n) - 1])[0]
+        return tuple([fs.from_lattice(e, scale, c) for c in q]) + (fs.ZERO,) * (n + 1 - len(q))
+    b, lo, det = _kronecker_det(rows)
     q = [[] for _ in range(n + 1)]
-    for k, c in _minors(m, fs.lattice_ring(e), full)[0][0]:
+    for k, c in det:
         d = (k - lo) // b
         q[d].append((k - d * b, c))
     return tuple([fs.from_lattice(e, scale, (tuple(c), None)) for c in q])
@@ -406,24 +433,51 @@ def _upper_concave_hull(points):
     return hull
 
 
+_SINGULAR = "an end coefficient of the pencil is zero, so a point is singular"
+
+
 def cartan_valuations(x, y):
     """Half the root negvals of det(lambda*x - y), sorted descending, as a
     tuple of Fractions: each is a slope of the Newton polygon, so none is
-    Bottom."""
-    return _pencil_valuations(char_pencil(x, y))
+    Bottom.
+
+    An exact pair is read off char_pencil's Kronecker determinant without
+    splitting it into series: its terms descend, so the first term met in
+    each window is the lead of that window's coefficient, an int over the
+    lattice's E.  A floored pair goes through char_pencil and
+    _pencil_valuations."""
+    rows = _pencil_rows(x, y)
+    for row in rows:
+        for v in row:
+            if v.floor is not None:
+                return _pencil_valuations(char_pencil(x, y))
+    e, _, rows, _ = fs.to_lattice(rows)
+    b, lo, det = _kronecker_det(rows)
+    n = len(rows)
+    # points (n - d, lead exponent of the degree-d coefficient), d descending
+    points = []
+    start = lo + (n + 1) * b
+    for k, _ in det:
+        if k < start:
+            d = (k - lo) // b
+            start = lo + d * b
+            points.append((n - d, k - d * b))
+    if not points or points[0][0] != 0 or points[-1][0] != n:
+        raise ValueError(_SINGULAR)
+    return _half_slopes(_upper_concave_hull(points), e)
 
 
 def _pencil_valuations(q):
     """Half the slopes of the upper Newton polygon of the pencil whose
-    coefficients q holds low degree first, descending.  The polygon's points (k, lead exponent of q[n - k]) lie
-    on one int lattice: E is the lcm of the visible coefficients' e, and
-    each leading exponent is an int over E, so the hull compares ints and
-    each slope makes one Fraction.  A masked coefficient is checked
-    against the polygon as a Fraction.  The end coefficients are det(-y)
-    and det(x), so an exactly-zero one is a singular point."""
+    coefficients q holds low degree first, descending.  The polygon's points
+    (k, lead exponent of q[n - k]) lie on one int lattice: E is the lcm of
+    the visible coefficients' e, and each leading exponent is an int over
+    E.  A masked coefficient is checked against the polygon as a Fraction.
+    The end coefficients are det(-y) and det(x), so an exactly-zero one is a
+    singular point."""
     n = len(q) - 1
     if any(not c.pairs and c.floor is None for c in (q[0], q[n])):
-        raise ValueError("an end coefficient of the pencil is zero, so a point is singular")
+        raise ValueError(_SINGULAR)
     e = lcm(*[c.e for c in q if c.pairs])
     known = []
     masked = []
@@ -440,6 +494,13 @@ def _pencil_valuations(q):
     for k, bound in masked:
         if k < hull[0][0] or k > hull[-1][0] or bound > _hull_value_at(hull, k, e):
             raise PrecisionError(f"coefficient of degree {n - k} masked above the Newton polygon")
+    return _half_slopes(hull, e)
+
+
+def _half_slopes(hull, e):
+    """Half the slopes of the upper hull of (k, v) points, v an int over
+    E = e, descending, each repeated over its run of k: the hull compares
+    ints, and each slope makes one Fraction."""
     mu = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         v = Fraction(y2 - y1, 2 * e * (x2 - x1))
@@ -492,9 +553,9 @@ def retract(x):
     if not isinstance(x, SPDPoint):
         raise TypeError(f"retract takes a point, not a {type(x).__name__}")
     n = x.n
-    e, _, rows = fs.to_lattice(x.entries)
+    e, _, minors = _lattice_minors(x.entries, [(1 << n) - (1 << i) for i in range(n)])
     lead = []
-    for pairs, floor in _minors(rows, fs.lattice_ring(e), [(1 << n) - (1 << i) for i in range(n)]):
+    for pairs, floor in minors:
         if not pairs:
             if floor is None:
                 raise ValueError(

@@ -7,7 +7,10 @@ index e and coefficient denominator d the caller keeps: both operands of
 one e, and the product's denominator is the product of theirs. The kernel is
 one merge, ``kernel_add``, and one convolution, ``kernel_dot``: a sum of
 signed products whose operands share one e and whose products share one d,
-which every minor table runs on. ``kernel_mul`` shifts and scales by a
+which every minor table runs on. A table with no floored entry calls it
+directly on its (a, b, negative) triples of bare term lists; a table with one
+calls it through ``series.lattice_ring``, which drops zero operands and
+tracks the floors around it. ``kernel_mul`` shifts and scales by a
 one-term operand and hands any longer product to ``kernel_dot``. Results are
 term lists of the same form; dividing out common factors is the caller's
 job. These kernels, with ``series.mul``'s product of two exact monomials,

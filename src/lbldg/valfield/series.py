@@ -39,11 +39,13 @@ with more digits than ``int()`` turns into text, which ``parse`` could not
 read back either.
 
 Minor tables skip that per-operation bookkeeping. ``to_lattice`` puts a whole
-matrix on one ramification index and one integer scale per row,
-``lattice_ring`` builds each sum of signed products of the resulting bare
-(pairs, floor) values with one ``kernel_dot`` call, and ``from_lattice``
-makes each result canonical once. Between the two conversions an element is
-not canonical, and no Fraction appears except in floors.
+matrix on one ramification index and one integer scale per row, and in the
+same pass picks the ring the table runs on. Each sum of signed products is
+one ``kernel_dot`` call: on bare term lists, passed to ``kernel_dot`` as they
+are, when no entry has a floor, and through ``lattice_ring``'s floor
+bookkeeping on (pairs, floor) values otherwise. ``from_lattice`` makes each
+result canonical once. Between the two conversions an element is not
+canonical, and no Fraction appears except in floors.
 
 All operations are pure; results are immutable.
 """
@@ -322,19 +324,28 @@ def mul(a, b):
 
 
 def to_lattice(rows):
-    """(E, scales, values) for a matrix of series: E is the lcm of every
-    entry's e, scales[i] the lcm of row i's d, and values[i][j] the pair
-    (pairs, floor) of entry (i, j) with exponents over E and numerators over
-    scales[i]."""
-    e = lcm(*[a.e for row in rows for a in row])
+    """(E, scales, values, floored) for a matrix of series: E is the lcm of
+    every entry's e, scales[i] the lcm of row i's d, and values[i][j] entry
+    (i, j) with exponents over E and numerators over scales[i].
+
+    The same pass tells which ring a table on the values runs on.  With no
+    floor anywhere, floored is False and each value is a bare term list: a
+    table on them runs on (no terms, kernel_dot), kernel_dot itself taking
+    the table's (a, b, negative) triples.  With a floored entry, floored is
+    True and each value is the pair (pairs, floor), for lattice_ring."""
+    # the pass that reads every entry's e also marks a floored entry's e with
+    # a minus sign, which lcm ignores
+    es = [a.e if a.floor is None else -a.e for row in rows for a in row]
+    e = lcm(*es)
     scales = [lcm(*[a.d for a in row]) for row in rows]
-    values = tuple(
-        [
+    if min(es) < 0:
+        values = [
             tuple([(_rescale(a.pairs, e // a.e, d // a.d), a.floor) for a in row])
             for row, d in zip(rows, scales)
         ]
-    )
-    return e, scales, values
+        return e, scales, tuple(values), True
+    values = [tuple([_rescale(a.pairs, e // a.e, d // a.d) for a in row]) for row, d in zip(rows, scales)]
+    return e, scales, tuple(values), False
 
 
 def from_lattice(e, scale, v):
@@ -344,7 +355,9 @@ def from_lattice(e, scale, v):
 
 
 def lattice_ring(e):
-    """(is_zero, dot) on lattice values over ramification index e.
+    """(is_zero, dot) on the (pairs, floor) lattice values over ramification
+    index e that to_lattice gives a matrix with a floored entry; a matrix
+    with none runs on bare term lists and kernel_dot itself instead.
     dot takes (a, b, negative) triples whose products share one scale (the
     product of a's and b's) and returns the sum of a*b, or of -a*b where
     negative is set.  Its floor is the largest product floor, each product

@@ -374,9 +374,9 @@ def _wrong_operands():
     return g, h, act(g, SPDPoint.basepoint(3))
 
 
-# each call hands a chart where a point belongs or a point where a chart
-# belongs; every one of these computed an answer, or raised AttributeError,
-# before the operands were checked
+# each call hands a chart where a point belongs, a point where a chart
+# belongs, or a chart's rows as nested lists; every one of these computed an
+# answer, or raised AttributeError, before the operands were checked
 WRONG_TYPE_CALLS = {
     "distance": lambda g, h, x: distance(g, h),
     "cartan_valuations": lambda g, h, x: cartan_valuations(x, g),
@@ -396,10 +396,19 @@ WRONG_TYPE_CALLS = {
     "sampled_germ_equal": lambda g, h, x: bn.sampled_germ_equal(g, x),
     "infinity_equal": lambda g, h, x: bn.infinity_equal(g, x),
     "sampled_infinity_equal": lambda g, h, x: bn.sampled_infinity_equal(h, x),
+    "chart_image_list": lambda g, h, x: bd.chart_image(_rows(g), _mu(type_A(2), 0, 0, 0)),
+    "apartment_overlap_list": lambda g, h, x: bd.apartment_overlap(_rows(g)),
+    "stab_half_apartment_list": lambda g, h, x: bd.stab_half_apartment(
+        _rows(g), HalfApartment(type_A(2).alpha(1, 2), Q(0))
+    ),
 }
+
+
+def _rows(g):
+    return [list(row) for row in g.entries]
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_TYPE_CALLS))
 def test_operands_of_the_wrong_type_raise_type_error(name):
-    with pytest.raises(TypeError, match=r"not a (GroupElem|SPDPoint)"):
+    with pytest.raises(TypeError, match=r"not a (GroupElem|SPDPoint|list)\b"):
         WRONG_TYPE_CALLS[name](*_wrong_operands())

@@ -262,9 +262,9 @@ _MAYBE_FLOOR = st.one_of(st.none(), fractions(-9, 6, 6))
 
 @st.composite
 def _cut_pairs(draw):
-    """Two exact points of size 2 or 3, each with a copy whose entries are cut
+    """Two exact points of size 2 to 5, each with a copy whose entries are cut
     by with_floor (symmetric positions share a floor)."""
-    n = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 5))
     rng = trial_rng(draw(st.integers(0, 10**6)), "floors", 0)
     out = []
     for x in (gen_point(rng, n), gen_point(rng, n)):
@@ -346,6 +346,16 @@ class TestMatrixFloorSoundness:
         except PrecisionError:
             return
         assert got == sym.cartan_valuations(x, y)
+
+    @given(_cut_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_retract_exact_or_precision_error(self, pairs):
+        for x, cut in pairs:
+            try:
+                got = sym.retract(cut)
+            except PrecisionError:
+                continue
+            assert got == sym.retract(x)
 
 
 class TestDistance:
